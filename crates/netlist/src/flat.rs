@@ -356,6 +356,11 @@ impl FlatNetlist {
 
     /// Resolves a cell id.
     ///
+    /// Assembling the view resolves the cell's leaf name; simulation hot
+    /// loops read single columns through [`FlatNetlist::cell_kind`],
+    /// [`FlatNetlist::cell_inputs`] and [`FlatNetlist::cell_output`]
+    /// instead.
+    ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
@@ -366,14 +371,33 @@ impl FlatNetlist {
             name: self.names.resolve(self.cell_name[i]),
             path: self.cell_path[i],
             kind: self.cell_kind[i],
-            inputs: self.cell_inputs(i),
+            inputs: self.cell_inputs(id),
             output: self.cell_output[i],
         }
     }
 
+    /// A cell's library kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range (likewise for the other column
+    /// accessors).
     #[inline]
-    fn cell_inputs(&self, i: usize) -> &[NetId] {
+    pub fn cell_kind(&self, id: CellId) -> CellKind {
+        self.cell_kind[id.index()]
+    }
+
+    /// A cell's input nets, in canonical pin order.
+    #[inline]
+    pub fn cell_inputs(&self, id: CellId) -> &[NetId] {
+        let i = id.index();
         &self.pin_pool[self.cell_pin_start[i] as usize..self.cell_pin_start[i + 1] as usize]
+    }
+
+    /// The net a cell's output pin drives.
+    #[inline]
+    pub fn cell_output(&self, id: CellId) -> NetId {
+        self.cell_output[id.index()]
     }
 
     /// Resolves a net id.
@@ -383,12 +407,24 @@ impl FlatNetlist {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn net(&self, id: NetId) -> NetView<'_> {
+        NetView {
+            driver: self.net_driver(id),
+            loads: self.net_loads(id),
+        }
+    }
+
+    /// A net's unique driver, if any.
+    #[inline]
+    pub fn net_driver(&self, id: NetId) -> Option<Driver> {
+        decode_driver(self.net_driver[id.index()])
+    }
+
+    /// Cells reading a net, as `(cell, input-pin index)` pairs.
+    #[inline]
+    pub fn net_loads(&self, id: NetId) -> &[(CellId, u8)] {
         let i = id.index();
         let start = self.net_load_start[i] as usize;
-        NetView {
-            driver: decode_driver(self.net_driver[i]),
-            loads: &self.load_pool[start..start + self.net_load_len[i] as usize],
-        }
+        &self.load_pool[start..start + self.net_load_len[i] as usize]
     }
 
     /// Primary inputs (top-module input ports), in port order.
@@ -559,10 +595,6 @@ impl FlatNetlist {
         self.names.intern(name)
     }
 
-    pub(crate) fn raw_driver(&self, net: NetId) -> Option<Driver> {
-        decode_driver(self.net_driver[net.index()])
-    }
-
     pub(crate) fn set_driver(&mut self, net: NetId, driver: Option<Driver>) {
         self.net_driver[net.index()] = encode_driver(driver);
     }
@@ -615,7 +647,7 @@ impl FlatNetlist {
         let mut fill = start.clone();
         let mut pool = vec![(CellId(0), 0u8); self.pin_pool.len()];
         for c in 0..self.num_cells() {
-            for (pin, &net) in self.cell_inputs(c).iter().enumerate() {
+            for (pin, &net) in self.cell_inputs(CellId(c as u32)).iter().enumerate() {
                 let slot = fill[net.index()];
                 fill[net.index()] += 1;
                 pool[slot as usize] = (CellId(c as u32), pin as u8);
@@ -647,8 +679,8 @@ impl FlatNetlist {
                 continue;
             }
             let mut count = 0;
-            for &input in self.cell_inputs(i) {
-                if let Some(Driver::Cell(driver)) = decode_driver(self.net_driver[input.index()]) {
+            for &input in self.cell_inputs(CellId(i as u32)) {
+                if let Some(Driver::Cell(driver)) = self.net_driver(input) {
                     if self.cell_kind[driver.index()].is_combinational() {
                         count += 1;
                     }
@@ -670,8 +702,8 @@ impl FlatNetlist {
         while let Some(id) = ready.pop() {
             order.push(id);
             let mut depth = 0;
-            for &input in self.cell_inputs(id.index()) {
-                if let Some(Driver::Cell(driver)) = decode_driver(self.net_driver[input.index()]) {
+            for &input in self.cell_inputs(id) {
+                if let Some(Driver::Cell(driver)) = self.net_driver(input) {
                     if self.cell_kind[driver.index()].is_combinational() {
                         depth = depth.max(cell_depth[driver.index()] + 1);
                     }
@@ -679,11 +711,7 @@ impl FlatNetlist {
             }
             cell_depth[id.index()] = depth;
             max_depth = max_depth.max(depth);
-            let out = self.cell_output[id.index()];
-            let start = self.net_load_start[out.index()] as usize;
-            let len = self.net_load_len[out.index()] as usize;
-            for k in start..start + len {
-                let (load, _pin) = self.load_pool[k];
+            for &(load, _pin) in self.net_loads(self.cell_output(id)) {
                 if self.cell_kind[load.index()].is_combinational() {
                     pending[load.index()] -= 1;
                     if pending[load.index()] == 0 {
@@ -833,7 +861,7 @@ fn expand(
         let leaf = names[&module_id].cells[c];
         let inputs: Vec<NetId> = cell.inputs.iter().map(|n| net_map[n.index()]).collect();
         let output = net_map[cell.output.index()];
-        if flat.raw_driver(output).is_some() {
+        if flat.net_driver(output).is_some() {
             return Err(NetlistError::MultipleDrivers(flat.net_full_name(output)));
         }
         let cell_id = flat.push_cell_parts(leaf, path_id, cell.kind, &inputs, output)?;

@@ -46,6 +46,7 @@
 //! conformance subsystem verifies differentially.
 
 use crate::engine::{Engine, EngineState, EngineTelemetry};
+use crate::eval::{gather, Inputs};
 use crate::inject::Fault;
 use crate::levelized::LevelizedState;
 use crate::value::Logic;
@@ -68,9 +69,6 @@ pub const SUPPORTED_LANE_COUNTS: [usize; 3] = [64, 256, 512];
 /// Iteration bound for the asynchronous-control fixpoint (matches the
 /// levelized engine's bound).
 const ASYNC_FIXPOINT_LIMIT: usize = 16;
-
-/// Widest cell input list (`Dffre`: CLK, D, RSTN, EN).
-const MAX_INPUTS: usize = 4;
 
 /// A per-lane bitmask over `W * 64` lanes: fault targeting, divergence
 /// reporting and disturbance masks all speak this type, so a mask can
@@ -658,12 +656,8 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         self.nets[net.index()] = w;
     }
 
-    fn input_words(&self, cell: CellId, buf: &mut [LaneWord<W>; MAX_INPUTS]) -> usize {
-        let inputs = &self.netlist.cell(cell).inputs;
-        for (b, n) in buf.iter_mut().zip(inputs.iter()) {
-            *b = self.nets[n.index()];
-        }
-        inputs.len()
+    fn input_words(&self, cell: CellId) -> Inputs<LaneWord<W>> {
+        gather(self.netlist.cell_inputs(cell), &self.nets)
     }
 
     /// One full evaluation sweep of the combinational netlist, all lanes
@@ -672,11 +666,8 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         self.sweeps += 1;
         for i in 0..self.order.len() {
             let cell = self.order[i];
-            let kind = self.netlist.cell(cell).kind;
-            let mut buf = [LaneWord::ZERO; MAX_INPUTS];
-            let n = self.input_words(cell, &mut buf);
-            let mut out = eval_comb_word(kind, &buf[..n]);
-            let net = self.netlist.cell(cell).output;
+            let mut out = eval_comb_word(self.netlist.cell_kind(cell), &self.input_words(cell));
+            let net = self.netlist.cell_output(cell);
             let inv = self.inverted[net.index()];
             if inv.any() {
                 out = out.disturb(inv);
@@ -695,9 +686,7 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
                 if !cell.kind.is_sequential() {
                     continue;
                 }
-                let mut buf = [LaneWord::ZERO; MAX_INPUTS];
-                let n = self.input_words(id, &mut buf);
-                let forced = async_override_zero_lanes(cell.kind, &buf[..n]);
+                let forced = async_override_zero_lanes(cell.kind, &self.input_words(id));
                 // Only lanes whose state actually changes update the Q net,
                 // matching the scalar `state != forced` guard.
                 let st = self.state[id.index()];
@@ -861,9 +850,7 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
         let mut captured: Vec<(CellId, LaneWord<W>)> = Vec::new();
         for (id, cell) in self.netlist.iter_cells() {
             if cell.kind.is_sequential() {
-                let mut buf = [LaneWord::ZERO; MAX_INPUTS];
-                let n = self.input_words(id, &mut buf);
-                let ns = next_state_word(cell.kind, &buf[..n], self.state[id.index()]);
+                let ns = next_state_word(cell.kind, &self.input_words(id), self.state[id.index()]);
                 captured.push((id, ns));
             }
         }

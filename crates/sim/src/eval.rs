@@ -1,7 +1,40 @@
 //! Cell evaluation semantics shared by both simulation engines.
 
 use crate::value::Logic;
-use ssresf_netlist::CellKind;
+use ssresf_netlist::{CellKind, NetId};
+use std::ops::Deref;
+
+/// The widest cell arity in the library (`Dffre`: CLK, D, RSTN, EN).
+pub(crate) const MAX_INPUTS: usize = 4;
+
+/// A cell's input values in a stack buffer; derefs to the `arity` live
+/// values. Built by [`gather`].
+pub(crate) struct Inputs<T> {
+    buf: [T; MAX_INPUTS],
+    arity: usize,
+}
+
+impl<T> Deref for Inputs<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buf[..self.arity]
+    }
+}
+
+/// Gathers the values of the nets `inputs` from the per-net `values`, so a
+/// gate evaluation allocates nothing. Shared by the scalar engines
+/// (`T = Logic`) and the bit-parallel engine (`T = LaneWord`).
+pub(crate) fn gather<T: Copy + Default>(inputs: &[NetId], values: &[T]) -> Inputs<T> {
+    let mut buf = [T::default(); MAX_INPUTS];
+    for (b, n) in buf.iter_mut().zip(inputs) {
+        *b = values[n.index()];
+    }
+    Inputs {
+        buf,
+        arity: inputs.len(),
+    }
+}
 
 /// Evaluates a combinational cell given its input pin values (in canonical
 /// pin order).
@@ -248,6 +281,13 @@ mod tests {
             for combo in combos {
                 let _ = eval_comb(kind, &combo);
             }
+        }
+    }
+
+    #[test]
+    fn every_arity_fits_the_gather_buffer() {
+        for &kind in ALL_CELL_KINDS {
+            assert!(kind.num_inputs() <= MAX_INPUTS, "{kind}");
         }
     }
 

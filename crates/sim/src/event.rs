@@ -7,7 +7,7 @@
 //! distinguishes SET simulation from cycle-accurate approximations.
 
 use crate::engine::{Engine, EngineState, EngineTelemetry};
-use crate::eval::{async_override, disturb, eval_comb, next_state};
+use crate::eval::{async_override, disturb, eval_comb, gather, next_state, Inputs};
 use crate::inject::Fault;
 use crate::trace::{WaveSignal, WaveTrace};
 use crate::value::Logic;
@@ -15,8 +15,6 @@ use crate::SimError;
 use serde::{Deserialize, Serialize};
 use ssresf_netlist::flat::Driver;
 use ssresf_netlist::{CellId, CellKind, FlatNetlist, NetId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Combinational gate propagation delay, in time units.
 const GATE_DELAY: u64 = 1;
@@ -39,15 +37,152 @@ struct Event {
     action: Action,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+/// End-of-list marker for the time wheel's node links.
+const NIL: u32 = u32::MAX;
+
+/// A pending event in the time wheel's node pool, linked to the next event
+/// of its slot (or, while free, to the next free node).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    event: Event,
+    next: u32,
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// The pending-event queue: a power-of-two ring of FIFO slots, all threaded
+/// through one pooled node array with a free list, so steady-state pushes
+/// and pops allocate nothing.
+///
+/// Slot `time & mask` holds the events due at `time`. Every pending event
+/// lies in `[base, base + ring)`, so a slot never mixes two timestamps, and
+/// a slot's FIFO order is push order, which is `seq` order. Scanning forward
+/// from `base` to the first non-empty slot therefore pops exactly the
+/// `(time, seq)` minimum a binary heap would. A push that would stretch the
+/// pending span past the ring fails an assert instead of misordering.
+#[derive(Debug)]
+struct TimeWheel {
+    /// Per-slot `(head, tail)` node indices, `NIL` when empty.
+    slots: Vec<(u32, u32)>,
+    nodes: Vec<Node>,
+    /// Head of the free-node list.
+    free: u32,
+    len: usize,
+    /// No pending event is due before `base`.
+    base: u64,
+    /// No pending event is due after `max(base, last)`.
+    last: u64,
+}
+
+impl TimeWheel {
+    /// A wheel whose ring spans at least `horizon` time units.
+    fn new(horizon: u64) -> Self {
+        TimeWheel {
+            slots: vec![(NIL, NIL); horizon.next_power_of_two() as usize],
+            nodes: Vec::new(),
+            free: NIL,
+            len: 0,
+            base: 0,
+            last: 0,
+        }
+    }
+
+    fn slot(&self, time: u64) -> usize {
+        (time & (self.slots.len() as u64 - 1)) as usize
+    }
+
+    /// Queues `event` behind every pending event of its timestamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pending events would span more than the ring.
+    fn push(&mut self, event: Event) {
+        if self.len == 0 {
+            self.base = event.time;
+            self.last = event.time;
+        }
+        let lo = self.base.min(event.time);
+        let hi = self.last.max(self.base).max(event.time);
+        assert!(
+            hi - lo < self.slots.len() as u64,
+            "event at time {} is beyond the {}-slot time wheel (pending span {lo}..={hi})",
+            event.time,
+            self.slots.len()
+        );
+        self.base = lo;
+        self.last = hi;
+        let node = Node { event, next: NIL };
+        let index = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("time wheel node pool overflow")
+        } else {
+            let index = self.free;
+            self.free = self.nodes[index as usize].next;
+            self.nodes[index as usize] = node;
+            index
+        };
+        let slot = self.slot(event.time);
+        match self.slots[slot] {
+            (NIL, _) => self.slots[slot] = (index, index),
+            (_, tail) => {
+                self.nodes[tail as usize].next = index;
+                self.slots[slot].1 = index;
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Dequeues the earliest pending event if it is due before `limit`.
+    fn pop_before(&mut self, limit: u64) -> Option<Event> {
+        if self.len == 0 {
+            return None;
+        }
+        while self.base < limit {
+            let slot = self.slot(self.base);
+            let head = self.slots[slot].0;
+            if head != NIL {
+                let node = self.nodes[head as usize];
+                debug_assert_eq!(node.event.time, self.base);
+                self.slots[slot] = if node.next == NIL {
+                    (NIL, NIL)
+                } else {
+                    (node.next, self.slots[slot].1)
+                };
+                self.nodes[head as usize].next = self.free;
+                self.free = head;
+                self.len -= 1;
+                return Some(node.event);
+            }
+            self.base += 1;
+        }
+        None
+    }
+
+    /// Every pending event in `(time, seq)` order.
+    fn pending(&self) -> Vec<Event> {
+        let mut events = Vec::with_capacity(self.len);
+        let mut time = self.base;
+        while events.len() < self.len {
+            let mut index = self.slots[self.slot(time)].0;
+            while index != NIL {
+                let node = self.nodes[index as usize];
+                events.push(node.event);
+                index = node.next;
+            }
+            time += 1;
+        }
+        events
+    }
+
+    /// Replaces the pending events with `events`, given in `(time, seq)`
+    /// order so each slot's FIFO comes out in `seq` order.
+    fn reset(&mut self, events: &[Event]) {
+        debug_assert!(events.is_sorted_by_key(|e| (e.time, e.seq)));
+        self.slots.fill((NIL, NIL));
+        self.nodes.clear();
+        self.free = NIL;
+        self.len = 0;
+        for &event in events {
+            self.push(event);
+        }
     }
 }
 
@@ -138,7 +273,7 @@ pub struct EventDrivenEngine<'a> {
     state: Vec<Logic>,
     input_values: Vec<Option<Logic>>,
     forced: Vec<Option<Logic>>,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: TimeWheel,
     seq: u64,
     time: u64,
     cycle: u64,
@@ -181,7 +316,10 @@ impl<'a> EventDrivenEngine<'a> {
             state: vec![Logic::X; netlist.cells().len()],
             input_values: vec![None; netlist.nets().len()],
             forced: vec![None; netlist.nets().len()],
-            queue: BinaryHeap::new(),
+            // A SET release lands at most `2 * period - 1` past the cycle
+            // start, and preloads rewind time by one period (see
+            // `set_cell_state`), so four periods cover every pending span.
+            queue: TimeWheel::new(4 * period),
             seq: 0,
             time: 0,
             cycle: 0,
@@ -200,8 +338,9 @@ impl<'a> EventDrivenEngine<'a> {
         // (tie cells) and X values propagate, then let the netlist settle
         // before the first cycle — matching the levelized engine, which
         // fully propagates at construction.
-        for (id, cell) in netlist.iter_cells() {
-            if cell.kind.is_combinational() {
+        for i in 0..netlist.num_cells() {
+            let id = CellId(i as u32);
+            if netlist.cell_kind(id).is_combinational() {
                 engine.push(0, Action::Eval(id));
             }
         }
@@ -242,13 +381,12 @@ impl<'a> EventDrivenEngine<'a> {
     }
 
     fn push(&mut self, time: u64, action: Action) {
-        let event = Event {
+        self.queue.push(Event {
             time,
             seq: self.seq,
             action,
-        };
+        });
         self.seq += 1;
-        self.queue.push(Reverse(event));
     }
 
     fn apply_net(&mut self, net: NetId, value: Logic, respect_force: bool) {
@@ -264,9 +402,9 @@ impl<'a> EventDrivenEngine<'a> {
         if let Some(pos) = self.recorded.iter().position(|&n| n == net) {
             self.waves[pos].push((self.time, value));
         }
-        let loads = self.netlist.net(net).loads;
-        for &(load, pin) in loads {
-            let kind = self.netlist.cell(load).kind;
+        let netlist = self.netlist;
+        for &(load, pin) in netlist.net_loads(net) {
+            let kind = netlist.cell_kind(load);
             if kind.is_combinational() {
                 self.push(self.time + GATE_DELAY, Action::Eval(load));
             } else {
@@ -275,13 +413,8 @@ impl<'a> EventDrivenEngine<'a> {
         }
     }
 
-    fn input_vals(&self, cell: CellId) -> Vec<Logic> {
-        self.netlist
-            .cell(cell)
-            .inputs
-            .iter()
-            .map(|n| self.values[n.index()])
-            .collect()
+    fn input_vals(&self, cell: CellId) -> Inputs<Logic> {
+        gather(self.netlist.cell_inputs(cell), &self.values)
     }
 
     fn sequential_pin_change(
@@ -292,21 +425,22 @@ impl<'a> EventDrivenEngine<'a> {
         old: Logic,
         new: Logic,
     ) {
-        let inputs = self.input_vals(cell);
+        // Inputs are gathered only on the branches that read them: a clock
+        // fall reaches every flop and needs none.
         match kind {
             CellKind::Latch => {
-                let ns = next_state(kind, &inputs, self.state[cell.index()]);
+                let ns = next_state(kind, &self.input_vals(cell), self.state[cell.index()]);
                 self.update_state(cell, ns, GATE_DELAY);
             }
             CellKind::Dffr | CellKind::Dffre if pin == 2 => {
                 // Asynchronous reset pin.
-                if let Some(forced) = async_override(kind, &inputs) {
+                if let Some(forced) = async_override(kind, &self.input_vals(cell)) {
                     self.update_state(cell, forced, CLK_Q_DELAY);
                 }
             }
             _ if pin == 0 && old == Logic::Zero && new == Logic::One => {
                 // Rising clock edge.
-                let ns = next_state(kind, &inputs, self.state[cell.index()]);
+                let ns = next_state(kind, &self.input_vals(cell), self.state[cell.index()]);
                 self.update_state(cell, ns, CLK_Q_DELAY);
             }
             _ => {}
@@ -318,7 +452,7 @@ impl<'a> EventDrivenEngine<'a> {
             return;
         }
         self.state[cell.index()] = new_state;
-        let q = self.netlist.cell(cell).output;
+        let q = self.netlist.cell_output(cell);
         self.push(self.time + delay, Action::SetNet(q, new_state));
     }
 
@@ -328,8 +462,8 @@ impl<'a> EventDrivenEngine<'a> {
             Action::SetNet(net, value) => {
                 // FF output updates must reflect the *current* state: two
                 // queued updates can race and the later state must win.
-                let value = match self.netlist.net(net).driver {
-                    Some(Driver::Cell(cell)) if self.netlist.cell(cell).kind.is_sequential() => {
+                let value = match self.netlist.net_driver(net) {
+                    Some(Driver::Cell(cell)) if self.netlist.cell_kind(cell).is_sequential() => {
                         self.state[cell.index()]
                     }
                     _ => value,
@@ -337,11 +471,8 @@ impl<'a> EventDrivenEngine<'a> {
                 self.apply_net(net, value, true);
             }
             Action::Eval(cell) => {
-                let kind = self.netlist.cell(cell).kind;
-                let inputs = self.input_vals(cell);
-                let out = eval_comb(kind, &inputs);
-                let net = self.netlist.cell(cell).output;
-                self.apply_net(net, out, true);
+                let out = eval_comb(self.netlist.cell_kind(cell), &self.input_vals(cell));
+                self.apply_net(self.netlist.cell_output(cell), out, true);
             }
             Action::ForceInvert(net) => {
                 let disturbed = disturb(self.values[net.index()]);
@@ -350,9 +481,9 @@ impl<'a> EventDrivenEngine<'a> {
             }
             Action::Release(net) => {
                 self.forced[net.index()] = None;
-                match self.netlist.net(net).driver {
+                match self.netlist.net_driver(net) {
                     Some(Driver::Cell(cell)) => {
-                        if self.netlist.cell(cell).kind.is_sequential() {
+                        if self.netlist.cell_kind(cell).is_sequential() {
                             let v = self.state[cell.index()];
                             self.apply_net(net, v, false);
                         } else {
@@ -370,18 +501,13 @@ impl<'a> EventDrivenEngine<'a> {
             Action::Flip(cell) => {
                 let flipped = disturb(self.state[cell.index()]);
                 self.state[cell.index()] = flipped;
-                let q = self.netlist.cell(cell).output;
-                self.apply_net(q, flipped, true);
+                self.apply_net(self.netlist.cell_output(cell), flipped, true);
             }
         }
     }
 
     fn run_until(&mut self, limit: u64) {
-        while let Some(Reverse(event)) = self.queue.peek().copied() {
-            if event.time >= limit {
-                break;
-            }
-            self.queue.pop();
+        while let Some(event) = self.queue.pop_before(limit) {
             if event.time > self.time {
                 self.wheel_advances += 1;
             } else {
@@ -411,7 +537,7 @@ impl Engine for EventDrivenEngine<'_> {
     fn poke(&mut self, net: NetId, value: Logic) {
         assert_ne!(net, self.clock, "the clock is driven by the engine");
         assert_eq!(
-            self.netlist.net(net).driver,
+            self.netlist.net_driver(net),
             Some(Driver::PrimaryInput),
             "poke target `{}` is not a primary input",
             self.netlist.net_full_name(net)
@@ -426,12 +552,12 @@ impl Engine for EventDrivenEngine<'_> {
 
     fn set_cell_state(&mut self, cell: CellId, value: Logic) {
         assert!(
-            self.netlist.cell(cell).kind.is_sequential(),
+            self.netlist.cell_kind(cell).is_sequential(),
             "cell `{}` holds no state",
             self.netlist.cell_full_name(cell)
         );
         self.state[cell.index()] = value;
-        let q = self.netlist.cell(cell).output;
+        let q = self.netlist.cell_output(cell);
         self.push(self.time, Action::SetNet(q, value));
         // Preloads happen between cycles; settle the combinational fan-out
         // now so the next posedge captures consistent data (mirroring the
@@ -445,12 +571,12 @@ impl Engine for EventDrivenEngine<'_> {
     fn set_cell_states(&mut self, cells: &[CellId], value: Logic) {
         for &cell in cells {
             assert!(
-                self.netlist.cell(cell).kind.is_sequential(),
+                self.netlist.cell_kind(cell).is_sequential(),
                 "cell `{}` holds no state",
                 self.netlist.cell_full_name(cell)
             );
             self.state[cell.index()] = value;
-            let q = self.netlist.cell(cell).output;
+            let q = self.netlist.cell_output(cell);
             self.push(self.time, Action::SetNet(q, value));
         }
         // One settle for the whole preload; the combinational fan-out is
@@ -469,14 +595,12 @@ impl Engine for EventDrivenEngine<'_> {
     }
 
     fn snapshot(&self) -> EngineState {
-        let mut queue: Vec<Event> = self.queue.iter().map(|r| r.0).collect();
-        queue.sort_unstable();
         EngineState::EventDriven(EventDrivenState {
             values: self.values.clone(),
             state: self.state.clone(),
             input_values: self.input_values.clone(),
             forced: self.forced.clone(),
-            queue,
+            queue: self.queue.pending(),
             seq: self.seq,
             time: self.time,
             cycle: self.cycle,
@@ -499,7 +623,7 @@ impl Engine for EventDrivenEngine<'_> {
         self.state.clone_from(&s.state);
         self.input_values.clone_from(&s.input_values);
         self.forced.clone_from(&s.forced);
-        self.queue = s.queue.iter().map(|&e| Reverse(e)).collect();
+        self.queue.reset(&s.queue);
         self.seq = s.seq;
         self.time = s.time;
         self.cycle = s.cycle;
@@ -513,20 +637,11 @@ impl Engine for EventDrivenEngine<'_> {
         let t0 = self.time;
         // Materialize faults firing this cycle into concrete events.
         let current = self.cycle;
-        let mut remaining = Vec::new();
-        let due: Vec<Fault> = {
-            let mut due = Vec::new();
-            for fault in self.faults.drain(..) {
-                if fault.cycle() == current {
-                    due.push(fault);
-                } else {
-                    remaining.push(fault);
-                }
+        for i in 0..self.faults.len() {
+            let fault = self.faults[i];
+            if fault.cycle() != current {
+                continue;
             }
-            due
-        };
-        self.faults = remaining;
-        for fault in due {
             match fault {
                 Fault::Set(f) => {
                     let on = self.sub_cycle_time(t0, f.offset);
@@ -540,6 +655,7 @@ impl Engine for EventDrivenEngine<'_> {
                 }
             }
         }
+        self.faults.retain(|f| f.cycle() != current);
 
         self.push(t0, Action::SetNet(self.clock, Logic::One));
         self.push(
@@ -567,5 +683,77 @@ impl Engine for EventDrivenEngine<'_> {
             restores: self.restores,
             word_evals: 0,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn event(time: u64, seq: u64) -> Event {
+        Event {
+            time,
+            seq,
+            action: Action::Eval(CellId(seq as u32)),
+        }
+    }
+
+    /// Interleaved pushes and pops leave the wheel in exactly the
+    /// `(time, seq)` order of a sorted reference queue, across many ring
+    /// wrap-arounds and with time rewound behind already-popped events (as
+    /// preloads do).
+    #[test]
+    fn wheel_pops_in_time_then_seq_order() {
+        let mut rng = 0x9e37_79b9_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut wheel = TimeWheel::new(32);
+        let mut reference: Vec<Event> = Vec::new();
+        let (mut now, mut high, mut seq) = (0u64, 0u64, 0u64);
+        for round in 0..4000 {
+            for _ in 0..next() % 4 {
+                let e = event(now + next() % 16, seq);
+                seq += 1;
+                wheel.push(e);
+                reference.push(e);
+            }
+            let limit = now + next() % 3;
+            high = high.max(limit);
+            reference.sort_by_key(|e| (e.time, e.seq));
+            let due = reference.iter().take_while(|e| e.time < limit).count();
+            let popped: Vec<Event> = std::iter::from_fn(|| wheel.pop_before(limit)).collect();
+            let expected: Vec<Event> = reference.drain(..due).collect();
+            assert_eq!(popped, expected, "round {round}");
+            assert_eq!(wheel.pending(), reference, "round {round}");
+            // Every fifth round rewinds, staying within 8 units of the
+            // furthest pop so the pending span (< 16 + 8) fits the ring.
+            now = if round % 5 == 0 {
+                limit.saturating_sub(next() % 8).max(high.saturating_sub(8))
+            } else {
+                limit
+            };
+        }
+    }
+
+    #[test]
+    fn reset_restores_pending_order() {
+        let mut wheel = TimeWheel::new(8);
+        let events = [event(3, 0), event(3, 4), event(5, 1), event(10, 2)];
+        wheel.reset(&events);
+        assert_eq!(wheel.pending(), events);
+        let popped: Vec<Event> = std::iter::from_fn(|| wheel.pop_before(u64::MAX)).collect();
+        assert_eq!(popped, events);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 8-slot time wheel")]
+    fn event_past_the_horizon_fails_the_assert() {
+        let mut wheel = TimeWheel::new(8);
+        wheel.push(event(2, 0));
+        wheel.push(event(10, 1));
     }
 }

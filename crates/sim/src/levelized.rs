@@ -6,7 +6,7 @@
 //! approximation); golden runs match the event-driven engine exactly.
 
 use crate::engine::{Engine, EngineState, EngineTelemetry};
-use crate::eval::{async_override, disturb, eval_comb, next_state};
+use crate::eval::{async_override, disturb, eval_comb, gather, next_state, Inputs};
 use crate::inject::Fault;
 use crate::value::Logic;
 use crate::SimError;
@@ -105,6 +105,8 @@ pub struct LevelizedEngine<'a> {
     netlist: &'a FlatNetlist,
     clock: NetId,
     order: Vec<CellId>,
+    /// Sequential cells in id order.
+    sequential: Vec<CellId>,
     values: Vec<Logic>,
     state: Vec<Logic>,
     /// Nets whose driven value is inverted during the current cycle (the
@@ -139,10 +141,15 @@ impl<'a> LevelizedEngine<'a> {
         // evaluation is deterministic and cache-friendly.
         let depth = lv.cell_depth;
         order.sort_by_key(|c| (depth[c.index()], c.0));
+        let sequential: Vec<CellId> = (0..netlist.num_cells() as u32)
+            .map(CellId)
+            .filter(|&c| netlist.cell_kind(c).is_sequential())
+            .collect();
         let mut engine = LevelizedEngine {
             netlist,
             clock,
             order,
+            sequential,
             values: vec![Logic::X; netlist.nets().len()],
             state: vec![Logic::X; netlist.cells().len()],
             inverted: vec![false; netlist.nets().len()],
@@ -170,13 +177,8 @@ impl<'a> LevelizedEngine<'a> {
         }
     }
 
-    fn input_vals(&self, cell: CellId) -> Vec<Logic> {
-        self.netlist
-            .cell(cell)
-            .inputs
-            .iter()
-            .map(|n| self.values[n.index()])
-            .collect()
+    fn input_vals(&self, cell: CellId) -> Inputs<Logic> {
+        gather(self.netlist.cell_inputs(cell), &self.values)
     }
 
     /// One full evaluation sweep of the combinational netlist.
@@ -184,10 +186,8 @@ impl<'a> LevelizedEngine<'a> {
         self.sweeps += 1;
         for i in 0..self.order.len() {
             let cell = self.order[i];
-            let kind = self.netlist.cell(cell).kind;
-            let inputs = self.input_vals(cell);
-            let mut out = eval_comb(kind, &inputs);
-            let net = self.netlist.cell(cell).output;
+            let mut out = eval_comb(self.netlist.cell_kind(cell), &self.input_vals(cell));
+            let net = self.netlist.cell_output(cell);
             if self.inverted[net.index()] {
                 out = disturb(out);
             }
@@ -200,15 +200,13 @@ impl<'a> LevelizedEngine<'a> {
     fn async_fixpoint(&mut self) {
         for _ in 0..ASYNC_FIXPOINT_LIMIT {
             let mut changed = false;
-            for (id, cell) in self.netlist.iter_cells() {
-                if !cell.kind.is_sequential() {
-                    continue;
-                }
-                let inputs = self.input_vals(id);
-                if let Some(forced_state) = async_override(cell.kind, &inputs) {
+            for k in 0..self.sequential.len() {
+                let id = self.sequential[k];
+                let kind = self.netlist.cell_kind(id);
+                if let Some(forced_state) = async_override(kind, &self.input_vals(id)) {
                     if self.state[id.index()] != forced_state {
                         self.state[id.index()] = forced_state;
-                        self.set_value(cell.output, forced_state);
+                        self.set_value(self.netlist.cell_output(id), forced_state);
                         changed = true;
                     }
                 }
@@ -233,7 +231,7 @@ impl Engine for LevelizedEngine<'_> {
     fn poke(&mut self, net: NetId, value: Logic) {
         assert_ne!(net, self.clock, "the clock is driven by the engine");
         assert_eq!(
-            self.netlist.net(net).driver,
+            self.netlist.net_driver(net),
             Some(Driver::PrimaryInput),
             "poke target `{}` is not a primary input",
             self.netlist.net_full_name(net)
@@ -247,26 +245,24 @@ impl Engine for LevelizedEngine<'_> {
 
     fn set_cell_state(&mut self, cell: CellId, value: Logic) {
         assert!(
-            self.netlist.cell(cell).kind.is_sequential(),
+            self.netlist.cell_kind(cell).is_sequential(),
             "cell `{}` holds no state",
             self.netlist.cell_full_name(cell)
         );
         self.state[cell.index()] = value;
-        let q = self.netlist.cell(cell).output;
-        self.set_value(q, value);
+        self.set_value(self.netlist.cell_output(cell), value);
         self.propagate();
     }
 
     fn set_cell_states(&mut self, cells: &[CellId], value: Logic) {
         for &cell in cells {
             assert!(
-                self.netlist.cell(cell).kind.is_sequential(),
+                self.netlist.cell_kind(cell).is_sequential(),
                 "cell `{}` holds no state",
                 self.netlist.cell_full_name(cell)
             );
             self.state[cell.index()] = value;
-            let q = self.netlist.cell(cell).output;
-            self.set_value(q, value);
+            self.set_value(self.netlist.cell_output(cell), value);
         }
         self.propagate();
     }
@@ -314,25 +310,21 @@ impl Engine for LevelizedEngine<'_> {
         // 1. Rising edge: every sequential cell captures from the currently
         //    settled values (which already include this cycle's pokes —
         //    matching the event engine, where pokes land before the edge).
-        let mut captured: Vec<(CellId, Logic)> = Vec::new();
-        for (id, cell) in self.netlist.iter_cells() {
-            if cell.kind.is_sequential() {
-                let inputs = self.input_vals(id);
-                let ns = next_state(cell.kind, &inputs, self.state[id.index()]);
-                captured.push((id, ns));
-            }
-        }
-        for (id, ns) in captured {
-            self.state[id.index()] = ns;
+        //    A capture reads net values and the cell's own state, and the
+        //    loop writes neither net values nor other cells' state, so
+        //    capturing in place equals capturing into a buffer first.
+        for k in 0..self.sequential.len() {
+            let id = self.sequential[k];
+            let kind = self.netlist.cell_kind(id);
+            self.state[id.index()] = next_state(kind, &self.input_vals(id), self.state[id.index()]);
         }
 
         // 2. Faults for this cycle: SEUs flip post-capture state; SETs force
         //    their net for the remainder of the cycle.
         let current = self.cycle;
-        let mut remaining = Vec::new();
-        for fault in std::mem::take(&mut self.faults) {
+        for i in 0..self.faults.len() {
+            let fault = self.faults[i];
             if fault.cycle() != current {
-                remaining.push(fault);
                 continue;
             }
             match fault {
@@ -344,28 +336,27 @@ impl Engine for LevelizedEngine<'_> {
                 }
             }
         }
-        self.faults = remaining;
+        self.faults.retain(|f| f.cycle() != current);
 
         // 3. Drive Q outputs (a SET on a Q net disturbs the driven value
         //    without corrupting the stored state) and settle the logic.
-        for (id, cell) in self.netlist.iter_cells() {
-            if cell.kind.is_sequential() {
-                let q = cell.output;
-                let mut v = self.state[id.index()];
-                if self.inverted[q.index()] {
-                    v = disturb(v);
-                }
-                self.set_value(q, v);
+        for k in 0..self.sequential.len() {
+            let id = self.sequential[k];
+            let q = self.netlist.cell_output(id);
+            let mut v = self.state[id.index()];
+            if self.inverted[q.index()] {
+                v = disturb(v);
             }
+            self.set_value(q, v);
         }
         // SETs on input-driven nets (no combinational driver).
-        for (i, &inv) in self.inverted.clone().iter().enumerate() {
-            if inv {
-                let net = ssresf_netlist::NetId(i as u32);
-                if matches!(self.netlist.net(net).driver, Some(Driver::PrimaryInput)) {
-                    let v = disturb(self.values[i]);
-                    self.set_value(net, v);
-                }
+        for i in 0..self.inverted.len() {
+            let net = NetId(i as u32);
+            if self.inverted[i]
+                && matches!(self.netlist.net_driver(net), Some(Driver::PrimaryInput))
+            {
+                let v = disturb(self.values[i]);
+                self.set_value(net, v);
             }
         }
         self.propagate();

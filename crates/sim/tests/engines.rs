@@ -3,9 +3,10 @@
 
 use ssresf_netlist::{CellKind, Design, FlatNetlist, ModuleBuilder, PortDir};
 use ssresf_sim::{
-    drive_random_inputs, Engine, EventDrivenEngine, Fault, LevelizedEngine, Lfsr, Logic, SetFault,
-    SeuFault, Testbench,
+    drive_random_inputs, Engine, EngineTelemetry, EventDrivenEngine, Fault, LevelizedEngine, Lfsr,
+    Logic, SetFault, SeuFault, Testbench,
 };
+use ssresf_socgen::{build_soc, SocConfig};
 
 /// Builds an `n`-bit synchronous up-counter with async active-low reset.
 /// Outputs `q_0 .. q_{n-1}`.
@@ -868,4 +869,143 @@ fn batched_preload_matches_per_cell_preload() {
     // The preload is observable at all: the parity chain resolves to a
     // defined value (all eight bits written 1 -> even parity).
     assert_eq!(batched[1].2.last(), Some(&Logic::Zero));
+}
+
+fn soc1() -> FlatNetlist {
+    build_soc(&SocConfig::table1()[0])
+        .unwrap()
+        .design
+        .flatten()
+        .unwrap()
+}
+
+/// The campaign's run prologue: three reset cycles, then the post-reset
+/// memory-image load.
+fn reset_and_preload<E: Engine>(engine: &mut E, flat: &FlatNetlist) {
+    let rst = flat.net_by_name("rst_n").unwrap();
+    engine.poke(rst, Logic::Zero);
+    for _ in 0..3 {
+        engine.step_cycle();
+    }
+    engine.poke(rst, Logic::One);
+    let memory: Vec<_> = flat
+        .iter_cells()
+        .filter(|(_, c)| c.kind.is_memory_bit())
+        .map(|(id, _)| id)
+        .collect();
+    engine.set_cell_states(&memory, Logic::Zero);
+}
+
+/// The schedule counters: `(events_processed, delta_cycles, wheel_advances)`.
+fn schedule(t: EngineTelemetry) -> (u64, u64, u64) {
+    (t.events_processed, t.delta_cycles, t.wheel_advances)
+}
+
+/// Pins the event-driven engine's exact schedule on SoC_1: a golden run
+/// and two checkpointed resumes. A queue that runs same-time events in
+/// another order (e.g. LIFO within a timestamp) changes these counts.
+#[test]
+fn event_schedule_counters_are_pinned_on_soc1() {
+    let flat = soc1();
+    let clk = flat.net_by_name("clk").unwrap();
+    let outputs = flat.primary_outputs().to_vec();
+
+    let mut golden = EventDrivenEngine::new(&flat, clk).unwrap();
+    reset_and_preload(&mut golden, &flat);
+    let mut golden_rows = Vec::new();
+    let mut checkpoint = None;
+    for done in 1..=40 {
+        golden.step_cycle();
+        golden_rows.push(golden.sample(&outputs));
+        if done == 10 {
+            checkpoint = Some(golden.snapshot());
+        }
+    }
+    assert_eq!(schedule(golden.telemetry()), GOLDEN);
+    let checkpoint = checkpoint.expect("checkpoint taken");
+
+    // Resumes the checkpoint with one fault two cycles later; returns the
+    // resumed segment's counters and its output rows.
+    let resume = |fault: Fault| {
+        let mut engine = EventDrivenEngine::new(&flat, clk).unwrap();
+        engine.restore(&checkpoint);
+        let base = engine.telemetry();
+        engine.schedule_fault(fault);
+        let rows: Vec<_> = (0..30)
+            .map(|_| {
+                engine.step_cycle();
+                engine.sample(&outputs)
+            })
+            .collect();
+        (schedule(engine.telemetry().since(base)), rows)
+    };
+    let seu = Fault::Seu(SeuFault {
+        cell: flat.cell_by_name("u_cpu0.u_pc_ff_0").unwrap(),
+        cycle: checkpoint.cycle() + 2,
+        offset: 0.25,
+    });
+    let set = Fault::Set(SetFault {
+        net: flat.net_by_name("u_cpu0.alu_op0").unwrap(),
+        cycle: checkpoint.cycle() + 2,
+        offset: 0.9,
+        width: 0.3,
+    });
+    for (fault, expected) in [(seu, SEU_RESUME), (set, SET_RESUME)] {
+        let (counters, rows) = resume(fault);
+        assert_eq!(counters, expected, "{fault:?}");
+        // Both faults are observable, so the pinned schedules are faulty
+        // ones, not the golden schedule replayed.
+        assert_ne!(rows, golden_rows[10..], "{fault:?}");
+    }
+}
+
+/// Counters of the 40-cycle golden run, construction settle included.
+const GOLDEN: (u64, u64, u64) = (22_408, 21_669, 739);
+/// Counters of the 30 resumed cycles after the checkpoint.
+const SEU_RESUME: (u64, u64, u64) = (15_374, 14_821, 553);
+const SET_RESUME: (u64, u64, u64) = (15_361, 14_815, 546);
+
+/// A SET starting at the last time unit of a cycle with a full-period
+/// width leaves its release pending almost two periods ahead — the
+/// farthest event the engine ever schedules. A snapshot taken then must
+/// restore exactly, both in place and into a fresh engine.
+#[test]
+fn snapshot_round_trips_with_a_release_at_the_horizon() {
+    let flat = soc1();
+    let clk = flat.net_by_name("clk").unwrap();
+    let outputs = flat.primary_outputs().to_vec();
+    let net = flat.net_by_name("u_cpu0.alu_op0").unwrap();
+
+    let mut golden = EventDrivenEngine::new(&flat, clk).unwrap();
+    let mut faulty = EventDrivenEngine::new(&flat, clk).unwrap();
+    for engine in [&mut golden, &mut faulty] {
+        reset_and_preload(engine, &flat);
+        for _ in 0..5 {
+            engine.step_cycle();
+        }
+    }
+    faulty.schedule_fault(Fault::Set(SetFault {
+        net,
+        cycle: faulty.cycle(),
+        offset: 0.999,
+        width: 1.0,
+    }));
+    golden.step_cycle();
+    faulty.step_cycle();
+    // The pulse is still forced: its release has not fired yet.
+    assert_ne!(faulty.peek(net), golden.peek(net));
+
+    let snap = faulty.snapshot();
+    faulty.restore(&snap);
+    assert_eq!(faulty.snapshot(), snap);
+    let mut fresh = EventDrivenEngine::new(&flat, clk).unwrap();
+    fresh.restore(&snap);
+    assert_eq!(fresh.snapshot(), snap);
+
+    for _ in 0..20 {
+        faulty.step_cycle();
+        fresh.step_cycle();
+        assert_eq!(fresh.sample(&outputs), faulty.sample(&outputs));
+    }
+    assert_eq!(fresh.snapshot(), faulty.snapshot());
 }
