@@ -8,12 +8,13 @@
 //! cargo run --release -p ssresf-bench --bin scale_smoke
 //! ```
 //!
-//! Writes the measured numbers to `BENCH_scale.json` at the workspace root
-//! and exits nonzero when any budget is exceeded or when the preset stops
-//! qualifying as million-cell. CI runs this as the `scale-smoke` job; the
-//! budgets are sized ~4x above warm-run numbers on a stock 4-vCPU runner
-//! so the gate only trips on complexity-class regressions (accidental
-//! O(n²) storage or name materialization), not machine noise.
+//! Writes the measured numbers, including the pipeline's per-stage wall
+//! times, to `BENCH_scale.json` at the workspace root and exits nonzero
+//! when any budget is exceeded or when the preset stops qualifying as
+//! million-cell. CI runs this as the `scale-smoke` job; the budgets are
+//! sized ~4x above warm-run numbers on a stock 4-vCPU runner so the gate
+//! only trips on complexity-class regressions (accidental O(n²) storage
+//! or name materialization), not machine noise.
 
 use ssresf::{EngineKind, Ssresf, SsresfConfig, Workload};
 use ssresf_bench::quick;
@@ -127,6 +128,20 @@ fn main() {
     // higher is better, and >1 means the budget holds.
     let wall_headroom = WALL_BUDGET_SECONDS / total_s.max(1e-9);
     let rss_headroom = PEAK_RSS_BUDGET_MIB / peak_mib.max(1.0);
+    // The pipeline's per-stage wall times, keyed without the `stage.`
+    // prefix. Informational: no gate reads them.
+    let timings = metrics.to_json();
+    let stage_seconds = ssresf_json::Value::Object(
+        timings
+            .get("timings_s")
+            .and_then(|t| t.as_object())
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|(name, secs)| {
+                Some((name.strip_prefix("stage.")?.to_owned(), secs.clone()))
+            })
+            .collect(),
+    );
     let report = format!(
         "{{\n  \"soc\": \"{}\",\n  \"cells\": {cells},\n  \"nets\": {nets},\n  \
          \"max_comb_depth\": {},\n  \"memory_scale_factor\": {},\n  \
@@ -135,7 +150,8 @@ fn main() {
          \"pipeline_seconds\": {pipeline_s},\n  \"total_seconds\": {total_s},\n  \
          \"peak_rss_mib\": {peak_mib},\n  \"wall_budget_seconds\": {WALL_BUDGET_SECONDS},\n  \
          \"peak_rss_budget_mib\": {PEAK_RSS_BUDGET_MIB},\n  \
-         \"wall_headroom\": {wall_headroom},\n  \"rss_headroom\": {rss_headroom}\n}}\n",
+         \"wall_headroom\": {wall_headroom},\n  \"rss_headroom\": {rss_headroom},\n  \
+         \"stage_seconds\": {stage_seconds}\n}}\n",
         config.name, lv.max_depth, soc.info.memory_scale_factor
     );
     print!("{report}");

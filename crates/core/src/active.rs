@@ -40,9 +40,8 @@ use serde::{Deserialize, Serialize};
 use ssresf_mlcore::{
     parallel_map, Dataset, SmoContext, StandardScaler, SvmModel, SvmParams, TrainStats,
 };
-use ssresf_netlist::{CellId, FeatureExtractor, FlatNetlist, ModuleClass};
+use ssresf_netlist::{CellId, FeatureExtractor, FlatNetlist};
 use ssresf_sim::Fault;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Configuration of the active-learning loop.
@@ -453,17 +452,7 @@ impl Ssresf {
         let predictions = classifier.classify_all_with(&features, config.sensitivity.threads);
         timing.predict = stage("stage.predict", started.elapsed());
 
-        let mut class_counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for (&(cell, high), feature) in predictions.iter().zip(&features) {
-            debug_assert_eq!(cell, feature.cell);
-            let class =
-                ModuleClass::infer(netlist.paths().resolve(netlist.cell(cell).path).segments());
-            let entry = class_counts.entry(class.name().to_owned()).or_default();
-            entry.1 += 1;
-            if high {
-                entry.0 += 1;
-            }
-        }
+        let class_counts = crate::framework::class_counts(&predictions, &features);
         let chip_xsect = crate::framework::scaled_chip_xsect(
             netlist,
             config.campaign.environment.let_value,

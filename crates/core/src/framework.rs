@@ -323,17 +323,7 @@ impl Ssresf {
         let predictions = classifier.classify_all_with(&features, self.config.sensitivity.threads);
         timing.predict = stage("stage.predict", started.elapsed());
 
-        let mut class_counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for (&(cell, high), feature) in predictions.iter().zip(&features) {
-            debug_assert_eq!(cell, feature.cell);
-            let class =
-                ModuleClass::infer(netlist.paths().resolve(netlist.cell(cell).path).segments());
-            let entry = class_counts.entry(class.name().to_owned()).or_default();
-            entry.1 += 1;
-            if high {
-                entry.0 += 1;
-            }
-        }
+        let class_counts = class_counts(&predictions, &features);
 
         // 9. Chip cross-sections at the campaign LET.
         let chip_xsect = scaled_chip_xsect(
@@ -397,6 +387,37 @@ impl Ssresf {
         }
         Ok(())
     }
+}
+
+/// `(high-sensitivity, total)` predicted counts per module class, keyed by
+/// class name, from the class cached in each cell's feature record. Only
+/// classes with at least one cell get an entry.
+pub(crate) fn class_counts(
+    predictions: &[(CellId, bool)],
+    features: &[CellFeatures],
+) -> BTreeMap<String, (usize, usize)> {
+    const CLASSES: [ModuleClass; 4] = [
+        ModuleClass::Cpu,
+        ModuleClass::Bus,
+        ModuleClass::Memory,
+        ModuleClass::Other,
+    ];
+    let mut counts = [(0usize, 0usize); CLASSES.len()];
+    for (&(cell, high), feature) in predictions.iter().zip(features) {
+        debug_assert_eq!(cell, feature.cell);
+        let slot = CLASSES
+            .iter()
+            .position(|&class| class == feature.module_class)
+            .expect("every class is listed");
+        counts[slot].0 += usize::from(high);
+        counts[slot].1 += 1;
+    }
+    CLASSES
+        .iter()
+        .zip(counts)
+        .filter(|(_, (_, total))| *total > 0)
+        .map(|(class, count)| (class.name().to_owned(), count))
+        .collect()
 }
 
 /// Chip `(SEU, SET)` cross-sections with memory bits scaled by `mem_scale`.

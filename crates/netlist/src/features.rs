@@ -19,8 +19,8 @@
 //! | 9 | `is_memory` | one-hot module class: memory |
 //! | 10 | `neighborhood` | distinct cells at distance 1 |
 //! | 11 | `activity` | toggle activity of the output net (from simulation) |
-//! | 12 | `fanin_cone` | transitive fan-in cells (bounded BFS, saturates) |
-//! | 13 | `fanout_cone` | transitive fan-out cells (bounded BFS, saturates) |
+//! | 12 | `fanin_cone` | transitive fan-in cells (saturates at [`CONE_CAP`]) |
+//! | 13 | `fanout_cone` | transitive fan-out cells (saturates at [`CONE_CAP`]) |
 //! | 14 | `depth_po` | cell hops to the nearest primary output |
 //! | 15 | `depth_ff` | cell hops to the nearest flip-flop data input |
 //! | 16 | `cop_ctrl` | COP signal probability of the output net |
@@ -157,6 +157,12 @@ pub struct FeatureExtractor<'a> {
     depth_obs: Vec<u32>,
     depth_po: Vec<u32>,
     depth_ff: Vec<u32>,
+    fanin_cone: Vec<u32>,
+    fanout_cone: Vec<u32>,
+    /// Module class and hierarchy depth per interned path, indexed by
+    /// `PathId`: a netlist has a handful of paths but up to millions of
+    /// cells.
+    path_class: Vec<(ModuleClass, f64)>,
     /// Per-net COP signal probability (probability the net carries 1).
     cop_ctrl: Vec<f64>,
     /// Per-net COP observability (probability a flip propagates out).
@@ -176,17 +182,20 @@ const UNOBSERVABLE: u32 = u32::MAX;
 /// would dwarf every other feature and wreck normalization).
 pub const DEPTH_OBS_SATURATED: f64 = 64.0;
 
-/// Visited-cell cap for the transitive fan-in/fan-out cone features.
+/// Saturation value of the transitive fan-in/fan-out cone features.
 ///
-/// The BFS stops expanding once this many cells have been counted, so the
-/// feature value saturates at exactly `CONE_CAP` — which makes the value
-/// independent of traversal order (either the full cone was enumerated, or
-/// the count is the cap) and bounds extraction work per cell on mega-scale
-/// netlists whose clock/enable nets fan out to tens of thousands of loads.
+/// A cone feature is the number of cells reachable from the cell, clamped
+/// to `CONE_CAP`. The clamp makes the value independent of traversal order
+/// (either the whole cone is counted, or the value is the cap), lets a
+/// fallback BFS stop after `CONE_CAP` cells on mega-scale netlists whose
+/// clock/enable nets fan out to tens of thousands of loads, and lets
+/// [`FeatureExtractor::new`] settle a cell next to a saturated neighbour
+/// without any BFS.
 pub const CONE_CAP: usize = 64;
 
 impl<'a> FeatureExtractor<'a> {
-    /// Prepares depth maps for `netlist`.
+    /// Prepares the per-cell depth, cone and COP columns and the per-path
+    /// module classes of `netlist`, so that extraction only reads them.
     ///
     /// # Errors
     ///
@@ -199,12 +208,20 @@ impl<'a> FeatureExtractor<'a> {
         let depth_ff = ff_distances(netlist);
         let cop_ctrl = cop_signal_probability(netlist, &lv.order);
         let cop_obs = cop_observability(netlist, &lv.order, &cop_ctrl);
+        let path_class = netlist
+            .paths()
+            .iter()
+            .map(|(_, path)| (ModuleClass::infer(path.segments()), path.depth() as f64))
+            .collect();
         Ok(FeatureExtractor {
             netlist,
             depth_fwd: lv.cell_depth,
             depth_obs,
             depth_po,
             depth_ff,
+            fanin_cone: cone_sizes(netlist, ConeDirection::Fanin),
+            fanout_cone: cone_sizes(netlist, ConeDirection::Fanout),
+            path_class,
             cop_ctrl,
             cop_obs,
         })
@@ -226,8 +243,7 @@ impl<'a> FeatureExtractor<'a> {
     pub fn extract_cell(&self, id: CellId, activity: Option<&[f64]>) -> CellFeatures {
         let netlist = self.netlist;
         let cell = netlist.cell(id);
-        let path = netlist.paths().resolve(cell.path);
-        let module_class = ModuleClass::infer(path.segments());
+        let (module_class, hier_depth) = self.path_class[cell.path.index()];
 
         let fanout = netlist.fanout(cell.output) as f64;
         let fanin = cell.inputs.len() as f64;
@@ -238,7 +254,6 @@ impl<'a> FeatureExtractor<'a> {
         };
         let transistors = f64::from(cell.kind.transistor_count());
         let is_sequential = if cell.kind.is_sequential() { 1.0 } else { 0.0 };
-        let hier_depth = path.depth() as f64;
         let (is_cpu, is_bus, is_memory) = match module_class {
             ModuleClass::Cpu => (1.0, 0.0, 0.0),
             ModuleClass::Bus => (0.0, 1.0, 0.0),
@@ -247,8 +262,8 @@ impl<'a> FeatureExtractor<'a> {
         };
         let neighborhood = neighborhood_size(netlist, id) as f64;
         let act = activity.map(|a| a[cell.output.index()]).unwrap_or(0.0);
-        let fanin_cone = cone_size(netlist, id, ConeDirection::Fanin) as f64;
-        let fanout_cone = cone_size(netlist, id, ConeDirection::Fanout) as f64;
+        let fanin_cone = f64::from(self.fanin_cone[id.index()]);
+        let fanout_cone = f64::from(self.fanout_cone[id.index()]);
         let depth_po = saturate_depth(self.depth_po[id.index()]);
         let depth_ff = saturate_depth(self.depth_ff[id.index()]);
         let p = self.cop_ctrl[cell.output.index()];
@@ -420,11 +435,63 @@ fn ff_distances(netlist: &FlatNetlist) -> Vec<u32> {
     backward_distances(netlist, &seeds)
 }
 
-/// Traversal direction for [`cone_size`].
+/// Traversal direction of a cone.
 #[derive(Clone, Copy)]
 enum ConeDirection {
     Fanin,
     Fanout,
+}
+
+impl ConeDirection {
+    /// Direct neighbours of `cell` in this direction: the cells driving its
+    /// inputs (fan-in) or loading its output (fan-out), repeats included.
+    fn neighbours(self, netlist: &FlatNetlist, cell: CellId) -> impl Iterator<Item = CellId> + '_ {
+        let (inputs, loads) = match self {
+            ConeDirection::Fanin => (netlist.cell_inputs(cell), &[][..]),
+            ConeDirection::Fanout => (&[][..], netlist.net_loads(netlist.cell_output(cell))),
+        };
+        let drivers = inputs
+            .iter()
+            .filter_map(|&net| match netlist.net_driver(net) {
+                Some(Driver::Cell(driver)) => Some(driver),
+                _ => None,
+            });
+        drivers.chain(loads.iter().map(|&(load, _)| load))
+    }
+}
+
+/// Capped cone sizes of every cell in one direction, indexed by cell.
+///
+/// One exact rule settles most cells without a BFS: when a direct
+/// neighbour `n != root` already has a saturated cone, root's cone is
+/// saturated too. Root reaches `n` and everything `n` reaches, and that
+/// set minus root still holds `CONE_CAP` cells: `n` itself plus at least
+/// `CONE_CAP - 1` of the `CONE_CAP` or more cells beyond `n`. Every other
+/// cell runs the bounded [`cone_size`] BFS, so each value equals the
+/// per-cell BFS whatever the visiting order. The order only decides how
+/// often the rule fires: drivers mostly have lower ids than their loads,
+/// so fan-in cones are visited in id order and fan-out cones in reverse.
+fn cone_sizes(netlist: &FlatNetlist, dir: ConeDirection) -> Vec<u32> {
+    const PENDING: u32 = u32::MAX;
+    let cap = CONE_CAP as u32;
+    let n = netlist.num_cells() as u32;
+    let mut sizes = vec![PENDING; n as usize];
+    for k in 0..n {
+        let root = CellId(match dir {
+            ConeDirection::Fanin => k,
+            ConeDirection::Fanout => n - 1 - k,
+        });
+        // Root's own entry is still pending, so a self-loop never counts.
+        let saturated = dir
+            .neighbours(netlist, root)
+            .any(|next| sizes[next.index()] == cap);
+        sizes[root.index()] = if saturated {
+            cap
+        } else {
+            cone_size(netlist, root, dir) as u32
+        };
+    }
+    sizes
 }
 
 /// Transitive fan-in or fan-out cone size of `root`, capped at
@@ -443,33 +510,14 @@ fn cone_size(netlist: &FlatNetlist, root: CellId, dir: ConeDirection) -> usize {
     let mut queue: VecDeque<CellId> = VecDeque::with_capacity(CONE_CAP);
     queue.push_back(root);
     let mut count = 0usize;
-    'bfs: while let Some(cell) = queue.pop_front() {
-        let view = netlist.cell(cell);
-        match dir {
-            ConeDirection::Fanin => {
-                for &input in view.inputs {
-                    if let Some(Driver::Cell(driver)) = netlist.net(input).driver {
-                        if let Err(pos) = seen.binary_search(&driver) {
-                            seen.insert(pos, driver);
-                            queue.push_back(driver);
-                            count += 1;
-                            if count >= CONE_CAP {
-                                break 'bfs;
-                            }
-                        }
-                    }
-                }
-            }
-            ConeDirection::Fanout => {
-                for &(load, _) in netlist.net(view.output).loads {
-                    if let Err(pos) = seen.binary_search(&load) {
-                        seen.insert(pos, load);
-                        queue.push_back(load);
-                        count += 1;
-                        if count >= CONE_CAP {
-                            break 'bfs;
-                        }
-                    }
+    while let Some(cell) = queue.pop_front() {
+        for next in dir.neighbours(netlist, cell) {
+            if let Err(pos) = seen.binary_search(&next) {
+                seen.insert(pos, next);
+                queue.push_back(next);
+                count += 1;
+                if count >= CONE_CAP {
+                    return count;
                 }
             }
         }
@@ -779,6 +827,46 @@ mod tests {
         let root = flat.cell_by_name("u_root").unwrap();
         let v = fx.extract_cell(root, None);
         assert_eq!(v.values[feature_index("fanout_cone")], CONE_CAP as f64);
+    }
+
+    /// A ring of `len` cells: `len - 1` buffers closed by one flip-flop.
+    /// The flip-flop's output net is the primary output, so no cell outside
+    /// the ring loads it and every cone is exactly the rest of the ring.
+    fn ring_netlist(len: usize) -> FlatNetlist {
+        let mut design = Design::new();
+        let mut mb = ModuleBuilder::new("ring");
+        let clk = mb.port("clk", PortDir::Input);
+        let q = mb.port("q", PortDir::Output);
+        let mut prev = q;
+        for i in 0..len - 1 {
+            let next = mb.net(format!("w{i}"));
+            mb.cell(format!("u{i}"), CellKind::Buf, &[prev], &[next])
+                .unwrap();
+            prev = next;
+        }
+        mb.cell("u_ff", CellKind::Dff, &[clk, prev], &[q]).unwrap();
+        let id = design.add_module(mb.finish()).unwrap();
+        design.set_top(id).unwrap();
+        design.flatten().unwrap()
+    }
+
+    #[test]
+    fn ring_cones_stop_one_short_of_the_cap_and_reach_it() {
+        // A ring of CONE_CAP cells reaches CONE_CAP - 1 others, so no cell
+        // may saturate even though every neighbour's cone is one short of
+        // the cap; one more cell brings every cone to exactly the cap.
+        for (len, cone) in [(CONE_CAP, CONE_CAP - 1), (CONE_CAP + 1, CONE_CAP)] {
+            let flat = ring_netlist(len);
+            assert_eq!(flat.num_cells(), len);
+            let fx = FeatureExtractor::new(&flat).unwrap();
+            for f in fx.extract(None) {
+                let name = flat.cell_full_name(f.cell);
+                for feat in ["fanin_cone", "fanout_cone"] {
+                    let got = f.values[feature_index(feat)];
+                    assert_eq!(got, cone as f64, "{feat} of {name} in a ring of {len}");
+                }
+            }
+        }
     }
 
     #[test]

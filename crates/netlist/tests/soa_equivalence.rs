@@ -10,10 +10,10 @@
 
 use ssresf_netlist::cell::CellKind;
 use ssresf_netlist::design::{Design, PortDir};
-use ssresf_netlist::features::{CONE_CAP, DEPTH_OBS_SATURATED};
+use ssresf_netlist::features::{CONE_CAP, DEPTH_OBS_SATURATED, STRUCTURAL_FEATURE_NAMES};
 use ssresf_netlist::{
-    CircuitSpec, Driver, FeatureExtractor, GateSpec, ModuleBuilder, ModuleClass, ModuleId, NetId,
-    GENERATOR_KINDS,
+    CellFeatures, CircuitSpec, Driver, FeatureExtractor, GateSpec, ModuleBuilder, ModuleClass,
+    ModuleId, NetId, GENERATOR_KINDS,
 };
 
 // ---------------------------------------------------------------------------
@@ -472,7 +472,9 @@ fn reference_features(flat: &RefFlat, depth_fwd: &[u32], order: &[usize]) -> Vec
 // The equivalence check
 // ---------------------------------------------------------------------------
 
-fn assert_equivalent(design: &Design) {
+/// Checks `design`'s flat netlist against the reference elaboration and
+/// returns the (checked) extracted features.
+fn assert_equivalent(design: &Design) -> Vec<CellFeatures> {
     let flat = design.flatten().expect("test circuits flatten");
     let reference = reference_flatten(design);
 
@@ -582,6 +584,7 @@ fn assert_equivalent(design: &Design) {
     for (got, want) in features.iter().zip(&expected) {
         assert_eq!(got.values, *want, "cell {}", flat.cell_full_name(got.cell));
     }
+    features
 }
 
 // ---------------------------------------------------------------------------
@@ -596,9 +599,9 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn random_spec(seed: u64) -> CircuitSpec {
+fn random_spec(seed: u64, gates: std::ops::Range<u64>) -> CircuitSpec {
     let mut s = seed;
-    let gates = (splitmix(&mut s) % 24 + 4) as usize;
+    let gates = (splitmix(&mut s) % (gates.end - gates.start) + gates.start) as usize;
     CircuitSpec {
         name: format!("soa_eq_{seed}"),
         inputs: (splitmix(&mut s) % 5 + 1) as usize,
@@ -668,8 +671,42 @@ fn generated_circuits_match_reference_layout() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(16);
     for seed in 0..cases {
-        let spec = random_spec(0xC0FF_EE00 ^ (seed.wrapping_mul(0x9E37_79B9)));
+        let spec = random_spec(0xC0FF_EE00 ^ (seed.wrapping_mul(0x9E37_79B9)), 4..28);
         assert_equivalent(&spec.build_design());
+    }
+}
+
+/// Circuits of 200–399 gates, where cones reach `CONE_CAP` in both
+/// directions: the extractor settles most such cells from a saturated
+/// neighbour instead of a BFS, and the reference counts every cone in full.
+#[test]
+fn large_circuits_saturate_cones_and_match_reference_layout() {
+    let columns = ["fanin_cone", "fanout_cone"].map(|name| {
+        STRUCTURAL_FEATURE_NAMES
+            .iter()
+            .position(|&n| n == name)
+            .unwrap()
+    });
+    // Per cone column: (capped, uncapped) cells over all specs.
+    let mut counts = [(0usize, 0usize); 2];
+    for seed in 0..6u64 {
+        let spec = random_spec(0x0BAD_C0DE ^ (seed.wrapping_mul(0x9E37_79B9)), 200..400);
+        let features = assert_equivalent(&spec.build_design());
+        for (count, &column) in counts.iter_mut().zip(&columns) {
+            for f in &features {
+                if f.values[column] == CONE_CAP as f64 {
+                    count.0 += 1;
+                } else {
+                    count.1 += 1;
+                }
+            }
+        }
+    }
+    for (name, (capped, uncapped)) in ["fanin_cone", "fanout_cone"].iter().zip(counts) {
+        assert!(
+            capped > 0 && uncapped > 0,
+            "{name}: {capped} capped and {uncapped} uncapped cells"
+        );
     }
 }
 

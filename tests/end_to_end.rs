@@ -1,8 +1,10 @@
 //! Workspace-level end-to-end test: the full SSRESF pipeline on a generated
 //! PULP-like SoC, asserting the paper's qualitative findings.
 
-use ssresf::{Ssresf, SsresfConfig, Workload};
+use ssresf::{ActiveLearningConfig, Analysis, Ssresf, SsresfConfig, Workload};
+use ssresf_netlist::{FlatNetlist, ModuleClass};
 use ssresf_socgen::{build_soc, SocConfig};
+use std::collections::BTreeMap;
 
 /// A reduced-budget configuration so the pipeline runs quickly in debug
 /// test builds while still exercising every stage.
@@ -92,6 +94,41 @@ fn full_pipeline_on_soc1_reproduces_paper_shapes() {
     let (seu, set) = analysis.chip_xsect;
     assert!(seu > 0.0 && set > 0.0);
     assert!(seu > set, "memory extrapolation should dominate SEU xsect");
+}
+
+/// Asserts that `analysis.class_counts` equals a recount of the predictions
+/// by each cell's inferred module class, and covers every cell.
+fn assert_class_counts_match_recount(netlist: &FlatNetlist, analysis: &Analysis) {
+    let mut expected: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for &(cell, high) in &analysis.predictions {
+        let path = netlist.paths().resolve(netlist.cell(cell).path);
+        let entry = expected
+            .entry(ModuleClass::infer(path.segments()).name().to_owned())
+            .or_default();
+        entry.0 += usize::from(high);
+        entry.1 += 1;
+    }
+    assert_eq!(analysis.class_counts, expected);
+    let total: usize = analysis.class_counts.values().map(|&(_, n)| n).sum();
+    assert_eq!(total, netlist.num_cells());
+}
+
+#[test]
+fn class_counts_match_a_per_cell_recount() {
+    let soc = build_soc(&SocConfig::table1()[0]).unwrap();
+    let netlist = soc.design.flatten().unwrap();
+    let framework = Ssresf::new(quick_config(soc.info.memory_scale_factor));
+    let one_shot = framework.analyze(&netlist).unwrap();
+    assert_class_counts_match_recount(&netlist, &one_shot);
+    let active = ActiveLearningConfig {
+        seed_fraction: 0.03,
+        seed_min_per_cluster: 2,
+        batch_size: 8,
+        max_rounds: 2,
+        ..ActiveLearningConfig::default()
+    };
+    let active = framework.analyze_active(&netlist, &active).unwrap();
+    assert_class_counts_match_recount(&netlist, &active.analysis);
 }
 
 #[test]
