@@ -65,11 +65,14 @@ pub struct CampaignConfig {
     /// across any thread count.
     #[serde(default)]
     pub batching: bool,
-    /// Lanes per bit-parallel batch: one of
+    /// Upper bound on the lanes per bit-parallel batch: one of
     /// [`ssresf_sim::SUPPORTED_LANE_COUNTS`] (64/256/512, i.e. `LaneWord`
     /// chunk widths 1/4/8). One lane always carries the golden run, so a
-    /// batch packs up to `batch_lanes - 1` faults. Only meaningful with
-    /// [`batching`](CampaignConfig::batching).
+    /// batch packs at most `batch_lanes - 1` faults. Each worker runs the
+    /// narrowest supported width whose fault lanes hold all of its chunk's
+    /// fault classes, and keeps `batch_lanes` when none does; records,
+    /// work and telemetry are the same as at `batch_lanes`. Only
+    /// meaningful with [`batching`](CampaignConfig::batching).
     #[serde(default = "default_batch_lanes")]
     pub batch_lanes: usize,
     /// Collapse equivalent faults onto one representative lane: SEUs on
@@ -403,13 +406,28 @@ fn collapse_classes(
     (reps, members)
 }
 
+/// The lane count a worker runs `classes` fault classes at: the narrowest
+/// supported width whose fault lanes (one lane stays golden) hold every
+/// class, never wider than `batch_lanes`; a chunk that fits no narrower
+/// width keeps `batch_lanes`.
+///
+/// Exact: when the whole chunk fits, it loads in the first fill at both
+/// widths, so every sweep, refill, restore and word evaluation is the one
+/// `batch_lanes` would do — the extra lanes only ever carry golden copies.
+fn chunk_lanes(classes: usize, batch_lanes: usize) -> usize {
+    ssresf_sim::SUPPORTED_LANE_COUNTS
+        .into_iter()
+        .find(|&lanes| lanes <= batch_lanes && classes < lanes)
+        .unwrap_or(batch_lanes)
+}
+
 /// Runs one worker's job chunk through the bit-parallel batched path at
-/// compile-time lane width `W` (64·`W` lanes), with optional fault-list
-/// collapsing and early-lane-retirement refilling. Results scatter back
-/// into `mine` at each job's original slot, so record order — and the
-/// records themselves — stay identical to scalar mode.
+/// the width [`chunk_lanes`] picks, with optional fault-list collapsing
+/// and early-lane-retirement refilling. Results scatter back into `mine`
+/// at each job's original slot, so record order — and the records
+/// themselves — stay identical to scalar mode.
 #[allow(clippy::too_many_arguments)]
-fn run_batched_chunk<const W: usize>(
+fn run_batched_chunk(
     dut: &Dut<'_>,
     config: &CampaignConfig,
     golden_run: &GoldenRun,
@@ -426,6 +444,36 @@ fn run_batched_chunk<const W: usize>(
     let mut by_cycle: Vec<usize> = (0..job_chunk.len()).collect();
     by_cycle.sort_by_key(|&i| (job_chunk[i].1.cycle(), i));
     let (reps, members) = collapse_classes(job_chunk, &by_cycle, collapse);
+    // Dispatch to a compile-time width so the hot loops stay monomorphized
+    // over fixed-size chunk arrays.
+    let run = match chunk_lanes(reps.len(), config.batch_lanes) {
+        256 => run_classes::<4>,
+        512 => run_classes::<8>,
+        _ => run_classes::<1>,
+    };
+    run(
+        dut, config, golden_run, job_chunk, &reps, &members, mine, cancelled, note_done, jobs_done,
+        occupancy,
+    )
+}
+
+/// [`run_batched_chunk`] at compile-time lane width `W` (64·`W` lanes):
+/// simulates the class representatives `reps` and scatters each verdict
+/// to every member of its class.
+#[allow(clippy::too_many_arguments)]
+fn run_classes<const W: usize>(
+    dut: &Dut<'_>,
+    config: &CampaignConfig,
+    golden_run: &GoldenRun,
+    job_chunk: &[(CellId, Fault)],
+    reps: &[usize],
+    members: &[Vec<usize>],
+    mine: &mut [Option<JobResult>],
+    cancelled: &dyn Fn() -> bool,
+    note_done: &dyn Fn(bool),
+    jobs_done: &mut usize,
+    occupancy: &mut Vec<u64>,
+) -> Result<BatchChunkStats, SsresfError> {
     let mut stats = BatchChunkStats {
         collapsed: (job_chunk.len() - reps.len()) as u64,
         refills: 0,
@@ -781,15 +829,7 @@ fn run_jobs_with_golden(
                 };
                 let mut stats = BatchChunkStats::default();
                 if config.batching {
-                    // Dispatch the configured lane count to a compile-time
-                    // width so the hot loops stay monomorphized over
-                    // fixed-size chunk arrays.
-                    let run = match config.batch_lanes {
-                        256 => run_batched_chunk::<4>,
-                        512 => run_batched_chunk::<8>,
-                        _ => run_batched_chunk::<1>,
-                    };
-                    match run(
+                    match run_batched_chunk(
                         dut,
                         config,
                         golden_run,
@@ -1629,6 +1669,8 @@ mod tests {
         let scalar = run_campaign(&dut, &cells, &CampaignConfig { threads: 1, ..base }).unwrap();
         let mut saw_collapse = false;
         let mut saw_refill = false;
+        // Work and telemetry of the first width's 3-thread run per mode.
+        let mut three_thread: BTreeMap<(bool, bool), (u64, CampaignTelemetry)> = BTreeMap::new();
         for batch_lanes in ssresf_sim::SUPPORTED_LANE_COUNTS {
             for (collapse_faults, lane_refill) in [(true, false), (false, true), (true, true)] {
                 for threads in [1usize, 3] {
@@ -1658,6 +1700,20 @@ mod tests {
                     }
                     if !lane_refill {
                         assert_eq!(fast.telemetry.lane_refills, 0);
+                    }
+                    if threads == 3 {
+                        // Each 34-job chunk fits in 63 fault lanes, so it
+                        // loads in one fill at every width: the sweeps,
+                        // and with them work and every counter, match.
+                        let first = *three_thread
+                            .entry((collapse_faults, lane_refill))
+                            .or_insert((fast.total_work, fast.telemetry));
+                        assert_eq!(
+                            first,
+                            (fast.total_work, fast.telemetry),
+                            "lanes={batch_lanes} collapse={collapse_faults} \
+                             refill={lane_refill}"
+                        );
                     }
                 }
             }
@@ -1753,6 +1809,19 @@ mod tests {
         .unwrap();
         assert_eq!(scalar.records, collapsed.records);
         assert!(collapsed.telemetry.collapsed_faults >= 2);
+    }
+
+    #[test]
+    fn chunk_lanes_is_the_narrowest_width_that_holds_the_chunk() {
+        assert_eq!(chunk_lanes(1, 512), 64);
+        assert_eq!(chunk_lanes(63, 512), 64);
+        assert_eq!(chunk_lanes(64, 512), 256);
+        assert_eq!(chunk_lanes(255, 512), 256);
+        assert_eq!(chunk_lanes(256, 512), 512);
+        // Never wider than configured, even when the chunk does not fit.
+        assert_eq!(chunk_lanes(100, 64), 64);
+        assert_eq!(chunk_lanes(600, 256), 256);
+        assert_eq!(chunk_lanes(600, 512), 512);
     }
 
     #[test]

@@ -200,15 +200,25 @@ pub struct Dut<'a> {
 impl<'a> Dut<'a> {
     /// Wraps a netlist using the `clk`/`rst_n` naming conventions.
     ///
+    /// Both names are looked up among the primary inputs first; only a
+    /// name no primary input carries falls back to
+    /// [`FlatNetlist::net_by_name`], whose table covers every net.
+    ///
     /// # Errors
     ///
     /// Returns [`SsresfError::MissingNet`] when no `clk` input exists. A
     /// missing `rst_n` is tolerated (purely combinational DUTs).
     pub fn from_conventions(netlist: &'a FlatNetlist) -> Result<Self, SsresfError> {
-        let clock = netlist
-            .net_by_name("clk")
-            .ok_or_else(|| SsresfError::MissingNet("clk".into()))?;
-        let reset = netlist.net_by_name("rst_n");
+        let find = |name: &str| {
+            netlist
+                .primary_inputs()
+                .iter()
+                .copied()
+                .find(|&n| netlist.net_full_name(n) == name)
+                .or_else(|| netlist.net_by_name(name))
+        };
+        let clock = find("clk").ok_or_else(|| SsresfError::MissingNet("clk".into()))?;
+        let reset = find("rst_n");
         Ok(Dut {
             netlist,
             clock,
@@ -838,6 +848,39 @@ mod tests {
         let flat = counter_netlist();
         let dut = Dut::from_conventions(&flat).unwrap();
         assert_eq!(flat.net_full_name(dut.clock()), "clk");
+    }
+
+    #[test]
+    fn conventions_match_the_net_name_table() {
+        use ssresf_socgen::{build_soc, SocConfig};
+        let soc1 = build_soc(&SocConfig::table1()[0])
+            .unwrap()
+            .design
+            .flatten()
+            .unwrap();
+        let dut = Dut::from_conventions(&soc1).unwrap();
+        assert_eq!(Some(dut.clock()), soc1.net_by_name("clk"));
+        assert!(soc1.primary_inputs().contains(&dut.clock()));
+        let rst_n = soc1.net_by_name("rst_n");
+        assert!(rst_n.is_some());
+        assert_eq!(dut.reset, rst_n);
+
+        // An `rst_n` that is a top-level net but no input is still found.
+        let mut design = Design::new();
+        let mut mb = ModuleBuilder::new("internal_reset");
+        let clk = mb.port("clk", PortDir::Input);
+        let por = mb.port("por", PortDir::Input);
+        let q = mb.port("q", PortDir::Output);
+        let rst_n = mb.net("rst_n");
+        mb.cell("u_rst", CellKind::Buf, &[por], &[rst_n]).unwrap();
+        mb.cell("u_ff", CellKind::Dffr, &[clk, q, rst_n], &[q])
+            .unwrap();
+        let id = design.add_module(mb.finish()).unwrap();
+        design.set_top(id).unwrap();
+        let flat = design.flatten().unwrap();
+        let rst_n = flat.net_by_name("rst_n").unwrap();
+        assert!(!flat.primary_inputs().contains(&rst_n));
+        assert_eq!(Dut::from_conventions(&flat).unwrap().reset, Some(rst_n));
     }
 
     #[test]

@@ -412,15 +412,22 @@ pub fn eval_comb_word<const W: usize>(kind: CellKind, inputs: &[LaneWord<W>]) ->
     }
 }
 
+/// Whether `kind` has an asynchronous reset — the only kinds whose state
+/// [`async_override_zero_lanes`] can force.
+fn has_async_reset(kind: CellKind) -> bool {
+    matches!(kind, CellKind::Dffr | CellKind::Dffre | CellKind::HardDffr)
+}
+
 /// Lanes where an asynchronous control forces the cell's state to `0` —
 /// the word form of [`async_override`](crate::eval::async_override).
 pub fn async_override_zero_lanes<const W: usize>(
     kind: CellKind,
     inputs: &[LaneWord<W>],
 ) -> LaneMask<W> {
-    match kind {
-        CellKind::Dffr | CellKind::Dffre | CellKind::HardDffr => inputs[2].defined_zero(),
-        _ => LaneMask::EMPTY,
+    if has_async_reset(kind) {
+        inputs[2].defined_zero()
+    } else {
+        LaneMask::EMPTY
     }
 }
 
@@ -487,15 +494,27 @@ fn mask_diff_from_lane0<const W: usize>(m: LaneMask<W>) -> LaneMask<W> {
 /// Snapshots are [`EngineState::Levelized`] of the golden lane, so golden
 /// checkpoints taken by a scalar [`LevelizedEngine`](crate::LevelizedEngine)
 /// broadcast-restore into a batch at any width and vice versa.
+///
+/// A cycle touches only what can change: the capture and Q-drive phases
+/// walk the precomputed sequential cells, the asynchronous-reset fixpoint
+/// walks only the cells with an asynchronous reset, and the SET phases
+/// walk the sparse list of nets disturbed this cycle. Only the
+/// combinational sweep visits every combinational cell.
 #[derive(Debug)]
 pub struct BitParallelEngine<'a, const W: usize = 1> {
     netlist: &'a FlatNetlist,
     clock: NetId,
     order: Vec<CellId>,
+    /// Sequential cells in id order.
+    sequential: Vec<CellId>,
+    /// The sequential cells with an asynchronous reset, in id order.
+    async_reset: Vec<CellId>,
     nets: Vec<LaneWord<W>>,
     state: Vec<LaneWord<W>>,
     /// Per-net lane mask of active cycle-wide SET disturbances.
     inverted: Vec<LaneMask<W>>,
+    /// The nets whose `inverted` mask is non-empty, each listed once.
+    disturbed: Vec<NetId>,
     /// Faults applied to every lane (from broadcast scheduling / restore).
     faults: Vec<Fault>,
     /// Faults applied to a single lane each.
@@ -530,13 +549,25 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         let mut order = lv.order;
         let depth = lv.cell_depth;
         order.sort_by_key(|c| (depth[c.index()], c.0));
+        let sequential: Vec<CellId> = (0..netlist.num_cells() as u32)
+            .map(CellId)
+            .filter(|&c| netlist.cell_kind(c).is_sequential())
+            .collect();
+        let async_reset = sequential
+            .iter()
+            .copied()
+            .filter(|&c| has_async_reset(netlist.cell_kind(c)))
+            .collect();
         let mut engine = BitParallelEngine {
             netlist,
             clock,
             order,
+            sequential,
+            async_reset,
             nets: vec![LaneWord::UNKNOWN; netlist.nets().len()],
             state: vec![LaneWord::UNKNOWN; netlist.cells().len()],
             inverted: vec![LaneMask::EMPTY; netlist.nets().len()],
+            disturbed: Vec::new(),
             faults: Vec::new(),
             lane_faults: Vec::new(),
             cycle: 0,
@@ -561,13 +592,22 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     /// # Panics
     ///
     /// Panics when `lane` is 0 (the golden lane) or not below the lane
-    /// count.
+    /// count, and when an SEU targets a combinational cell:
+    /// [`diverged_lanes`](BitParallelEngine::diverged_lanes) reads only
+    /// sequential state, so such an upset could not be reported.
     pub fn schedule_fault_in_lane(&mut self, lane: usize, fault: Fault) {
         assert!(
             (1..Self::LANES).contains(&lane),
             "lane {lane} outside 1..{} (lane 0 is the golden lane)",
             Self::LANES
         );
+        if let Fault::Seu(f) = fault {
+            assert!(
+                self.netlist.cell_kind(f.cell).is_sequential(),
+                "SEU in lane {lane} targets combinational cell `{}`, which holds no state",
+                self.netlist.cell_full_name(f.cell)
+            );
+        }
         self.lane_faults.push((lane, fault));
     }
 
@@ -583,16 +623,21 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     /// that still have a pending lane fault. An empty result means every
     /// fault lane has re-converged with the golden run — the batch
     /// early-stop condition and the lane-retirement test.
+    ///
+    /// Combinational cells hold no state a lane can diverge in: only a
+    /// lane SEU could write one, and
+    /// [`schedule_fault_in_lane`](BitParallelEngine::schedule_fault_in_lane)
+    /// rejects those.
     pub fn diverged_lanes(&self) -> LaneMask<W> {
         let mut d = LaneMask::EMPTY;
         for &w in &self.nets {
             d |= diff_from_lane0(w);
         }
-        for &w in &self.state {
-            d |= diff_from_lane0(w);
+        for &cell in &self.sequential {
+            d |= diff_from_lane0(self.state[cell.index()]);
         }
-        for &m in &self.inverted {
-            d |= mask_diff_from_lane0(m);
+        for &net in &self.disturbed {
+            d |= mask_diff_from_lane0(self.inverted[net.index()]);
         }
         for &(lane, _) in &self.lane_faults {
             d.set(lane);
@@ -613,39 +658,6 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     /// Samples the current values of `nets` in one lane.
     pub fn sample_lane(&self, nets: &[NetId], lane: usize) -> Vec<Logic> {
         nets.iter().map(|&n| self.peek_lane(n, lane)).collect()
-    }
-
-    /// Rewrites a retired fault lane with the golden lane's values so it
-    /// can carry a fresh fault: copies lane 0 into `lane` for every net,
-    /// state word and disturbance mask. The caller must have verified the
-    /// lane has re-converged (see [`diverged_lanes`]
-    /// (BitParallelEngine::diverged_lanes)) — the copy is then a no-op on
-    /// the values and only resets bookkeeping drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is 0 or out of range, or when the lane still
-    /// carries a pending lane fault (retiring it would drop the fault).
-    pub fn recycle_lane(&mut self, lane: usize) {
-        assert!(
-            (1..Self::LANES).contains(&lane),
-            "lane {lane} outside 1..{} (lane 0 is the golden lane)",
-            Self::LANES
-        );
-        assert!(
-            !self.lane_faults.iter().any(|&(l, _)| l == lane),
-            "lane {lane} still has a pending fault"
-        );
-        for w in self.nets.iter_mut().chain(self.state.iter_mut()) {
-            w.set_lane(lane, w.get(0));
-        }
-        for m in self.inverted.iter_mut() {
-            if m.get(0) {
-                m.set(lane);
-            } else {
-                m.clear(lane);
-            }
-        }
     }
 
     fn set_net(&mut self, net: NetId, w: LaneWord<W>) {
@@ -678,15 +690,16 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     }
 
     /// Applies asynchronous controls (e.g. active-low reset) until stable,
-    /// per lane.
+    /// per lane. Only cells with an asynchronous reset can be forced, so
+    /// only those are visited (in id order, as the scalar engine visits
+    /// every sequential cell).
     fn async_fixpoint(&mut self) {
         for _ in 0..ASYNC_FIXPOINT_LIMIT {
             let mut changed = false;
-            for (id, cell) in self.netlist.iter_cells() {
-                if !cell.kind.is_sequential() {
-                    continue;
-                }
-                let forced = async_override_zero_lanes(cell.kind, &self.input_words(id));
+            for k in 0..self.async_reset.len() {
+                let id = self.async_reset[k];
+                let forced =
+                    async_override_zero_lanes(self.netlist.cell_kind(id), &self.input_words(id));
                 // Only lanes whose state actually changes update the Q net,
                 // matching the scalar `state != forced` guard.
                 let st = self.state[id.index()];
@@ -694,7 +707,7 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
                 let diff = forced & nonzero;
                 if diff.any() {
                     self.state[id.index()] = st.force_zero(diff);
-                    let q = cell.output;
+                    let q = self.netlist.cell_output(id);
                     let cur = self.nets[q.index()];
                     self.set_net(q, cur.force_zero(diff));
                     changed = true;
@@ -713,7 +726,11 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
                 self.state[f.cell.index()] = self.state[f.cell.index()].disturb(lanes);
             }
             Fault::Set(f) => {
-                self.inverted[f.net.index()] |= lanes;
+                let mask = &mut self.inverted[f.net.index()];
+                if mask.none() {
+                    self.disturbed.push(f.net);
+                }
+                *mask |= lanes;
             }
         }
     }
@@ -833,8 +850,12 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
             assert_ne!(v, Logic::Z, "snapshot holds a Z the lanes cannot represent");
             *w = LaneWord::splat(v);
         }
-        for (m, &inv) in self.inverted.iter_mut().zip(s.inverted()) {
+        self.disturbed.clear();
+        for (i, (m, &inv)) in self.inverted.iter_mut().zip(s.inverted()).enumerate() {
             *m = if inv { LaneMask::ALL } else { LaneMask::EMPTY };
+            if inv {
+                self.disturbed.push(NetId(i as u32));
+            }
         }
         self.faults = s.faults().to_vec();
         self.lane_faults.clear();
@@ -846,71 +867,62 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
     fn step_cycle(&mut self) {
         // 1. Rising edge: every sequential cell captures from the settled
         //    values, all lanes at once (see LevelizedEngine::step_cycle for
-        //    the phase rationale — the two must stay in lockstep).
-        let mut captured: Vec<(CellId, LaneWord<W>)> = Vec::new();
-        for (id, cell) in self.netlist.iter_cells() {
-            if cell.kind.is_sequential() {
-                let ns = next_state_word(cell.kind, &self.input_words(id), self.state[id.index()]);
-                captured.push((id, ns));
-            }
-        }
-        for (id, ns) in captured {
-            self.state[id.index()] = ns;
+        //    the phase rationale — the two must stay in lockstep). A capture
+        //    reads net values and the cell's own state, and the loop writes
+        //    neither net values nor other cells' state, so capturing in
+        //    place equals capturing into a buffer first.
+        for k in 0..self.sequential.len() {
+            let id = self.sequential[k];
+            let kind = self.netlist.cell_kind(id);
+            self.state[id.index()] =
+                next_state_word(kind, &self.input_words(id), self.state[id.index()]);
         }
 
         // 2. Faults for this cycle: broadcast faults hit every lane, lane
         //    faults their single lane. SEUs flip post-capture state; SETs
         //    force their net for the remainder of the cycle.
         let current = self.cycle;
-        let mut remaining = Vec::new();
-        for fault in std::mem::take(&mut self.faults) {
-            if fault.cycle() != current {
-                remaining.push(fault);
-                continue;
+        for i in 0..self.faults.len() {
+            let fault = self.faults[i];
+            if fault.cycle() == current {
+                self.apply_fault(fault, LaneMask::ALL);
             }
-            self.apply_fault(fault, LaneMask::ALL);
         }
-        self.faults = remaining;
-        let mut lane_remaining = Vec::new();
-        for (lane, fault) in std::mem::take(&mut self.lane_faults) {
-            if fault.cycle() != current {
-                lane_remaining.push((lane, fault));
-                continue;
+        self.faults.retain(|f| f.cycle() != current);
+        for i in 0..self.lane_faults.len() {
+            let (lane, fault) = self.lane_faults[i];
+            if fault.cycle() == current {
+                self.apply_fault(fault, LaneMask::bit(lane));
             }
-            self.apply_fault(fault, LaneMask::bit(lane));
         }
-        self.lane_faults = lane_remaining;
+        self.lane_faults.retain(|(_, f)| f.cycle() != current);
 
         // 3. Drive Q outputs (a SET on a Q net disturbs the driven lanes
         //    without corrupting the stored state) and settle the logic.
-        for (id, cell) in self.netlist.iter_cells() {
-            if cell.kind.is_sequential() {
-                let q = cell.output;
-                let mut v = self.state[id.index()];
-                let inv = self.inverted[q.index()];
-                if inv.any() {
-                    v = v.disturb(inv);
-                }
-                self.set_net(q, v);
+        for k in 0..self.sequential.len() {
+            let id = self.sequential[k];
+            let q = self.netlist.cell_output(id);
+            let mut v = self.state[id.index()];
+            let inv = self.inverted[q.index()];
+            if inv.any() {
+                v = v.disturb(inv);
             }
+            self.set_net(q, v);
         }
         // SETs on input-driven nets (no combinational driver).
-        for i in 0..self.inverted.len() {
-            let inv = self.inverted[i];
-            if inv.any() {
-                let net = NetId(i as u32);
-                if matches!(self.netlist.net(net).driver, Some(Driver::PrimaryInput)) {
-                    let v = self.nets[i].disturb(inv);
-                    self.set_net(net, v);
-                }
+        for k in 0..self.disturbed.len() {
+            let net = self.disturbed[k];
+            if self.netlist.net_driver(net) == Some(Driver::PrimaryInput) {
+                let v = self.nets[net.index()].disturb(self.inverted[net.index()]);
+                self.set_net(net, v);
             }
         }
         self.propagate();
         self.async_fixpoint();
 
         // 4. Release this cycle's SET disturbances.
-        for m in self.inverted.iter_mut() {
-            *m = LaneMask::EMPTY;
+        for net in self.disturbed.drain(..) {
+            self.inverted[net.index()] = LaneMask::EMPTY;
         }
         self.cycle += 1;
     }

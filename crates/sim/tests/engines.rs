@@ -745,6 +745,178 @@ fn bitparallel_word_evals_count_sweep_work() {
     assert_eq!(t.cells_evaluated, 0);
 }
 
+/// A toggler and a data flop with async reset, a plain flop and a memory
+/// bit: every kind of site a bit-parallel cycle can disturb.
+///
+/// `q0` toggles (`u_ff_0`, Dffr), `q1` accumulates `d` through the
+/// combinational net `x1` (`u_ff_1`, Dffr), `u_bit` writes `q0 & d` when
+/// `we` is high, `y = m ^ q1`, and `z = q0 ^ q2` where `q2` registers `y`
+/// without a reset (`u_ff_2`, Dff).
+fn lane_probe() -> FlatNetlist {
+    let mut design = Design::new();
+    let mut mb = ModuleBuilder::new("probe");
+    let clk = mb.port("clk", PortDir::Input);
+    let rst_n = mb.port("rst_n", PortDir::Input);
+    let d = mb.port("d", PortDir::Input);
+    let we = mb.port("we", PortDir::Input);
+    let y = mb.port("y", PortDir::Output);
+    let z = mb.port("z", PortDir::Output);
+    let [q0, nq0, q1, x1, dm, m, q2] =
+        ["q0", "nq0", "q1", "x1", "dm", "m", "q2"].map(|n| mb.net(n));
+    mb.cell("u_ff_0", CellKind::Dffr, &[clk, nq0, rst_n], &[q0])
+        .unwrap();
+    mb.cell("u_inv", CellKind::Inv, &[q0], &[nq0]).unwrap();
+    mb.cell("u_x1", CellKind::Xor2, &[q1, d], &[x1]).unwrap();
+    mb.cell("u_ff_1", CellKind::Dffr, &[clk, x1, rst_n], &[q1])
+        .unwrap();
+    mb.cell("u_dm", CellKind::And2, &[q0, d], &[dm]).unwrap();
+    mb.cell("u_bit", CellKind::SramBit, &[clk, we, dm], &[m])
+        .unwrap();
+    mb.cell("u_y", CellKind::Xor2, &[m, q1], &[y]).unwrap();
+    mb.cell("u_ff_2", CellKind::Dff, &[clk, y], &[q2]).unwrap();
+    mb.cell("u_z", CellKind::Xor2, &[q0, q2], &[z]).unwrap();
+    let id = design.add_module(mb.finish()).unwrap();
+    design.set_top(id).unwrap();
+    design.flatten().unwrap()
+}
+
+/// Checks a bit-parallel run cycle by cycle against a full-state reference:
+/// SETs on a primary input (two lanes, same net, same cycle), on a flop Q
+/// net and on a combinational net, and SEUs on an async-reset flop (once
+/// during reset) and on a memory bit. After every cycle, `diverged_lanes`
+/// must equal a scan of every net and every cell state plus the lanes with
+/// pending faults, every lane must equal a scalar run of its single fault
+/// in every net and cell, and golden-lane activity must equal the scalar
+/// golden run's.
+fn lanes_match_full_state_reference_at_width<const W: usize>(lane_stride: usize) {
+    let flat = lane_probe();
+    let net = |name: &str| flat.net_by_name(name).unwrap();
+    let cell = |name: &str| flat.cell_by_name(name).unwrap();
+    let (clk, rst_n, d, we) = (net("clk"), net("rst_n"), net("d"), net("we"));
+    let set = |net, cycle| {
+        Fault::Set(SetFault {
+            net,
+            cycle,
+            offset: 0.5,
+            width: 0.2,
+        })
+    };
+    let seu = |cell, cycle| {
+        Fault::Seu(SeuFault {
+            cell,
+            cycle,
+            offset: 0.5,
+        })
+    };
+    let faults = [
+        set(rst_n, 6),
+        set(rst_n, 6),
+        set(net("q0"), 4),
+        set(net("x1"), 5),
+        seu(cell("u_ff_1"), 1),
+        seu(cell("u_ff_1"), 7),
+        seu(cell("u_bit"), 3),
+        set(d, 9),
+    ];
+    let lanes: Vec<usize> = (0..faults.len()).map(|i| 1 + i * lane_stride).collect();
+    assert!(*lanes.last().unwrap() < W * 64);
+
+    // Reset for two cycles, `d` high throughout (so SETs on `rst_n` and
+    // `d` persist), `we` pulsed every third cycle.
+    let stimulate = |engine: &mut dyn Engine, cycle: u64| {
+        match cycle {
+            0 => {
+                engine.poke(rst_n, Logic::Zero);
+                engine.poke(d, Logic::One);
+            }
+            2 => engine.poke(rst_n, Logic::One),
+            _ => {}
+        }
+        engine.poke(we, Logic::from(cycle.is_multiple_of(3)));
+    };
+
+    let mut batch = BitParallelEngine::<W>::new(&flat, clk).unwrap();
+    for (&lane, &fault) in lanes.iter().zip(&faults) {
+        batch.schedule_fault_in_lane(lane, fault);
+    }
+    let mut golden = LevelizedEngine::new(&flat, clk).unwrap();
+    let mut scalars: Vec<LevelizedEngine> = faults
+        .iter()
+        .map(|&fault| {
+            let mut e = LevelizedEngine::new(&flat, clk).unwrap();
+            e.schedule_fault(fault);
+            e
+        })
+        .collect();
+
+    let nets: Vec<_> = (0..flat.num_nets() as u32)
+        .map(ssresf_netlist::NetId)
+        .collect();
+    let cells: Vec<_> = flat.iter_cells().map(|(id, _)| id).collect();
+    for cycle in 0..16u64 {
+        stimulate(&mut batch, cycle);
+        stimulate(&mut golden, cycle);
+        batch.step_cycle();
+        golden.step_cycle();
+        for e in &mut scalars {
+            stimulate(e, cycle);
+            e.step_cycle();
+        }
+
+        let mut reference = LaneMask::<W>::EMPTY;
+        for lane in 1..W * 64 {
+            let differs = nets
+                .iter()
+                .any(|&n| batch.peek_lane(n, lane) != batch.peek_lane(n, 0))
+                || cells
+                    .iter()
+                    .any(|&c| batch.cell_state_lane(c, lane) != batch.cell_state_lane(c, 0));
+            if differs {
+                reference.set(lane);
+            }
+        }
+        for (&lane, fault) in lanes.iter().zip(&faults) {
+            if fault.cycle() > cycle {
+                reference.set(lane);
+            }
+        }
+        assert_eq!(batch.diverged_lanes(), reference, "W={W} cycle {cycle}");
+
+        for (lane, scalar) in
+            std::iter::once((0, &golden)).chain(lanes.iter().copied().zip(&scalars))
+        {
+            for &n in &nets {
+                assert_eq!(
+                    batch.peek_lane(n, lane),
+                    scalar.peek(n),
+                    "W={W} cycle {cycle} lane {lane} net {}",
+                    flat.net_full_name(n)
+                );
+            }
+            for &c in &cells {
+                assert_eq!(
+                    batch.cell_state_lane(c, lane),
+                    scalar.cell_state(c),
+                    "W={W} cycle {cycle} lane {lane} cell {}",
+                    flat.cell_full_name(c)
+                );
+            }
+        }
+        assert_eq!(batch.activity(), golden.activity(), "W={W} cycle {cycle}");
+    }
+    // Every fault was observable somewhere along the run.
+    assert!(scalars.iter().all(|s| nets
+        .iter()
+        .any(|&n| s.activity()[n.index()] != golden.activity()[n.index()])));
+}
+
+#[test]
+fn bitparallel_lanes_match_full_state_reference_all_widths() {
+    lanes_match_full_state_reference_at_width::<1>(1);
+    lanes_match_full_state_reference_at_width::<4>(36);
+    lanes_match_full_state_reference_at_width::<8>(70);
+}
+
 /// An 8-bit one-hot-written SRAM column: bits share `we`/`d`, outputs fold
 /// into a XOR parity chain observed at `parity`.
 fn sram_column(bits: usize) -> FlatNetlist {
