@@ -137,10 +137,7 @@ fn load_metric(dir: &Path, file: &str, key: &str) -> Result<f64, String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let value =
         ssresf_json::parse(&text).map_err(|e| format!("cannot parse {}: {e:?}", path.display()))?;
-    value
-        .get(key)
-        .and_then(ssresf_json::Value::as_f64)
-        .ok_or_else(|| format!("{}: missing numeric key {key:?}", path.display()))
+    ssresf_json::field(&value, key).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn main() -> ExitCode {

@@ -18,11 +18,10 @@
 //! 5. stop when whole-netlist predictions stabilize across rounds, the
 //!    round cap is hit, or the injection budget is exhausted.
 //!
-//! The final classifier is refit with the full
-//! [`train_sensitivity`](crate::sensitivity::train_sensitivity) pipeline
-//! (grid search, CV metrics, ROC) on everything labeled, so the returned
-//! [`Analysis`] is drop-in comparable with [`Ssresf::analyze`] — it just
-//! cost strictly fewer injections for the same accuracy. Results are
+//! The final classifier is refit with the full [`train_sensitivity`]
+//! pipeline (grid search, CV metrics, ROC) on everything labeled, so the
+//! returned [`Analysis`] is drop-in comparable with [`Ssresf::analyze`] —
+//! it just cost strictly fewer injections for the same accuracy. Results are
 //! bit-identical for every thread count and reproducible from
 //! `(seed, config)`: the golden run, fault streams, seed draw, margin
 //! ordering and batch tie-breaks are all deterministic.
@@ -36,7 +35,6 @@ use crate::sampling::{sample_clusters, ClusterSample, SamplingConfig};
 use crate::sensitivity::train_sensitivity;
 use crate::ser::evaluate_ser;
 use crate::workload::Dut;
-use serde::{Deserialize, Serialize};
 use ssresf_mlcore::{
     parallel_map, Dataset, SmoContext, StandardScaler, SvmModel, SvmParams, TrainStats,
 };
@@ -45,7 +43,7 @@ use ssresf_sim::Fault;
 use std::time::Instant;
 
 /// Configuration of the active-learning loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActiveLearningConfig {
     /// Fraction of each cluster in the stratified seed draw, in `(0, 1]`.
     /// Deliberately far below [`SamplingConfig::fraction`] — the margin
@@ -84,7 +82,7 @@ impl Default for ActiveLearningConfig {
 }
 
 /// Diagnostics of one active-learning round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActiveRound {
     /// Round index (0 = trained on the seed sample alone).
     pub round: usize,

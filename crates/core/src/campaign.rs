@@ -21,7 +21,6 @@ use crate::progress::{CampaignProgress, Instrument, ProgressPhase, WorkerUtiliza
 use crate::workload::{Dut, EngineKind, GoldenRun, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{CellId, CellKind, FlatNetlist, NetId};
 use ssresf_radiation::{PulseWidthModel, RadiationEnvironment};
 use ssresf_sim::{CycleTrace, EngineTelemetry, Fault, SetFault, SeuFault};
@@ -30,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Campaign configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignConfig {
     /// Workload length.
     pub workload: Workload,
@@ -49,13 +48,11 @@ pub struct CampaignConfig {
     /// Cycles between golden-run checkpoints that injection runs
     /// fast-forward from (0 disables checkpointing; every run then replays
     /// the workload from reset).
-    #[serde(default = "default_checkpoint_interval")]
     pub checkpoint_interval: u64,
     /// Terminate a faulty run early once its verdict is decided and its
     /// engine state has re-converged with the golden run at a checkpoint
     /// boundary; the skipped tail is filled from the golden trace, so
     /// records are bit-identical either way.
-    #[serde(default)]
     pub early_stop: bool,
     /// Pack fault instances into bit-parallel batches ([`Dut::run_batch`])
     /// instead of simulating them one scalar run at a time. Requires
@@ -63,7 +60,6 @@ pub struct CampaignConfig {
     /// sub-cycle SET timing that cannot be lane-packed. Records are
     /// bit-identical to scalar-mode records for the same seed and config,
     /// across any thread count.
-    #[serde(default)]
     pub batching: bool,
     /// Upper bound on the lanes per bit-parallel batch: one of
     /// [`ssresf_sim::SUPPORTED_LANE_COUNTS`] (64/256/512, i.e. `LaneWord`
@@ -73,7 +69,6 @@ pub struct CampaignConfig {
     /// fault classes, and keeps `batch_lanes` when none does; records,
     /// work and telemetry are the same as at `batch_lanes`. Only
     /// meaningful with [`batching`](CampaignConfig::batching).
-    #[serde(default = "default_batch_lanes")]
     pub batch_lanes: usize,
     /// Collapse equivalent faults onto one representative lane: SEUs on
     /// the same flip-flop bit and cycle, and SETs whose nets reach the
@@ -82,22 +77,12 @@ pub struct CampaignConfig {
     /// collapsed record. Exact (not approximate) under the levelized
     /// cycle-wide fault semantics, so records stay bit-identical. Requires
     /// [`batching`](CampaignConfig::batching).
-    #[serde(default)]
     pub collapse_faults: bool,
     /// Retire lanes early and refill them mid-sweep from the pending fault
     /// queue ([`Dut::run_batch_queue`]) instead of idling retired lanes
     /// until the batch-wide stop. Records stay bit-identical. Requires
     /// [`batching`](CampaignConfig::batching).
-    #[serde(default)]
     pub lane_refill: bool,
-}
-
-fn default_checkpoint_interval() -> u64 {
-    10
-}
-
-fn default_batch_lanes() -> usize {
-    ssresf_sim::WORD_LANES
 }
 
 impl Default for CampaignConfig {
@@ -110,10 +95,10 @@ impl Default for CampaignConfig {
             seed: 3,
             engine: EngineKind::EventDriven,
             threads: 0,
-            checkpoint_interval: default_checkpoint_interval(),
+            checkpoint_interval: 10,
             early_stop: false,
             batching: false,
-            batch_lanes: default_batch_lanes(),
+            batch_lanes: ssresf_sim::WORD_LANES,
             collapse_faults: false,
             lane_refill: false,
         }
@@ -121,7 +106,7 @@ impl Default for CampaignConfig {
 }
 
 /// The outcome of one injection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InjectionRecord {
     /// The struck cell.
     pub cell: CellId,
@@ -134,7 +119,7 @@ pub struct InjectionRecord {
 }
 
 /// Deterministic event counters accumulated over a whole campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignTelemetry {
     /// Engine-level counters summed over the golden run and every
     /// injection run.
@@ -145,11 +130,9 @@ pub struct CampaignTelemetry {
     pub early_stop_truncations: u64,
     /// Faults answered by an equivalence-class representative lane instead
     /// of a lane of their own (fault-list collapsing).
-    #[serde(default)]
     pub collapsed_faults: u64,
     /// Retired lanes rewritten mid-sweep with a fresh pending fault
     /// (queued batching).
-    #[serde(default)]
     pub lane_refills: u64,
 }
 

@@ -24,13 +24,12 @@ use crate::error::SsresfError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use ssresf_mlcore::{parallel_map, resolve_threads};
 use ssresf_netlist::{CellId, FlatNetlist, HierPath, PathId};
 use std::collections::HashMap;
 
 /// Configuration of the clustering pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusteringConfig {
     /// `KN` — number of clusters.
     pub clusters: usize,
@@ -42,7 +41,6 @@ pub struct ClusteringConfig {
     pub max_iters: usize,
     /// Worker threads for the assign and medoid-update steps (0 = all
     /// cores). The result is bit-identical for every thread count.
-    #[serde(default)]
     pub threads: usize,
 }
 
@@ -59,7 +57,7 @@ impl Default for ClusteringConfig {
 }
 
 /// The result of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
     /// Cluster index of every cell (indexed by `CellId`).
     pub assignment: Vec<u32>,

@@ -7,6 +7,7 @@
 //! returning an [`Analysis`] with every intermediate artifact plus the
 //! timing split that yields the paper's Table-III speed-up.
 
+use crate::active::label_cells;
 use crate::campaign::{run_campaign_with, CampaignConfig, CampaignOutcome};
 use crate::clustering::{cluster_cells, Clustering, ClusteringConfig};
 use crate::error::SsresfError;
@@ -16,14 +17,13 @@ use crate::sensitivity::{
     train_sensitivity, SensitivityConfig, SensitivityReport, TrainedSensitivity,
 };
 use crate::ser::{evaluate_ser, SerEvaluation};
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{CellFeatures, CellId, FeatureExtractor, FlatNetlist, ModuleClass};
 use ssresf_radiation::SoftErrorDatabase;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// How sampled cells are labeled for SVM training.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum LabelRule {
     /// A cell is sensitive when its observed per-cell soft-error
     /// probability reaches the threshold.
@@ -39,7 +39,7 @@ pub enum LabelRule {
 }
 
 /// Complete framework configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsresfConfig {
     /// Algorithm-1 clustering parameters.
     pub clustering: ClusteringConfig,
@@ -87,7 +87,7 @@ pub const MAX_SPEEDUP: f64 = 1e9;
 /// The coarse quantities of the paper's Table III remain available through
 /// [`simulation`](Timing::simulation), [`training`](Timing::training) and
 /// [`prediction`](Timing::prediction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Timing {
     /// Algorithm-1 clustering.
     pub clustering: Duration,
@@ -292,26 +292,13 @@ impl Ssresf {
             ssresf_mlcore::parallel_map(&cell_ids, self.config.sensitivity.threads, |_, &id| {
                 extractor.extract_cell(id, Some(&campaign.golden_activity))
             });
-        let cell_stats = campaign.per_cell_stats();
-        let labels: Vec<(CellId, bool)> = sample
-            .all_cells()
-            .iter()
-            .map(|&cell| {
-                let probability = cell_stats
-                    .get(&cell)
-                    .map(|s| s.probability())
-                    .unwrap_or(0.0);
-                let sensitive = match self.config.labeling {
-                    LabelRule::PerCell { min_probability } => probability >= min_probability,
-                    LabelRule::Blended => {
-                        let cluster = clustering.cluster_of(cell);
-                        let cluster_ser = ser.per_cluster[cluster].ser();
-                        (probability + cluster_ser) / 2.0 >= ser.chip_ser.max(1e-9)
-                    }
-                };
-                (cell, sensitive)
-            })
-            .collect();
+        let labels = label_cells(
+            &sample.all_cells(),
+            &campaign,
+            &clustering,
+            &ser,
+            self.config.labeling,
+        );
         timing.features = stage("stage.features", started.elapsed());
         let started = Instant::now();
         let (classifier, sensitivity_report) =

@@ -17,14 +17,13 @@ use crate::workload::{Dut, Workload};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{harden::sequential_only, CellId, FlatNetlist, HardeningReport};
 use ssresf_radiation::{MissionProfile, WeibullCurve};
 use ssresf_sim::Fault;
 use std::collections::BTreeSet;
 
 /// How hardening targets are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HardeningStrategy {
     /// The SVM's predicted-sensitive nodes, ranked by decision value
     /// (most sensitive first) — the SSRESF-guided flow.
@@ -111,7 +110,7 @@ pub fn selective_harden(
 }
 
 /// A netlist-level mitigation technique.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MitigationKind {
     /// Triple modular redundancy: targets are triplicated behind a
     /// majority voter ([`FlatNetlist::tmr_harden`]). The SER effect is
@@ -140,7 +139,7 @@ impl MitigationKind {
 
 /// One mitigation to evaluate differentially: a technique plus its target
 /// cells (on the *baseline* netlist's cell ids).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MitigationPlan {
     /// The technique.
     pub kind: MitigationKind,

@@ -42,6 +42,7 @@
 pub mod active;
 pub mod campaign;
 pub mod clustering;
+mod codec;
 pub mod error;
 pub mod framework;
 pub mod hardening;

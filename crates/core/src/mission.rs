@@ -23,13 +23,12 @@ use crate::progress::Instrument;
 use crate::workload::{Dut, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::CellId;
 use ssresf_radiation::{MissionProfile, ParticleEnvironment};
 use ssresf_sim::{Fault, SetFault, SeuFault};
 
 /// Per-segment injection statistics of a mission campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentStats {
     /// The segment's label, copied from the profile.
     pub label: String,

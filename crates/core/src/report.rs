@@ -5,13 +5,12 @@
 //! dashboard wants — the numbers SSRESF's tables are made of.
 
 use crate::framework::Analysis;
-use serde::{Deserialize, Serialize};
-use ssresf_json as json;
+use ssresf_json::{field, FromJson, ToJson, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A flat digest of one [`Analysis`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisSummary {
     /// Cells in the analyzed netlist.
     pub cells: usize,
@@ -86,124 +85,73 @@ impl From<&Analysis> for AnalysisSummary {
     }
 }
 
-impl AnalysisSummary {
-    /// Serializes as pretty JSON.
-    pub fn to_json(&self) -> String {
-        let ser_per_class = json::Value::Object(
-            self.ser_per_class
-                .iter()
-                .map(|(class, &ser)| (class.clone(), json::Value::from(ser)))
-                .collect(),
-        );
-        let predicted_per_class = json::Value::Object(
+/// Predicted counts travel as `[high, total]` pairs.
+impl ToJson for AnalysisSummary {
+    fn to_json(&self) -> Value {
+        let predicted_per_class = Value::Object(
             self.predicted_per_class
                 .iter()
-                .map(|(class, &(high, total))| {
-                    (class.clone(), json::Value::from(vec![high, total]))
-                })
+                .map(|(class, &(high, total))| (class.clone(), Value::from(vec![high, total])))
                 .collect(),
         );
-        json::object([
-            ("cells", json::Value::from(self.cells)),
-            ("clusters", json::Value::from(self.clusters)),
-            (
-                "cluster_sizes",
-                json::Value::from(self.cluster_sizes.clone()),
-            ),
-            ("sampled", json::Value::from(self.sampled)),
-            ("injections", json::Value::from(self.injections)),
-            ("soft_errors", json::Value::from(self.soft_errors)),
-            ("chip_ser", json::Value::from(self.chip_ser)),
-            ("ser_per_class", ser_per_class),
-            ("tnr", json::Value::from(self.tnr)),
-            ("tpr", json::Value::from(self.tpr)),
-            ("precision", json::Value::from(self.precision)),
-            ("accuracy", json::Value::from(self.accuracy)),
-            ("f1", json::Value::from(self.f1)),
-            ("auc", json::Value::from(self.auc)),
+        ssresf_json::object([
+            ("cells", self.cells.to_json()),
+            ("clusters", self.clusters.to_json()),
+            ("cluster_sizes", self.cluster_sizes.to_json()),
+            ("sampled", self.sampled.to_json()),
+            ("injections", self.injections.to_json()),
+            ("soft_errors", self.soft_errors.to_json()),
+            ("chip_ser", self.chip_ser.to_json()),
+            ("ser_per_class", self.ser_per_class.to_json()),
+            ("tnr", self.tnr.to_json()),
+            ("tpr", self.tpr.to_json()),
+            ("precision", self.precision.to_json()),
+            ("accuracy", self.accuracy.to_json()),
+            ("f1", self.f1.to_json()),
+            ("auc", self.auc.to_json()),
             ("predicted_per_class", predicted_per_class),
-            ("seu_xsect_cm2", json::Value::from(self.seu_xsect_cm2)),
-            ("set_xsect_cm2", json::Value::from(self.set_xsect_cm2)),
-            ("simulation_s", json::Value::from(self.simulation_s)),
-            ("training_s", json::Value::from(self.training_s)),
-            ("prediction_s", json::Value::from(self.prediction_s)),
-            ("speedup", json::Value::from(self.speedup)),
+            ("seu_xsect_cm2", self.seu_xsect_cm2.to_json()),
+            ("set_xsect_cm2", self.set_xsect_cm2.to_json()),
+            ("simulation_s", self.simulation_s.to_json()),
+            ("training_s", self.training_s.to_json()),
+            ("prediction_s", self.prediction_s.to_json()),
+            ("speedup", self.speedup.to_json()),
         ])
-        .to_string_pretty()
     }
+}
 
-    /// Parses a summary from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying decode error message.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let num = |name: &str| {
-            doc.get(name)
-                .and_then(json::Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field \"{name}\""))
-        };
-        let count = |name: &str| {
-            doc.get(name)
-                .and_then(json::Value::as_usize)
-                .ok_or_else(|| format!("missing integer field \"{name}\""))
-        };
-        let cluster_sizes = doc
-            .get("cluster_sizes")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| "missing \"cluster_sizes\"".to_owned())?
-            .iter()
-            .map(|v| v.as_usize().ok_or_else(|| "bad cluster size".to_owned()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut ser_per_class = BTreeMap::new();
-        for (class, v) in doc
-            .get("ser_per_class")
-            .and_then(json::Value::as_object)
-            .ok_or_else(|| "missing \"ser_per_class\"".to_owned())?
-        {
-            let ser = v
-                .as_f64()
-                .ok_or_else(|| format!("bad SER for class \"{class}\""))?;
-            ser_per_class.insert(class.clone(), ser);
-        }
-        let mut predicted_per_class = BTreeMap::new();
-        for (class, v) in doc
-            .get("predicted_per_class")
-            .and_then(json::Value::as_object)
-            .ok_or_else(|| "missing \"predicted_per_class\"".to_owned())?
-        {
-            let pair = (
-                v.at(0).and_then(json::Value::as_usize),
-                v.at(1).and_then(json::Value::as_usize),
-            );
-            let (Some(high), Some(total)) = pair else {
-                return Err(format!("bad predicted counts for class \"{class}\""));
-            };
-            predicted_per_class.insert(class.clone(), (high, total));
-        }
+impl FromJson for AnalysisSummary {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        let predicted_per_class =
+            field::<BTreeMap<String, Vec<usize>>>(value, "predicted_per_class")?
+                .into_iter()
+                .map(|(class, counts)| match counts[..] {
+                    [high, total] => Ok((class, (high, total))),
+                    _ => Err(format!("bad predicted counts for class {class:?}")),
+                })
+                .collect::<Result<_, String>>()?;
         Ok(AnalysisSummary {
-            cells: count("cells")?,
-            clusters: count("clusters")?,
-            cluster_sizes,
-            sampled: count("sampled")?,
-            injections: count("injections")?,
-            soft_errors: count("soft_errors")?,
-            chip_ser: num("chip_ser")?,
-            ser_per_class,
-            tnr: num("tnr")?,
-            tpr: num("tpr")?,
-            precision: num("precision")?,
-            accuracy: num("accuracy")?,
-            f1: num("f1")?,
-            auc: num("auc")?,
+            cells: field(value, "cells")?,
+            clusters: field(value, "clusters")?,
+            cluster_sizes: field(value, "cluster_sizes")?,
+            sampled: field(value, "sampled")?,
+            injections: field(value, "injections")?,
+            soft_errors: field(value, "soft_errors")?,
+            chip_ser: field(value, "chip_ser")?,
+            ser_per_class: field(value, "ser_per_class")?,
+            tnr: field(value, "tnr")?,
+            tpr: field(value, "tpr")?,
+            precision: field(value, "precision")?,
+            accuracy: field(value, "accuracy")?,
+            f1: field(value, "f1")?,
+            auc: field(value, "auc")?,
             predicted_per_class,
-            seu_xsect_cm2: num("seu_xsect_cm2")?,
-            set_xsect_cm2: num("set_xsect_cm2")?,
-            simulation_s: num("simulation_s")?,
-            training_s: num("training_s")?,
-            prediction_s: num("prediction_s")?,
-            speedup: num("speedup")?,
+            seu_xsect_cm2: field(value, "seu_xsect_cm2")?,
+            set_xsect_cm2: field(value, "set_xsect_cm2")?,
+            simulation_s: field(value, "simulation_s")?,
+            training_s: field(value, "training_s")?,
+            prediction_s: field(value, "prediction_s")?,
+            speedup: field(value, "speedup")?,
         })
     }
 }
@@ -304,6 +252,6 @@ mod tests {
 
     #[test]
     fn from_json_rejects_garbage() {
-        assert!(AnalysisSummary::from_json("nope").is_err());
+        assert!(AnalysisSummary::from_json(&Value::from("nope")).is_err());
     }
 }

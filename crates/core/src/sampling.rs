@@ -9,11 +9,10 @@ use crate::error::SsresfError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::CellId;
 
 /// Sampling configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingConfig {
     /// Fraction of each cluster to sample, in `(0, 1]`.
     pub fraction: f64,
@@ -27,7 +26,6 @@ pub struct SamplingConfig {
     /// time from the cluster with the largest current sample — ties break
     /// toward the higher-indexed cluster — dropping each cluster's
     /// highest-id cells first. The cap wins over `min_per_cluster`.
-    #[serde(default)]
     pub budget: Option<usize>,
 }
 
@@ -43,7 +41,7 @@ impl Default for SamplingConfig {
 }
 
 /// The fault-injection sample: selected cells per cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSample {
     /// Selected cells, one list per cluster (same order as the clustering).
     pub per_cluster: Vec<Vec<CellId>>,

@@ -7,7 +7,6 @@
 //! simulation and producing the paper's speed-up.
 
 use crate::error::SsresfError;
-use serde::{Deserialize, Serialize};
 use ssresf_mlcore::{
     cross_val_score_with, forward_selection_with, grid_search_with, parallel_map, roc_curve,
     BinaryMetrics, Dataset, KFold, Kernel, MlError, RocCurve, SelectionCurve, StandardScaler,
@@ -17,7 +16,7 @@ use ssresf_netlist::{CellFeatures, CellId};
 use std::time::{Duration, Instant};
 
 /// Configuration of the sensitivity-classification stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensitivityConfig {
     /// Base SVM hyper-parameters (kernel/γ/C may be overridden by the grid
     /// search).
@@ -38,7 +37,6 @@ pub struct SensitivityConfig {
     /// Worker threads for cross-validation, grid search, feature selection
     /// and whole-netlist prediction (0 = all cores). Results are
     /// bit-identical for every thread count.
-    #[serde(default)]
     pub threads: usize,
 }
 
@@ -58,7 +56,7 @@ impl Default for SensitivityConfig {
 }
 
 /// A trained sensitivity classifier: standardization + column subset + SVM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainedSensitivity {
     scaler: StandardScaler,
     columns: Vec<usize>,
@@ -108,7 +106,7 @@ impl TrainedSensitivity {
 }
 
 /// Training diagnostics (the material of the paper's Table II and Figs. 5–6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityReport {
     /// Confusion metrics from held-out k-fold predictions.
     pub metrics: BinaryMetrics,

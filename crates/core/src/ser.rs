@@ -4,12 +4,11 @@ use crate::campaign::CampaignOutcome;
 use crate::clustering::Clustering;
 use crate::error::SsresfError;
 use crate::sampling::ClusterSample;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{FlatNetlist, ModuleClass};
 use std::collections::BTreeMap;
 
 /// Per-cluster SER evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSer {
     /// Cluster index.
     pub cluster: usize,
@@ -36,7 +35,7 @@ impl ClusterSer {
 }
 
 /// Chip-level SER evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SerEvaluation {
     /// Per-cluster results, by cluster index.
     pub per_cluster: Vec<ClusterSer>,

@@ -7,7 +7,6 @@
 //! sampling all primary outputs each cycle.
 
 use crate::error::SsresfError;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{FlatNetlist, NetId};
 use ssresf_sim::{
     BitParallelEngine, CycleTrace, Engine, EngineState, EngineTelemetry, EventDrivenEngine, Fault,
@@ -16,7 +15,7 @@ use ssresf_sim::{
 use std::collections::VecDeque;
 
 /// Which simulation engine to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// [`EventDrivenEngine`] — the VCS stand-in.
     EventDriven,
@@ -35,7 +34,7 @@ impl EngineKind {
 }
 
 /// Workload length parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Workload {
     /// Cycles with reset asserted.
     pub reset_cycles: u64,
@@ -149,11 +148,11 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Rebuilds a checkpoint from its parts — used by the serve layer to
-    /// rehydrate cached golden runs from disk. `cycle` must be the
+    /// Rebuilds a checkpoint from its parts — used by the golden-run
+    /// decoder to rehydrate cached golden runs. `cycle` must be the
     /// post-reset cycle the snapshot was taken at, or fast-forwarding
     /// through it will silently diverge.
-    pub fn new(cycle: u64, state: EngineState) -> Self {
+    pub(crate) fn new(cycle: u64, state: EngineState) -> Self {
         Checkpoint { cycle, state }
     }
 

@@ -6,7 +6,12 @@
 //! printed with Rust's shortest round-trip formatting, so
 //! `parse(&v.to_string_pretty())` reproduces every finite double exactly.
 //! Objects preserve insertion order.
+//!
+//! Types that cross a process or disk boundary implement [`ToJson`] and
+//! [`FromJson`] in the crate that defines them; decoders read object
+//! members through [`field`].
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed JSON document.
@@ -55,17 +60,14 @@ impl Value {
 
     /// The number as a usize, when it is one exactly (no fraction, in range).
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= usize::MAX as f64 => {
-                Some(*n as usize)
-            }
-            _ => None,
-        }
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
+    /// The number as a u64, when it is one exactly (no fraction, in range).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which is out of range.
+            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -165,6 +167,146 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 /// Builds a [`Value::Object`] from `(key, value)` pairs.
 pub fn object(members: impl IntoIterator<Item = (impl Into<String>, Value)>) -> Value {
     Value::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// A type with a JSON encoding.
+pub trait ToJson {
+    /// Encodes `self`.
+    fn to_json(&self) -> Value;
+}
+
+/// A type that decodes from its JSON encoding.
+pub trait FromJson: Sized {
+    /// Decodes `value`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when `value` is not a valid encoding.
+    fn from_json(value: &Value) -> Result<Self, String>;
+}
+
+/// Decodes member `key` of an object. Only an `Option` member may be
+/// absent: a missing key decodes as `null`.
+///
+/// # Errors
+///
+/// Returns a description naming `key` when the member is missing or
+/// invalid.
+pub fn field<T: FromJson>(value: &Value, key: &str) -> Result<T, String> {
+    match value.get(key) {
+        Some(member) => T::from_json(member).map_err(|e| format!("key {key:?}: {e}")),
+        None => T::from_json(&Value::Null).map_err(|_| format!("missing key {key:?}")),
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Value {
+        Value::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        value.as_bool().ok_or_else(|| "expected a bool".into())
+    }
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Value {
+        Value::Number(*self)
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        value.as_f64().ok_or_else(|| "expected a number".into())
+    }
+}
+
+/// Unsigned integers travel as exact numbers; decoding rejects fractions
+/// and values outside the type's range instead of truncating them.
+macro_rules! unsigned_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Value {
+                Value::Number(*self as f64)
+            }
+        }
+
+        impl FromJson for $t {
+            fn from_json(value: &Value) -> Result<Self, String> {
+                value
+                    .as_u64()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| format!("expected an exact {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+
+unsigned_json!(u16, u32, u64, usize);
+
+impl ToJson for String {
+    fn to_json(&self) -> Value {
+        Value::String(self.clone())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        value
+            .as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| "expected a string".into())
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(T::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        value
+            .as_array()
+            .ok_or("expected an array")?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
+/// `null` decodes as `None`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Null => Ok(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for BTreeMap<String, T> {
+    fn to_json(&self) -> Value {
+        Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for BTreeMap<String, T> {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        value
+            .as_object()
+            .ok_or("expected an object")?
+            .iter()
+            .map(|(k, v)| match T::from_json(v) {
+                Ok(v) => Ok((k.clone(), v)),
+                Err(e) => Err(format!("key {k:?}: {e}")),
+            })
+            .collect()
+    }
 }
 
 fn write_value(out: &mut String, value: &Value, indent: usize, pretty: bool) {
@@ -649,6 +791,43 @@ mod tests {
         assert_eq!(err.line, 2);
         assert!(err.column > 1);
         assert!(err.to_string().contains("line 2"));
+    }
+
+    #[test]
+    fn integers_at_or_past_two_to_the_64_are_rejected_not_saturated() {
+        let two_to_the_64 = parse("18446744073709551616").unwrap();
+        assert_eq!(two_to_the_64.as_u64(), None);
+        assert_eq!(two_to_the_64.as_usize(), None);
+        assert!(u64::from_json(&two_to_the_64).is_err());
+        // The largest double below 2^64 is still an exact u64.
+        let below = parse("18446744073709549568").unwrap();
+        assert_eq!(below.as_u64(), Some(18_446_744_073_709_549_568));
+    }
+
+    #[test]
+    fn field_decodes_members_and_names_the_failing_key() {
+        let v = parse(r#"{"n": 7, "xs": [1, 2.5], "m": {"a": true}, "s": "hi"}"#).unwrap();
+        assert_eq!(field::<u16>(&v, "n"), Ok(7));
+        assert_eq!(field::<String>(&v, "s"), Ok("hi".to_owned()));
+        assert_eq!(field::<Option<u32>>(&v, "n"), Ok(Some(7)));
+        assert_eq!(field::<Option<u32>>(&v, "absent"), Ok(None));
+        assert_eq!(
+            field::<u32>(&v, "absent"),
+            Err("missing key \"absent\"".into())
+        );
+        assert_eq!(
+            field::<BTreeMap<String, bool>>(&v, "m"),
+            Ok(BTreeMap::from([("a".to_owned(), true)]))
+        );
+        assert_eq!(field::<Vec<f64>>(&v, "xs"), Ok(vec![1.0, 2.5]));
+        let err = field::<Vec<u64>>(&v, "xs").unwrap_err();
+        assert!(
+            err.starts_with("key \"xs\": [1]: expected an exact u64"),
+            "{err}"
+        );
+        let wide = parse("65536").unwrap();
+        assert!(u16::from_json(&wide).is_err());
+        assert_eq!(u32::from_json(&wide), Ok(65536));
     }
 
     #[test]

@@ -6,17 +6,16 @@
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use serde::{Deserialize, Serialize};
 
 /// L2-regularized logistic regression trained by gradient descent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,
 }
 
 /// Hyper-parameters for [`LogisticRegression::train`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogisticParams {
     /// Learning rate.
     pub learning_rate: f64,
@@ -105,7 +104,7 @@ impl LogisticRegression {
 }
 
 /// A k-nearest-neighbors classifier over Euclidean distance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnnClassifier {
     x: Vec<Vec<f64>>,
     y: Vec<i8>,

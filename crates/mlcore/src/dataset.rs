@@ -1,10 +1,9 @@
 //! Dense labeled datasets for binary classification.
 
 use crate::error::MlError;
-use serde::{Deserialize, Serialize};
 
 /// A dense feature matrix with ±1 labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     x: Vec<Vec<f64>>,
     y: Vec<i8>,

@@ -9,10 +9,9 @@ use crate::crossval::{cross_val_score, KFold};
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::svm::SvmParams;
-use serde::{Deserialize, Serialize};
 
 /// The score-vs-feature-count curve produced by forward selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectionCurve {
     /// `scores[i]` is the best CV score using `i + 1` features.
     pub scores: Vec<f64>,

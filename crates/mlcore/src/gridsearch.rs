@@ -5,10 +5,9 @@ use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::kernel::Kernel;
 use crate::svm::{SvmModel, SvmParams};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of a grid search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSearchResult {
     /// The best (C, γ) pair.
     pub best_c: f64,

@@ -1,10 +1,9 @@
 //! SVM kernels.
 
 use crate::error::MlError;
-use serde::{Deserialize, Serialize};
 
 /// A Mercer kernel for the SVM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// `k(x, z) = x·z`
     Linear,

@@ -1,10 +1,8 @@
 //! Binary-classification metrics: confusion counts, rates, ROC and AUC.
 
-use serde::{Deserialize, Serialize};
-
 /// Confusion-matrix-derived metrics for a binary classifier (the exact set
 /// the paper's Table II reports).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinaryMetrics {
     /// True positives.
     pub tp: usize,
@@ -87,7 +85,7 @@ fn ratio(num: usize, den: usize) -> f64 {
 }
 
 /// A receiver-operating-characteristic curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocCurve {
     /// `(fpr, tpr)` points, sorted by increasing threshold permissiveness
     /// (from (0,0) to (1,1)).

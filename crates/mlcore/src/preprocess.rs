@@ -1,7 +1,6 @@
 //! Feature-engineering preprocessing: cleaning and scaling.
 
 use crate::error::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Drops rows containing non-finite values; returns the surviving rows and
 /// their original indices.
@@ -18,7 +17,7 @@ pub fn clean_rows(rows: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<usize>) {
 }
 
 /// Z-score standardization fitted on training data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     mean: Vec<f64>,
     std: Vec<f64>,
@@ -69,7 +68,7 @@ impl StandardScaler {
 }
 
 /// Min–max scaling to `[0, 1]` fitted on training data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxScaler {
     min: Vec<f64>,
     range: Vec<f64>,

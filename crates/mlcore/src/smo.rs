@@ -23,11 +23,10 @@ use crate::kernel::Kernel;
 use crate::svm::SvmParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Deterministic counters describing one training run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainStats {
     /// Solver iterations: working-set pair updates, or full sweeps for the
     /// simplified solver.

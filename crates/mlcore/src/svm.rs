@@ -6,10 +6,9 @@ use crate::kernel::Kernel;
 use crate::parallel::parallel_map;
 use crate::smo;
 pub use crate::smo::{SmoContext, TrainStats};
-use serde::{Deserialize, Serialize};
 
 /// Which SMO solver [`SvmModel::train`] runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SmoSolver {
     /// Maximal-violating-pair working-set selection with an LRU kernel-row
     /// cache and active-set shrinking (the fast path; deterministic without
@@ -22,7 +21,7 @@ pub enum SmoSolver {
 }
 
 /// Hyper-parameters for [`SvmModel::train`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvmParams {
     /// Soft-margin penalty C.
     pub c: f64,
@@ -105,7 +104,7 @@ impl SvmParams {
 /// into a single weight vector (`decision` is O(d) instead of
 /// O(n_sv · d)), and for every kernel the support-vector squared norms are
 /// precomputed so each kernel evaluation needs only a dot product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SvmModel {
     support_x: Vec<Vec<f64>>,
     support_coeff: Vec<f64>, // alpha_i * y_i
@@ -272,8 +271,9 @@ impl SvmModel {
     }
 
     /// Predicts a batch across up to `threads` scoped worker threads
-    /// (0 = all cores). Output is identical to [`predict_batch`]
-    /// (and therefore to every other thread count).
+    /// (0 = all cores). Output is identical to
+    /// [`predict_batch`](Self::predict_batch) (and therefore to every other
+    /// thread count).
     pub fn predict_batch_with(&self, rows: &[Vec<f64>], threads: usize) -> Vec<i8> {
         parallel_map(rows, threads, |_, row| self.predict(row))
     }
@@ -297,165 +297,6 @@ impl SvmModel {
     /// cache hits/misses, shrink rounds).
     pub fn train_stats(&self) -> &TrainStats {
         &self.stats
-    }
-
-    /// Serializes the trained model as a self-contained JSON value — the
-    /// form the serve layer's artifact cache persists so a repeated job
-    /// skips training. Only the learned parameters are stored; the
-    /// prediction accelerators (`‖sv‖²` norms and the collapsed linear
-    /// weight vector) are rebuilt on load, so a round-tripped model can
-    /// never disagree with its own support expansion.
-    pub fn to_json(&self) -> ssresf_json::Value {
-        use ssresf_json::Value;
-        let floats = |v: &[f64]| Value::Array(v.iter().map(|&f| Value::from(f)).collect());
-        let kernel = match self.kernel {
-            Kernel::Linear => ssresf_json::object([("kind", Value::from("linear"))]),
-            Kernel::Rbf { gamma } => {
-                ssresf_json::object([("kind", Value::from("rbf")), ("gamma", Value::from(gamma))])
-            }
-            Kernel::Poly {
-                gamma,
-                coef0,
-                degree,
-            } => ssresf_json::object([
-                ("kind", Value::from("poly")),
-                ("gamma", Value::from(gamma)),
-                ("coef0", Value::from(coef0)),
-                ("degree", Value::from(u64::from(degree))),
-            ]),
-        };
-        let width = self
-            .linear_w
-            .as_ref()
-            .map(Vec::len)
-            .or_else(|| self.support_x.first().map(Vec::len))
-            .unwrap_or(0);
-        ssresf_json::object([
-            (
-                "support_x",
-                Value::Array(self.support_x.iter().map(|sv| floats(sv)).collect()),
-            ),
-            ("support_coeff", floats(&self.support_coeff)),
-            ("bias", Value::from(self.bias)),
-            ("kernel", kernel),
-            ("width", Value::from(width as u64)),
-            (
-                "stats",
-                ssresf_json::object([
-                    ("iterations", Value::from(self.stats.iterations)),
-                    (
-                        "kernel_cache_hits",
-                        Value::from(self.stats.kernel_cache_hits),
-                    ),
-                    (
-                        "kernel_cache_misses",
-                        Value::from(self.stats.kernel_cache_misses),
-                    ),
-                    ("shrink_rounds", Value::from(self.stats.shrink_rounds)),
-                    ("unshrink_rounds", Value::from(self.stats.unshrink_rounds)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Deserializes a model saved by [`to_json`](Self::to_json), rebuilding
-    /// the prediction accelerators. The shortest-round-trip float printing
-    /// of `ssresf-json` makes the reloaded model's decisions bit-identical
-    /// to the original's.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the value is structurally invalid.
-    pub fn from_json(value: &ssresf_json::Value) -> Result<Self, String> {
-        use ssresf_json::Value;
-        let get = |key: &str| value.get(key).ok_or_else(|| format!("missing key {key:?}"));
-        let floats = |v: &Value, what: &str| -> Result<Vec<f64>, String> {
-            v.as_array()
-                .ok_or_else(|| format!("{what} must be an array"))?
-                .iter()
-                .map(|f| {
-                    f.as_f64()
-                        .ok_or_else(|| format!("{what} holds a non-number"))
-                })
-                .collect()
-        };
-        let u64_of = |v: &Value, what: &str| -> Result<u64, String> {
-            v.as_u64()
-                .ok_or_else(|| format!("{what} is not an exact u64"))
-        };
-        let support_x = get("support_x")?
-            .as_array()
-            .ok_or("support_x must be an array")?
-            .iter()
-            .map(|sv| floats(sv, "support vector"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let support_coeff = floats(get("support_coeff")?, "support_coeff")?;
-        if support_x.len() != support_coeff.len() {
-            return Err("support_x and support_coeff lengths differ".into());
-        }
-        let kernel_value = get("kernel")?;
-        let gamma_of = || -> Result<f64, String> {
-            kernel_value
-                .get("gamma")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| "kernel gamma missing".into())
-        };
-        let kernel = match kernel_value.get("kind").and_then(Value::as_str) {
-            Some("linear") => Kernel::Linear,
-            Some("rbf") => Kernel::Rbf { gamma: gamma_of()? },
-            Some("poly") => Kernel::Poly {
-                gamma: gamma_of()?,
-                coef0: kernel_value
-                    .get("coef0")
-                    .and_then(Value::as_f64)
-                    .ok_or("kernel coef0 missing")?,
-                degree: kernel_value
-                    .get("degree")
-                    .and_then(Value::as_u64)
-                    .ok_or("kernel degree missing")? as u32,
-            },
-            other => return Err(format!("unknown kernel kind {other:?}")),
-        };
-        let width = u64_of(get("width")?, "width")? as usize;
-        let stats_value = get("stats")?;
-        let stat = |key: &str| -> Result<u64, String> {
-            stats_value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("stats key {key:?} missing"))
-        };
-        let stats = TrainStats {
-            iterations: stat("iterations")?,
-            kernel_cache_hits: stat("kernel_cache_hits")?,
-            kernel_cache_misses: stat("kernel_cache_misses")?,
-            shrink_rounds: stat("shrink_rounds")?,
-            unshrink_rounds: stat("unshrink_rounds")?,
-        };
-        let support_norms: Vec<f64> = support_x
-            .iter()
-            .map(|sv| sv.iter().map(|v| v * v).sum())
-            .collect();
-        let linear_w = match kernel {
-            Kernel::Linear => {
-                let mut w = vec![0.0f64; width];
-                for (sv, &coeff) in support_x.iter().zip(&support_coeff) {
-                    for (wk, &vk) in w.iter_mut().zip(sv) {
-                        *wk += coeff * vk;
-                    }
-                }
-                Some(w)
-            }
-            _ => None,
-        };
-        Ok(SvmModel {
-            support_x,
-            support_coeff,
-            support_norms,
-            linear_w,
-            bias: get("bias")?.as_f64().ok_or("bias is not a number")?,
-            kernel,
-            stats,
-        })
     }
 }
 
@@ -536,69 +377,6 @@ mod tests {
         let a = SvmModel::train(&data, &SvmParams::default()).unwrap();
         let b = SvmModel::train(&data, &SvmParams::default()).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn json_round_trip_reproduces_the_model_exactly() {
-        let data = blob_dataset(15, 1.5, 7);
-        for kernel in [
-            Kernel::Linear,
-            Kernel::Rbf { gamma: 0.75 },
-            Kernel::Poly {
-                gamma: 0.5,
-                coef0: 1.0,
-                degree: 3,
-            },
-        ] {
-            let model = SvmModel::train(
-                &data,
-                &SvmParams {
-                    kernel,
-                    ..SvmParams::default()
-                },
-            )
-            .unwrap();
-            let text = model.to_json().to_string_compact();
-            let back = SvmModel::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
-            // The rebuilt accelerators (norms, collapsed linear weights) must
-            // agree bit-for-bit, so full struct equality holds.
-            assert_eq!(model, back);
-            for row in data.features() {
-                assert_eq!(model.decision(row).to_bits(), back.decision(row).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_models() {
-        let data = blob_dataset(5, 2.0, 1);
-        let model = SvmModel::train(&data, &SvmParams::default()).unwrap();
-        let good = model.to_json();
-        for (key, bad) in [
-            ("support_x", ssresf_json::Value::from(1.0)),
-            ("kernel", ssresf_json::object([("kind", "nope".into())])),
-            ("bias", ssresf_json::Value::String("x".into())),
-        ] {
-            let mut broken = good.clone();
-            if let ssresf_json::Value::Object(entries) = &mut broken {
-                for (k, v) in entries.iter_mut() {
-                    if k == key {
-                        *v = bad.clone();
-                    }
-                }
-            }
-            assert!(SvmModel::from_json(&broken).is_err(), "{key} accepted");
-        }
-        // Mismatched coefficient count is rejected too.
-        let mut broken = good.clone();
-        if let ssresf_json::Value::Object(entries) = &mut broken {
-            for (k, v) in entries.iter_mut() {
-                if k == "support_coeff" {
-                    *v = ssresf_json::Value::Array(vec![]);
-                }
-            }
-        }
-        assert!(SvmModel::from_json(&broken).is_err());
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //! flip-flops but carry distinct [`RadiationClass`]es so the radiation model
 //! can assign them different single-event cross-sections.
 
-use serde::{Deserialize, Serialize};
-
 /// Kind of a primitive standard cell.
 ///
 /// The pin conventions (in order) are documented per variant; the single
 /// output pin is named `Y` for combinational cells, `Q` for sequential cells
 /// and `O` for tie cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CellKind {
     /// Constant 0 driver. Pins: `O`.
     Tie0,
@@ -78,7 +76,7 @@ pub enum CellKind {
 
 /// Radiation susceptibility class of a cell, used to select the single-event
 /// cross-section curve in the radiation model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RadiationClass {
     /// Combinational logic: susceptible to single-event transients (SET).
     Combinational,

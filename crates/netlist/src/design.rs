@@ -9,11 +9,10 @@
 use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::{LocalNetId, ModuleId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Direction of a module port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDir {
     /// Driven from outside the module.
     Input,
@@ -22,7 +21,7 @@ pub enum PortDir {
 }
 
 /// A single-bit module port bound to a local net.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Port {
     /// Port name (also the name of the bound net).
     pub name: String,
@@ -33,7 +32,7 @@ pub struct Port {
 }
 
 /// A primitive cell instance inside a module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
     /// Instance name, unique within the module.
     pub name: String,
@@ -46,7 +45,7 @@ pub struct Cell {
 }
 
 /// An instance of another module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     /// Instance name, unique within the module.
     pub name: String,
@@ -57,7 +56,7 @@ pub struct Instance {
 }
 
 /// A module definition: ports, nets, primitive cells and submodule instances.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Module {
     /// Module name, unique within the design.
     pub name: String,
@@ -249,10 +248,9 @@ impl ModuleBuilder {
 }
 
 /// A complete hierarchical design: a set of modules plus a designated top.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Design {
     modules: Vec<Module>,
-    #[serde(skip)]
     by_name: HashMap<String, ModuleId>,
     top: Option<ModuleId>,
 }

@@ -34,7 +34,6 @@
 //! observation point under random stimulus.
 
 use crate::flat::{CellId, Driver, FlatNetlist};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Names of the candidate features, indexed like the extracted vectors.
@@ -62,7 +61,7 @@ pub const STRUCTURAL_FEATURE_NAMES: &[&str] = &[
 
 /// Coarse functional class of the module containing a cell, inferred from
 /// its hierarchical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModuleClass {
     /// CPU core logic.
     Cpu,
@@ -118,7 +117,7 @@ impl std::fmt::Display for ModuleClass {
 }
 
 /// The extracted feature record of one cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellFeatures {
     /// The cell this record describes.
     pub cell: CellId,
@@ -177,9 +176,9 @@ pub struct FeatureExtractor<'a> {
 /// so a finite distance can never collide with the sentinel.
 const UNOBSERVABLE: u32 = u32::MAX;
 
-/// Feature-space substitute for [`UNOBSERVABLE`]: dead-end cells enter
-/// scaling as this saturated depth, never as the raw `u32` sentinel (which
-/// would dwarf every other feature and wreck normalization).
+/// Feature-space substitute for the unobservable distance: dead-end cells
+/// enter scaling as this saturated depth, never as the raw `u32` sentinel
+/// (which would dwarf every other feature and wreck normalization).
 pub const DEPTH_OBS_SATURATED: f64 = 64.0;
 
 /// Saturation value of the transitive fan-in/fan-out cone features.

@@ -32,12 +32,12 @@ use crate::design::{Design, PortDir};
 use crate::error::NetlistError;
 use crate::path::{HierPath, PathId, PathInterner};
 use crate::ModuleId;
-use serde::{Deserialize, Serialize};
+use ssresf_json::{FromJson, ToJson, Value};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Identifier of a cell in a [`FlatNetlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellId(pub u32);
 
 impl CellId {
@@ -48,7 +48,7 @@ impl CellId {
 }
 
 /// Identifier of a net in a [`FlatNetlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub u32);
 
 impl NetId {
@@ -58,8 +58,32 @@ impl NetId {
     }
 }
 
+impl ToJson for CellId {
+    fn to_json(&self) -> Value {
+        self.0.to_json()
+    }
+}
+
+impl FromJson for CellId {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        u32::from_json(value).map(CellId)
+    }
+}
+
+impl ToJson for NetId {
+    fn to_json(&self) -> Value {
+        self.0.to_json()
+    }
+}
+
+impl FromJson for NetId {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        u32::from_json(value).map(NetId)
+    }
+}
+
 /// What drives a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
     /// The output pin of a cell.
     Cell(CellId),
@@ -104,14 +128,14 @@ pub(crate) fn checked_id(len: usize, what: &'static str) -> Result<u32, NetlistE
 }
 
 /// Interned identifier of a leaf name in a [`NameArena`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(u32);
 
 /// Append-only arena of leaf-name strings: one shared byte buffer plus an
 /// end offset per name. Unlike [`PathInterner`] it does not deduplicate —
 /// leaf names are mostly unique — but elaboration interns each module's
 /// name set once, so repeated instances of a module share entries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NameArena {
     data: String,
     ends: Vec<u32>,
@@ -304,7 +328,7 @@ type LazyLookup<T> = OnceLock<HashMap<PathId, HashMap<Box<str>, T>>>;
 
 /// A flattened gate-level netlist (struct-of-arrays storage; see the
 /// module docs for the layout).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlatNetlist {
     /// Name of the top module this netlist was flattened from.
     pub top_name: String,
@@ -327,9 +351,7 @@ pub struct FlatNetlist {
     load_pool: Vec<(CellId, u8)>,
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
-    #[serde(skip)]
     cell_lookup: LazyLookup<CellId>,
-    #[serde(skip)]
     net_lookup: LazyLookup<NetId>,
 }
 

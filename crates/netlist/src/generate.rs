@@ -18,6 +18,7 @@ use crate::cell::CellKind;
 use crate::design::{Design, ModuleBuilder, PortDir};
 use crate::error::NetlistError;
 use crate::flat::FlatNetlist;
+use ssresf_json::{field, FromJson, ToJson, Value};
 
 /// Gate kinds the generator draws from (every combinational kind with at
 /// most three inputs, no constant drivers).
@@ -149,6 +150,55 @@ impl CircuitSpec {
     }
 }
 
+impl ToJson for GateSpec {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("kind", Value::from(self.kind.name())),
+            ("operands", self.operands.to_json()),
+        ])
+    }
+}
+
+/// Rejects gate kinds outside [`GENERATOR_KINDS`].
+impl FromJson for GateSpec {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        let name: String = field(value, "kind")?;
+        let kind = GENERATOR_KINDS
+            .iter()
+            .copied()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| format!("unknown generator gate kind {name:?}"))?;
+        Ok(GateSpec {
+            kind,
+            operands: field(value, "operands")?,
+        })
+    }
+}
+
+impl ToJson for CircuitSpec {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("name", self.name.to_json()),
+            ("inputs", self.inputs.to_json()),
+            ("gates", self.gates.to_json()),
+            ("ff_d", self.ff_d.to_json()),
+            ("outputs", self.outputs.to_json()),
+        ])
+    }
+}
+
+impl FromJson for CircuitSpec {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        Ok(CircuitSpec {
+            name: field(value, "name")?,
+            inputs: field(value, "inputs")?,
+            gates: field(value, "gates")?,
+            ff_d: field(value, "ff_d")?,
+            outputs: field(value, "outputs")?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +269,31 @@ mod tests {
         // One gate, the mandatory flip-flop, and outputs clamped to pool.
         assert!(flat.levelize().is_ok());
         assert_eq!(flat.primary_outputs().len(), 3);
+    }
+
+    #[test]
+    fn circuit_spec_round_trips_and_rejects_foreign_kinds() {
+        let spec = CircuitSpec {
+            name: "rt".into(),
+            inputs: 3,
+            gates: vec![
+                GateSpec {
+                    kind: CellKind::Aoi21,
+                    operands: vec![0, 2, 1],
+                },
+                GateSpec {
+                    kind: CellKind::Inv,
+                    operands: vec![4],
+                },
+            ],
+            ff_d: vec![5, 0],
+            outputs: 2,
+        };
+        let text = spec.to_json().to_string_compact();
+        let back = CircuitSpec::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
+        assert_eq!(spec, back);
+        let bad = text.replace("AOI21", "DFFR");
+        assert!(CircuitSpec::from_json(&ssresf_json::parse(&bad).unwrap()).is_err());
     }
 
     #[test]

@@ -12,10 +12,9 @@ use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::flat::{CellId, Driver, FlatNetlist, NetId};
 use crate::path::HierPath;
-use serde::{Deserialize, Serialize};
 
 /// Summary of a hardening transformation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardeningReport {
     /// Cells that were triplicated.
     pub hardened: Vec<CellId>,

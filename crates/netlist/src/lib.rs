@@ -62,9 +62,7 @@ pub use path::{HierPath, LayerSignatures, PathId, PathInterner, ABSENT_LAYER};
 pub use stats::NetlistStats;
 
 /// Identifier of a module within a [`Design`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ModuleId(pub(crate) u32);
 
 impl ModuleId {
@@ -75,9 +73,7 @@ impl ModuleId {
 }
 
 /// Identifier of a net local to a [`Module`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocalNetId(pub(crate) u32);
 
 impl LocalNetId {

@@ -6,11 +6,10 @@
 //! layer by layer, so paths are stored as interned segment sequences that
 //! are cheap to compare.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Interned identifier of a hierarchical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathId(pub(crate) u32);
 
 impl PathId {
@@ -24,7 +23,7 @@ impl PathId {
 /// module (exclusive) down to the containing module.
 ///
 /// The top-level module itself is represented by the empty path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct HierPath {
     segments: Vec<String>,
 }
@@ -99,10 +98,9 @@ impl std::fmt::Display for HierPath {
 ///
 /// Flattening a netlist produces one path per module instance but thousands
 /// of cells per instance; interning lets every cell store a 4-byte [`PathId`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PathInterner {
     paths: Vec<HierPath>,
-    #[serde(skip)]
     lookup: HashMap<HierPath, PathId>,
 }
 

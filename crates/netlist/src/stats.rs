@@ -3,13 +3,12 @@
 use crate::cell::{CellKind, RadiationClass, ALL_CELL_KINDS};
 use crate::features::ModuleClass;
 use crate::flat::FlatNetlist;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Aggregated statistics of a [`FlatNetlist`], useful for reports and for
 /// sanity-checking generated SoCs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetlistStats {
     /// Total primitive cells.
     pub cells: usize,

@@ -14,13 +14,12 @@ use crate::mission::MissionProfile;
 use crate::pulse::PulseWidthModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{CellId, FlatNetlist};
 use ssresf_sim::{Fault, SetFault, SeuFault};
 
 /// Configuration of a flux-driven campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CampaignConfig {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FluxCampaignConfig {
     /// The particle environment.
     pub environment: RadiationEnvironment,
     /// Number of simulated clock cycles in the exposure window.
@@ -31,7 +30,7 @@ pub struct CampaignConfig {
     pub pulse_model: PulseWidthModel,
 }
 
-impl CampaignConfig {
+impl FluxCampaignConfig {
     /// Validates the configuration.
     ///
     /// # Errors
@@ -58,7 +57,7 @@ impl CampaignConfig {
 }
 
 /// A fault produced by a campaign, tagged with its victim cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratedFault {
     /// The struck cell.
     pub cell: CellId,
@@ -70,7 +69,7 @@ pub struct GeneratedFault {
 #[derive(Debug)]
 pub struct FluxCampaign<'a> {
     database: &'a SoftErrorDatabase,
-    config: CampaignConfig,
+    config: FluxCampaignConfig,
 }
 
 impl<'a> FluxCampaign<'a> {
@@ -78,17 +77,17 @@ impl<'a> FluxCampaign<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`CampaignConfig::validate`] failures.
+    /// Propagates [`FluxCampaignConfig::validate`] failures.
     pub fn new(
         database: &'a SoftErrorDatabase,
-        config: CampaignConfig,
+        config: FluxCampaignConfig,
     ) -> Result<Self, RadiationError> {
         config.validate()?;
         Ok(FluxCampaign { database, config })
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &CampaignConfig {
+    pub fn config(&self) -> &FluxCampaignConfig {
         &self.config
     }
 
@@ -294,8 +293,8 @@ mod tests {
         design.flatten().unwrap()
     }
 
-    fn config(flux: f64) -> CampaignConfig {
-        CampaignConfig {
+    fn config(flux: f64) -> FluxCampaignConfig {
+        FluxCampaignConfig {
             environment: RadiationEnvironment::new(Let::new(37.0), Flux::new(flux)),
             exposure_cycles: 100,
             cycle_time_s: 10e-9,

@@ -7,11 +7,9 @@
 //! The database round-trips through JSON so campaigns are reproducible and
 //! auditable.
 
-use crate::error::RadiationError;
 use crate::units::{Area, Let};
 use crate::weibull::WeibullCurve;
-use serde::{Deserialize, Serialize};
-use ssresf_json as json;
+use ssresf_json::{field, FromJson, ToJson, Value};
 use ssresf_netlist::cell::ALL_CELL_KINDS;
 use ssresf_netlist::{CellKind, RadiationClass};
 
@@ -19,7 +17,7 @@ use ssresf_netlist::{CellKind, RadiationClass};
 pub const CALIBRATION_LETS: [f64; 3] = [1.0, 37.0, 100.0];
 
 /// Cross-sections of one cell kind at one calibration LET.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LetPoint {
     /// Calibration LET, MeV·cm²/mg.
     pub let_value: f64,
@@ -30,7 +28,7 @@ pub struct LetPoint {
 }
 
 /// The database record of one cell kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatabaseEntry {
     /// Library cell kind name (stable across versions).
     pub cell_kind: String,
@@ -48,6 +46,7 @@ pub struct DatabaseEntry {
 /// # Example
 ///
 /// ```
+/// use ssresf_json::{FromJson, ToJson};
 /// use ssresf_radiation::{Let, SoftErrorDatabase};
 /// use ssresf_netlist::CellKind;
 ///
@@ -55,11 +54,11 @@ pub struct DatabaseEntry {
 /// // Interpolated lookup between calibration points:
 /// let sigma = db.seu_cross_section(CellKind::Dff, Let::new(20.0));
 /// assert!(sigma > 0.0);
-/// let json = db.to_json();
-/// let restored = SoftErrorDatabase::from_json(&json).unwrap();
+/// let json = db.to_json().to_string_pretty();
+/// let restored = SoftErrorDatabase::from_json(&ssresf_json::parse(&json).unwrap()).unwrap();
 /// assert_eq!(restored.entries().len(), db.entries().len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftErrorDatabase {
     entries: Vec<DatabaseEntry>,
 }
@@ -168,88 +167,63 @@ impl SoftErrorDatabase {
         }
         (Area::new(seu), Area::new(set))
     }
+}
 
-    /// Serializes the database as pretty JSON.
-    pub fn to_json(&self) -> String {
-        let entries: Vec<json::Value> = self
-            .entries
-            .iter()
-            .map(|entry| {
-                let points: Vec<json::Value> = entry
-                    .points
-                    .iter()
-                    .map(|p| {
-                        json::object([
-                            ("let_value", json::Value::from(p.let_value)),
-                            ("seu_cm2", json::Value::from(p.seu_cm2)),
-                            ("set_cm2", json::Value::from(p.set_cm2)),
-                        ])
-                    })
-                    .collect();
-                json::object([
-                    ("cell_kind", json::Value::from(entry.cell_kind.as_str())),
-                    ("class", json::Value::from(class_name(entry.class))),
-                    ("area_weight", json::Value::from(entry.area_weight)),
-                    ("points", json::Value::Array(points)),
-                ])
-            })
-            .collect();
-        json::object([("entries", json::Value::Array(entries))]).to_string_pretty()
+impl ToJson for LetPoint {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("let_value", self.let_value.to_json()),
+            ("seu_cm2", self.seu_cm2.to_json()),
+            ("set_cm2", self.set_cm2.to_json()),
+        ])
     }
+}
 
-    /// Parses a database from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadiationError::Database`] on malformed input.
-    pub fn from_json(text: &str) -> Result<Self, RadiationError> {
-        let bad = |what: &str| RadiationError::Database(format!("invalid database JSON: {what}"));
-        let doc = json::parse(text).map_err(|e| RadiationError::Database(e.to_string()))?;
-        let entries = doc
-            .get("entries")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| bad("missing \"entries\" array"))?;
-        let mut parsed = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let cell_kind = entry
-                .get("cell_kind")
-                .and_then(json::Value::as_str)
-                .ok_or_else(|| bad("entry missing \"cell_kind\""))?
-                .to_owned();
-            let class = entry
-                .get("class")
-                .and_then(json::Value::as_str)
-                .and_then(class_from_name)
-                .ok_or_else(|| bad("entry has no valid \"class\""))?;
-            let area_weight = entry
-                .get("area_weight")
-                .and_then(json::Value::as_f64)
-                .ok_or_else(|| bad("entry missing \"area_weight\""))?;
-            let raw_points = entry
-                .get("points")
-                .and_then(json::Value::as_array)
-                .ok_or_else(|| bad("entry missing \"points\""))?;
-            let mut points = Vec::with_capacity(raw_points.len());
-            for p in raw_points {
-                let field = |name: &str| {
-                    p.get(name)
-                        .and_then(json::Value::as_f64)
-                        .ok_or_else(|| bad("point is missing a numeric field"))
-                };
-                points.push(LetPoint {
-                    let_value: field("let_value")?,
-                    seu_cm2: field("seu_cm2")?,
-                    set_cm2: field("set_cm2")?,
-                });
-            }
-            parsed.push(DatabaseEntry {
-                cell_kind,
-                class,
-                area_weight,
-                points,
-            });
-        }
-        Ok(SoftErrorDatabase { entries: parsed })
+impl FromJson for LetPoint {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        Ok(LetPoint {
+            let_value: field(value, "let_value")?,
+            seu_cm2: field(value, "seu_cm2")?,
+            set_cm2: field(value, "set_cm2")?,
+        })
+    }
+}
+
+impl ToJson for DatabaseEntry {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("cell_kind", self.cell_kind.to_json()),
+            ("class", Value::from(class_name(self.class))),
+            ("area_weight", self.area_weight.to_json()),
+            ("points", self.points.to_json()),
+        ])
+    }
+}
+
+impl FromJson for DatabaseEntry {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        let class: String = field(value, "class")?;
+        Ok(DatabaseEntry {
+            cell_kind: field(value, "cell_kind")?,
+            class: class_from_name(&class)
+                .ok_or_else(|| format!("unknown radiation class {class:?}"))?,
+            area_weight: field(value, "area_weight")?,
+            points: field(value, "points")?,
+        })
+    }
+}
+
+impl ToJson for SoftErrorDatabase {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([("entries", self.entries.to_json())])
+    }
+}
+
+impl FromJson for SoftErrorDatabase {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        Ok(SoftErrorDatabase {
+            entries: field(value, "entries")?,
+        })
     }
 }
 
@@ -329,7 +303,8 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let db = SoftErrorDatabase::standard();
-        let restored = SoftErrorDatabase::from_json(&db.to_json()).unwrap();
+        let text = db.to_json().to_string_pretty();
+        let restored = SoftErrorDatabase::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
         assert_eq!(db.entries().len(), restored.entries().len());
         for (a, b) in db.entries().iter().zip(restored.entries()) {
             assert_eq!(a.cell_kind, b.cell_kind);
@@ -345,10 +320,10 @@ mod tests {
 
     #[test]
     fn from_json_rejects_garbage() {
-        assert!(matches!(
-            SoftErrorDatabase::from_json("not json"),
-            Err(RadiationError::Database(_))
-        ));
+        assert!(SoftErrorDatabase::from_json(&Value::from("not json")).is_err());
+        let foreign_class =
+            r#"{"entries":[{"cell_kind":"X","class":"Bogus","area_weight":1,"points":[]}]}"#;
+        assert!(SoftErrorDatabase::from_json(&ssresf_json::parse(foreign_class).unwrap()).is_err());
     }
 
     #[test]

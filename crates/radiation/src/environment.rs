@@ -1,11 +1,11 @@
 //! Radiation environments: LET spectrum point + flux.
 
 use crate::units::{Flux, Let};
-use serde::{Deserialize, Serialize};
+use ssresf_json::{field, FromJson, ToJson, Value};
 
 /// A mono-energetic heavy-ion environment, as used in beam experiments and
 /// in the paper's campaigns: a single LET and a particle flux.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadiationEnvironment {
     /// Linear energy transfer of the incident ions.
     pub let_value: Let,
@@ -42,6 +42,33 @@ impl RadiationEnvironment {
             .into_iter()
             .map(|f| RadiationEnvironment::new(Let::new(37.0), Flux::new(f)))
             .collect()
+    }
+}
+
+impl ToJson for RadiationEnvironment {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("let", self.let_value.value().to_json()),
+            ("flux", self.flux.value().to_json()),
+        ])
+    }
+}
+
+/// Rejects a negative or non-finite LET or flux instead of panicking in
+/// the unit constructors.
+impl FromJson for RadiationEnvironment {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        let let_value: f64 = field(value, "let")?;
+        let flux: f64 = field(value, "flux")?;
+        if !(let_value.is_finite() && let_value >= 0.0 && flux.is_finite() && flux >= 0.0) {
+            return Err(format!(
+                "LET {let_value} and flux {flux} must be finite and non-negative"
+            ));
+        }
+        Ok(RadiationEnvironment::new(
+            Let::new(let_value),
+            Flux::new(flux),
+        ))
     }
 }
 

@@ -7,8 +7,6 @@ use std::fmt;
 pub enum RadiationError {
     /// The database holds no entry for the requested cell kind.
     UnknownCellKind(String),
-    /// The database file could not be parsed.
-    Database(String),
     /// The campaign configuration is inconsistent.
     Config(String),
 }
@@ -19,7 +17,6 @@ impl fmt::Display for RadiationError {
             RadiationError::UnknownCellKind(kind) => {
                 write!(f, "no database entry for cell kind `{kind}`")
             }
-            RadiationError::Database(msg) => write!(f, "database error: {msg}"),
             RadiationError::Config(msg) => write!(f, "invalid campaign config: {msg}"),
         }
     }

@@ -35,7 +35,7 @@ pub mod spectrum;
 pub mod units;
 pub mod weibull;
 
-pub use campaign::{stream_seed, CampaignConfig, FluxCampaign, GeneratedFault};
+pub use campaign::{stream_seed, FluxCampaign, FluxCampaignConfig, GeneratedFault};
 pub use database::{DatabaseEntry, LetPoint, SoftErrorDatabase, CALIBRATION_LETS};
 pub use environment::RadiationEnvironment;
 pub use error::RadiationError;

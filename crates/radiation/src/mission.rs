@@ -13,10 +13,10 @@
 
 use crate::error::RadiationError;
 use crate::particle::ParticleEnvironment;
-use serde::{Deserialize, Serialize};
+use ssresf_json::{field, FromJson, ToJson, Value};
 
 /// One contiguous phase of a mission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionSegment {
     /// Human-readable phase label (`"quiet orbit"`, `"solar flare"`, …).
     pub label: String,
@@ -42,7 +42,7 @@ impl MissionSegment {
 }
 
 /// An ordered sequence of mission segments covering an exposure window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionProfile {
     /// The segments, in mission order.
     pub segments: Vec<MissionSegment>,
@@ -157,56 +157,39 @@ impl MissionProfile {
         }
         self.segments.len().saturating_sub(1)
     }
+}
 
-    /// Serializes the profile as a JSON object.
-    pub fn to_json(&self) -> ssresf_json::Value {
-        use ssresf_json::Value;
-        let segments: Vec<Value> = self
-            .segments
-            .iter()
-            .map(|s| {
-                ssresf_json::object([
-                    ("label", Value::String(s.label.clone())),
-                    ("duration_cycles", Value::Number(s.duration_cycles as f64)),
-                    ("environment", s.environment.to_json()),
-                ])
-            })
-            .collect();
-        ssresf_json::object([("segments", Value::Array(segments))])
+impl ToJson for MissionSegment {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("label", self.label.to_json()),
+            ("duration_cycles", self.duration_cycles.to_json()),
+            ("environment", self.environment.to_json()),
+        ])
     }
+}
 
-    /// Parses and validates a profile from the
-    /// [`to_json`](MissionProfile::to_json) shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadiationError::Config`] on structural problems and on any
-    /// [`validate`](MissionProfile::validate) violation — this is the gate
-    /// that catches out-of-range values in user-provided files.
-    pub fn from_json(doc: &ssresf_json::Value) -> Result<Self, RadiationError> {
-        let segments = doc
-            .get("segments")
-            .and_then(ssresf_json::Value::as_array)
-            .ok_or_else(|| RadiationError::Config("mission lacks a `segments` array".into()))?;
-        let mut parsed = Vec::with_capacity(segments.len());
-        for (i, seg) in segments.iter().enumerate() {
-            let label = seg
-                .get("label")
-                .and_then(ssresf_json::Value::as_str)
-                .ok_or_else(|| RadiationError::Config(format!("segment {i} lacks `label`")))?;
-            let duration = seg
-                .get("duration_cycles")
-                .and_then(ssresf_json::Value::as_u64)
-                .ok_or_else(|| {
-                    RadiationError::Config(format!("segment {i} lacks `duration_cycles`"))
-                })?;
-            let environment = seg
-                .get("environment")
-                .ok_or_else(|| RadiationError::Config(format!("segment {i} lacks `environment`")))
-                .and_then(ParticleEnvironment::from_json)?;
-            parsed.push(MissionSegment::new(label, duration, environment));
-        }
-        MissionProfile::new(parsed)
+impl FromJson for MissionSegment {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        Ok(MissionSegment {
+            label: field(value, "label")?,
+            duration_cycles: field(value, "duration_cycles")?,
+            environment: field(value, "environment")?,
+        })
+    }
+}
+
+impl ToJson for MissionProfile {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([("segments", self.segments.to_json())])
+    }
+}
+
+/// Validates through [`MissionProfile::new`] — the gate that catches
+/// out-of-range values in user-provided files.
+impl FromJson for MissionProfile {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        MissionProfile::new(field(value, "segments")?).map_err(|e| e.to_string())
     }
 }
 

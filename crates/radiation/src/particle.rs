@@ -16,10 +16,10 @@ use crate::environment::RadiationEnvironment;
 use crate::error::RadiationError;
 use crate::units::{Flux, Let};
 use crate::weibull::WeibullCurve;
-use serde::{Deserialize, Serialize};
+use ssresf_json::{field, FromJson, ToJson, Value};
 
 /// Particle species of an environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ParticleKind {
     /// Trapped or solar protons: low LET, high flux.
     Proton,
@@ -63,7 +63,7 @@ impl std::fmt::Display for ParticleKind {
 
 /// A particle environment: species, effective LET, flux, and a species-level
 /// Weibull response curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParticleEnvironment {
     /// Particle species.
     pub kind: ParticleKind,
@@ -197,69 +197,29 @@ impl ParticleEnvironment {
     }
 }
 
-impl ParticleEnvironment {
-    /// Serializes the environment as a JSON object.
-    pub fn to_json(&self) -> ssresf_json::Value {
-        use ssresf_json::Value;
+impl ToJson for ParticleEnvironment {
+    fn to_json(&self) -> Value {
         ssresf_json::object([
-            ("kind", Value::String(self.kind.name().to_owned())),
-            ("let", Value::Number(self.let_value.value())),
-            ("flux", Value::Number(self.flux.value())),
-            (
-                "response",
-                ssresf_json::object([
-                    ("sigma_sat", Value::Number(self.response.sigma_sat)),
-                    ("threshold", Value::Number(self.response.threshold)),
-                    ("width", Value::Number(self.response.width)),
-                    ("shape", Value::Number(self.response.shape)),
-                ]),
-            ),
+            ("kind", Value::from(self.kind.name())),
+            ("let", self.let_value.value().to_json()),
+            ("flux", self.flux.value().to_json()),
+            ("response", self.response.to_json()),
         ])
     }
+}
 
-    /// Parses an environment from the [`to_json`](ParticleEnvironment::to_json)
-    /// shape. Parsing is structural only; range checks are the caller's job
-    /// via [`validate`](ParticleEnvironment::validate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadiationError::Config`] on missing or mistyped fields.
-    pub fn from_json(doc: &ssresf_json::Value) -> Result<Self, RadiationError> {
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(ssresf_json::Value::as_f64)
-                .ok_or_else(|| {
-                    RadiationError::Config(format!("environment lacks numeric field `{key}`"))
-                })
-        };
-        let kind_name = doc
-            .get("kind")
-            .and_then(ssresf_json::Value::as_str)
-            .ok_or_else(|| RadiationError::Config("environment lacks `kind`".into()))?;
-        let kind = ParticleKind::from_name(kind_name).ok_or_else(|| {
-            RadiationError::Config(format!("unknown particle kind `{kind_name}`"))
-        })?;
-        let response = doc
-            .get("response")
-            .ok_or_else(|| RadiationError::Config("environment lacks `response`".into()))?;
-        let curve_field = |key: &str| {
-            response
-                .get(key)
-                .and_then(ssresf_json::Value::as_f64)
-                .ok_or_else(|| {
-                    RadiationError::Config(format!("response curve lacks numeric field `{key}`"))
-                })
-        };
+/// Parsing is structural only; range checks are the caller's job via
+/// [`validate`](ParticleEnvironment::validate).
+impl FromJson for ParticleEnvironment {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        let kind_name: String = field(value, "kind")?;
+        let kind = ParticleKind::from_name(&kind_name)
+            .ok_or_else(|| format!("unknown particle kind `{kind_name}`"))?;
         Ok(ParticleEnvironment {
             kind,
-            let_value: Let::unchecked(field("let")?),
-            flux: Flux::unchecked(field("flux")?),
-            response: WeibullCurve {
-                sigma_sat: curve_field("sigma_sat")?,
-                threshold: curve_field("threshold")?,
-                width: curve_field("width")?,
-                shape: curve_field("shape")?,
-            },
+            let_value: Let::unchecked(field(value, "let")?),
+            flux: Flux::unchecked(field(value, "flux")?),
+            response: field(value, "response")?,
         })
     }
 }

@@ -7,10 +7,10 @@
 
 use crate::units::Let;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use ssresf_json::{field, FromJson, ToJson, Value};
 
 /// Parameters of the pulse-width model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulseWidthModel {
     /// Minimum pulse width as a fraction of the clock period.
     pub base: f64,
@@ -49,6 +49,28 @@ impl PulseWidthModel {
 impl Default for PulseWidthModel {
     fn default() -> Self {
         PulseWidthModel::standard()
+    }
+}
+
+impl ToJson for PulseWidthModel {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("base", self.base.to_json()),
+            ("gain", self.gain.to_json()),
+            ("max", self.max.to_json()),
+            ("jitter", self.jitter.to_json()),
+        ])
+    }
+}
+
+impl FromJson for PulseWidthModel {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        Ok(PulseWidthModel {
+            base: field(value, "base")?,
+            gain: field(value, "gain")?,
+            max: field(value, "max")?,
+            jitter: field(value, "jitter")?,
+        })
     }
 }
 

@@ -7,11 +7,10 @@
 
 use crate::database::SoftErrorDatabase;
 use crate::units::{Flux, Let};
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::FlatNetlist;
 
 /// One bin of a discretized LET spectrum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectrumBin {
     /// Bin LET.
     pub let_value: Let,
@@ -20,7 +19,7 @@ pub struct SpectrumBin {
 }
 
 /// A discretized LET spectrum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LetSpectrum {
     bins: Vec<SpectrumBin>,
 }

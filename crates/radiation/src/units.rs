@@ -1,9 +1,7 @@
 //! Physical-quantity newtypes.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear energy transfer of an incident particle, in MeV·cm²/mg.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Let(f64);
 
 impl Let {
@@ -36,7 +34,7 @@ impl std::fmt::Display for Let {
 }
 
 /// Particle flux, in particles/(cm²·s).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Flux(f64);
 
 impl Flux {
@@ -69,7 +67,7 @@ impl std::fmt::Display for Flux {
 }
 
 /// A sensitive-area cross-section, in cm².
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Area(f64);
 
 impl Area {

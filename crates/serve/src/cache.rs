@@ -25,10 +25,6 @@ use std::time::SystemTime;
 pub const NS_GOLDEN: &str = "golden";
 /// Namespace for merged campaign outcomes.
 pub const NS_CAMPAIGN: &str = "campaign";
-/// Namespace for trained SVM models (warm-start contexts).
-pub const NS_MODEL: &str = "model";
-/// Namespace for per-cluster SER tables.
-pub const NS_SER: &str = "ser";
 
 /// Unique suffix for temp files within one process.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -224,12 +220,12 @@ mod tests {
         let root = temp_root("evict");
         let cache = ArtifactCache::open(&root, Some(64), Some(&metrics)).unwrap();
         let big = Value::String("y".repeat(60));
-        cache.put(NS_MODEL, "old", &big).unwrap();
+        cache.put(NS_CAMPAIGN, "old", &big).unwrap();
         // Distinct mtimes even on coarse-grained filesystems.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.put(NS_MODEL, "new", &big).unwrap();
-        assert!(cache.get(NS_MODEL, "old").is_none(), "oldest evicted");
-        assert!(cache.get(NS_MODEL, "new").is_some(), "newest kept");
+        cache.put(NS_CAMPAIGN, "new", &big).unwrap();
+        assert!(cache.get(NS_CAMPAIGN, "old").is_none(), "oldest evicted");
+        assert!(cache.get(NS_CAMPAIGN, "new").is_some(), "newest kept");
         assert_eq!(metrics.counter("cache.evictions"), 1);
         fs::remove_dir_all(&root).unwrap();
     }

@@ -1,244 +1,15 @@
-//! JSON codecs for the campaign types that cross process or disk
-//! boundaries: configs inside job frames, outcomes inside result frames
-//! and cache artifacts, golden runs inside the golden cache.
+//! Free-function entry points for the `campaign` cache artifact codec.
 //!
-//! All floats survive round trips bit-exactly (`ssresf-json` prints the
-//! shortest representation that re-parses to the same `f64`), which is
-//! what lets the conformance checks compare a decoded outcome against a
-//! freshly simulated one with plain equality. The one deliberate
-//! exception: wall-clock durations are carried as `f64` seconds — they
-//! are measurements, not simulation state, and no check compares them.
+//! The codecs themselves are [`ToJson`]/[`FromJson`] impls in the crates
+//! that define each type; these two functions name the campaign-outcome
+//! pair by path for callers that do not import the traits.
 
-use ssresf::{
-    CampaignConfig, CampaignOutcome, CampaignTelemetry, Checkpoint, EngineKind, GoldenRun,
-    InjectionRecord, RunOutcome, ShardOutcome, Workload,
-};
-use ssresf_json::Value;
-use ssresf_netlist::generate::{CircuitSpec, GateSpec, GENERATOR_KINDS};
-use ssresf_netlist::CellId;
-use ssresf_radiation::{Flux, Let, PulseWidthModel, RadiationEnvironment};
-use ssresf_sim::codec as sim_codec;
-use std::time::Duration;
-
-pub(crate) fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
-    value.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-pub(crate) fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("key {key:?} is not an exact u64"))
-}
-
-pub(crate) fn usize_field(value: &Value, key: &str) -> Result<usize, String> {
-    field(value, key)?
-        .as_usize()
-        .ok_or_else(|| format!("key {key:?} is not an index"))
-}
-
-pub(crate) fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| format!("key {key:?} is not a number"))
-}
-
-pub(crate) fn bool_field(value: &Value, key: &str) -> Result<bool, String> {
-    field(value, key)?
-        .as_bool()
-        .ok_or_else(|| format!("key {key:?} is not a bool"))
-}
-
-pub(crate) fn str_field<'a>(value: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| format!("key {key:?} is not a string"))
-}
-
-fn f64s_to_json(values: &[f64]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::from(v)).collect())
-}
-
-fn f64s_field(value: &Value, key: &str) -> Result<Vec<f64>, String> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| format!("key {key:?} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("key {key:?} holds a non-number"))
-        })
-        .collect()
-}
-
-/// Encodes a campaign config. The seed travels as a decimal string:
-/// arbitrary `u64` seeds do not fit an `f64`-backed JSON number.
-pub fn campaign_config_to_json(config: &CampaignConfig) -> Value {
-    ssresf_json::object([
-        (
-            "workload",
-            ssresf_json::object([
-                ("reset_cycles", Value::from(config.workload.reset_cycles)),
-                ("run_cycles", Value::from(config.workload.run_cycles)),
-            ]),
-        ),
-        (
-            "environment",
-            ssresf_json::object([
-                ("let", Value::from(config.environment.let_value.value())),
-                ("flux", Value::from(config.environment.flux.value())),
-            ]),
-        ),
-        (
-            "injections_per_cell",
-            Value::from(config.injections_per_cell),
-        ),
-        (
-            "pulse",
-            ssresf_json::object([
-                ("base", Value::from(config.pulse.base)),
-                ("gain", Value::from(config.pulse.gain)),
-                ("max", Value::from(config.pulse.max)),
-                ("jitter", Value::from(config.pulse.jitter)),
-            ]),
-        ),
-        ("seed", Value::from(config.seed.to_string())),
-        ("engine", Value::from(config.engine.name())),
-        ("threads", Value::from(config.threads)),
-        (
-            "checkpoint_interval",
-            Value::from(config.checkpoint_interval),
-        ),
-        ("early_stop", Value::from(config.early_stop)),
-        ("batching", Value::from(config.batching)),
-        ("batch_lanes", Value::from(config.batch_lanes)),
-        ("collapse_faults", Value::from(config.collapse_faults)),
-        ("lane_refill", Value::from(config.lane_refill)),
-    ])
-}
-
-/// Decodes a campaign config.
-///
-/// # Errors
-///
-/// Returns a description when the value is structurally invalid.
-pub fn campaign_config_from_json(value: &Value) -> Result<CampaignConfig, String> {
-    let workload = field(value, "workload")?;
-    let environment = field(value, "environment")?;
-    let pulse = field(value, "pulse")?;
-    let engine = match str_field(value, "engine")? {
-        "event-driven" => EngineKind::EventDriven,
-        "levelized" => EngineKind::Levelized,
-        other => return Err(format!("unknown engine {other:?}")),
-    };
-    Ok(CampaignConfig {
-        workload: Workload {
-            reset_cycles: u64_field(workload, "reset_cycles")?,
-            run_cycles: u64_field(workload, "run_cycles")?,
-        },
-        environment: RadiationEnvironment::new(
-            Let::new(f64_field(environment, "let")?),
-            Flux::new(f64_field(environment, "flux")?),
-        ),
-        injections_per_cell: usize_field(value, "injections_per_cell")?,
-        pulse: PulseWidthModel {
-            base: f64_field(pulse, "base")?,
-            gain: f64_field(pulse, "gain")?,
-            max: f64_field(pulse, "max")?,
-            jitter: f64_field(pulse, "jitter")?,
-        },
-        seed: str_field(value, "seed")?
-            .parse::<u64>()
-            .map_err(|e| format!("seed is not a u64: {e}"))?,
-        engine,
-        threads: usize_field(value, "threads")?,
-        checkpoint_interval: u64_field(value, "checkpoint_interval")?,
-        early_stop: bool_field(value, "early_stop")?,
-        batching: bool_field(value, "batching")?,
-        batch_lanes: usize_field(value, "batch_lanes")?,
-        collapse_faults: bool_field(value, "collapse_faults")?,
-        lane_refill: bool_field(value, "lane_refill")?,
-    })
-}
-
-/// Encodes one injection record.
-pub fn injection_record_to_json(record: &InjectionRecord) -> Value {
-    ssresf_json::object([
-        ("cell", Value::from(record.cell.0)),
-        ("fault", sim_codec::fault_to_json(&record.fault)),
-        ("soft_error", Value::from(record.soft_error)),
-        ("divergences", Value::from(record.divergences)),
-    ])
-}
-
-/// Decodes one injection record.
-///
-/// # Errors
-///
-/// Returns a description when the value is structurally invalid.
-pub fn injection_record_from_json(value: &Value) -> Result<InjectionRecord, String> {
-    Ok(InjectionRecord {
-        cell: CellId(u64_field(value, "cell")? as u32),
-        fault: sim_codec::fault_from_json(field(value, "fault")?)?,
-        soft_error: bool_field(value, "soft_error")?,
-        divergences: usize_field(value, "divergences")?,
-    })
-}
-
-/// Encodes campaign telemetry.
-pub fn campaign_telemetry_to_json(t: &CampaignTelemetry) -> Value {
-    ssresf_json::object([
-        ("engine", sim_codec::telemetry_to_json(&t.engine)),
-        ("checkpoint_restores", Value::from(t.checkpoint_restores)),
-        (
-            "early_stop_truncations",
-            Value::from(t.early_stop_truncations),
-        ),
-        ("collapsed_faults", Value::from(t.collapsed_faults)),
-        ("lane_refills", Value::from(t.lane_refills)),
-    ])
-}
-
-/// Decodes campaign telemetry.
-///
-/// # Errors
-///
-/// Returns a description when the value is structurally invalid.
-pub fn campaign_telemetry_from_json(value: &Value) -> Result<CampaignTelemetry, String> {
-    Ok(CampaignTelemetry {
-        engine: sim_codec::telemetry_from_json(field(value, "engine")?)?,
-        checkpoint_restores: u64_field(value, "checkpoint_restores")?,
-        early_stop_truncations: u64_field(value, "early_stop_truncations")?,
-        collapsed_faults: u64_field(value, "collapsed_faults")?,
-        lane_refills: u64_field(value, "lane_refills")?,
-    })
-}
+use ssresf::CampaignOutcome;
+use ssresf_json::{FromJson, ToJson, Value};
 
 /// Encodes a full campaign outcome (the `campaign` cache artifact).
 pub fn campaign_outcome_to_json(outcome: &CampaignOutcome) -> Value {
-    ssresf_json::object([
-        ("golden", sim_codec::trace_to_json(&outcome.golden)),
-        ("golden_activity", f64s_to_json(&outcome.golden_activity)),
-        (
-            "records",
-            Value::Array(
-                outcome
-                    .records
-                    .iter()
-                    .map(injection_record_to_json)
-                    .collect(),
-            ),
-        ),
-        (
-            "simulation_seconds",
-            Value::from(outcome.simulation_time.as_secs_f64()),
-        ),
-        (
-            "golden_seconds",
-            Value::from(outcome.golden_time.as_secs_f64()),
-        ),
-        ("total_work", Value::from(outcome.total_work)),
-        ("telemetry", campaign_telemetry_to_json(&outcome.telemetry)),
-    ])
+    outcome.to_json()
 }
 
 /// Decodes a campaign outcome.
@@ -247,265 +18,5 @@ pub fn campaign_outcome_to_json(outcome: &CampaignOutcome) -> Value {
 ///
 /// Returns a description when the value is structurally invalid.
 pub fn campaign_outcome_from_json(value: &Value) -> Result<CampaignOutcome, String> {
-    Ok(CampaignOutcome {
-        golden: sim_codec::trace_from_json(field(value, "golden")?)?,
-        golden_activity: f64s_field(value, "golden_activity")?,
-        records: field(value, "records")?
-            .as_array()
-            .ok_or("records must be an array")?
-            .iter()
-            .map(injection_record_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        simulation_time: Duration::from_secs_f64(f64_field(value, "simulation_seconds")?),
-        golden_time: Duration::from_secs_f64(f64_field(value, "golden_seconds")?),
-        total_work: u64_field(value, "total_work")?,
-        telemetry: campaign_telemetry_from_json(field(value, "telemetry")?)?,
-    })
-}
-
-fn run_outcome_to_json(outcome: &RunOutcome) -> Value {
-    ssresf_json::object([
-        ("trace", sim_codec::trace_to_json(&outcome.trace)),
-        (
-            "activity_per_cycle",
-            f64s_to_json(&outcome.activity_per_cycle),
-        ),
-        ("work", Value::from(outcome.work)),
-        ("engine", sim_codec::telemetry_to_json(&outcome.engine)),
-        ("early_stopped", Value::from(outcome.early_stopped)),
-    ])
-}
-
-fn run_outcome_from_json(value: &Value) -> Result<RunOutcome, String> {
-    Ok(RunOutcome {
-        trace: sim_codec::trace_from_json(field(value, "trace")?)?,
-        activity_per_cycle: f64s_field(value, "activity_per_cycle")?,
-        work: u64_field(value, "work")?,
-        engine: sim_codec::telemetry_from_json(field(value, "engine")?)?,
-        // A golden run never resumes from a checkpoint or stops early.
-        resumed_from: None,
-        early_stopped: bool_field(value, "early_stopped")?,
-    })
-}
-
-/// Encodes a golden run with its checkpoints (the `golden` cache
-/// artifact).
-///
-/// # Errors
-///
-/// Returns a description when a checkpoint's engine snapshot is not
-/// serializable (event-driven engine) — the caller then simply skips
-/// caching, which is a miss, not a failure.
-pub fn golden_run_to_json(golden: &GoldenRun) -> Result<Value, String> {
-    let checkpoints = golden
-        .checkpoints
-        .iter()
-        .map(|cp| {
-            Ok(ssresf_json::object([
-                ("cycle", Value::from(cp.cycle)),
-                ("state", sim_codec::engine_state_to_json(cp.state())?),
-            ]))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(ssresf_json::object([
-        ("outcome", run_outcome_to_json(&golden.outcome)),
-        ("checkpoints", Value::Array(checkpoints)),
-    ]))
-}
-
-/// Decodes a golden run.
-///
-/// # Errors
-///
-/// Returns a description when the value is structurally invalid.
-pub fn golden_run_from_json(value: &Value) -> Result<GoldenRun, String> {
-    let checkpoints = field(value, "checkpoints")?
-        .as_array()
-        .ok_or("checkpoints must be an array")?
-        .iter()
-        .map(|cp| {
-            Ok(Checkpoint::new(
-                u64_field(cp, "cycle")?,
-                sim_codec::engine_state_from_json(field(cp, "state")?)?,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(GoldenRun {
-        outcome: run_outcome_from_json(field(value, "outcome")?)?,
-        checkpoints,
-    })
-}
-
-/// Encodes one shard outcome (the `result` frame payload).
-pub fn shard_outcome_to_json(shard: &ShardOutcome) -> Value {
-    ssresf_json::object([
-        ("shard", Value::from(shard.shard)),
-        ("shard_count", Value::from(shard.shard_count)),
-        ("jobs_start", Value::from(shard.jobs.start)),
-        ("jobs_end", Value::from(shard.jobs.end)),
-        ("outcome", campaign_outcome_to_json(&shard.outcome)),
-        ("golden_work", Value::from(shard.golden_work)),
-        (
-            "golden_engine",
-            sim_codec::telemetry_to_json(&shard.golden_engine),
-        ),
-        (
-            "golden_seconds",
-            Value::from(shard.golden_time.as_secs_f64()),
-        ),
-    ])
-}
-
-/// Decodes one shard outcome.
-///
-/// # Errors
-///
-/// Returns a description when the value is structurally invalid.
-pub fn shard_outcome_from_json(value: &Value) -> Result<ShardOutcome, String> {
-    Ok(ShardOutcome {
-        shard: usize_field(value, "shard")?,
-        shard_count: usize_field(value, "shard_count")?,
-        jobs: usize_field(value, "jobs_start")?..usize_field(value, "jobs_end")?,
-        outcome: campaign_outcome_from_json(field(value, "outcome")?)?,
-        golden_work: u64_field(value, "golden_work")?,
-        golden_engine: sim_codec::telemetry_from_json(field(value, "golden_engine")?)?,
-        golden_time: Duration::from_secs_f64(f64_field(value, "golden_seconds")?),
-    })
-}
-
-/// Encodes a circuit spec (the `circuit` flavor of a job's netlist).
-pub fn circuit_spec_to_json(spec: &CircuitSpec) -> Value {
-    ssresf_json::object([
-        ("name", Value::from(spec.name.as_str())),
-        ("inputs", Value::from(spec.inputs)),
-        (
-            "gates",
-            Value::Array(
-                spec.gates
-                    .iter()
-                    .map(|g| {
-                        ssresf_json::object([
-                            ("kind", Value::from(g.kind.name())),
-                            (
-                                "operands",
-                                Value::Array(
-                                    g.operands
-                                        .iter()
-                                        .map(|&o| Value::from(u64::from(o)))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "ff_d",
-            Value::Array(
-                spec.ff_d
-                    .iter()
-                    .map(|&d| Value::from(u64::from(d)))
-                    .collect(),
-            ),
-        ),
-        ("outputs", Value::from(spec.outputs)),
-    ])
-}
-
-fn u16s_field(value: &Value, key: &str) -> Result<Vec<u16>, String> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| format!("key {key:?} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| u16::try_from(n).ok())
-                .ok_or_else(|| format!("key {key:?} holds an invalid operand index"))
-        })
-        .collect()
-}
-
-/// Decodes a circuit spec.
-///
-/// # Errors
-///
-/// Returns a description when the value is structurally invalid or names
-/// a gate kind outside [`GENERATOR_KINDS`].
-pub fn circuit_spec_from_json(value: &Value) -> Result<CircuitSpec, String> {
-    let gates = field(value, "gates")?
-        .as_array()
-        .ok_or("gates must be an array")?
-        .iter()
-        .map(|g| {
-            let name = str_field(g, "kind")?;
-            let kind = GENERATOR_KINDS
-                .iter()
-                .copied()
-                .find(|k| k.name() == name)
-                .ok_or_else(|| format!("unknown generator gate kind {name:?}"))?;
-            Ok(GateSpec {
-                kind,
-                operands: u16s_field(g, "operands")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(CircuitSpec {
-        name: str_field(value, "name")?.to_owned(),
-        inputs: usize_field(value, "inputs")?,
-        gates,
-        ff_d: u16s_field(value, "ff_d")?,
-        outputs: usize_field(value, "outputs")?,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ssresf_netlist::CellKind;
-
-    fn reparse(value: &Value) -> Value {
-        ssresf_json::parse(&value.to_string_compact()).unwrap()
-    }
-
-    #[test]
-    fn campaign_config_round_trips_exactly() {
-        let config = CampaignConfig {
-            seed: u64::MAX - 3,
-            engine: EngineKind::Levelized,
-            batching: true,
-            batch_lanes: 256,
-            collapse_faults: true,
-            lane_refill: true,
-            injections_per_cell: 7,
-            ..CampaignConfig::default()
-        };
-        let back = campaign_config_from_json(&reparse(&campaign_config_to_json(&config))).unwrap();
-        assert_eq!(config, back);
-    }
-
-    #[test]
-    fn circuit_spec_round_trips_and_rejects_foreign_kinds() {
-        let spec = CircuitSpec {
-            name: "rt".into(),
-            inputs: 3,
-            gates: vec![
-                GateSpec {
-                    kind: CellKind::Aoi21,
-                    operands: vec![0, 2, 1],
-                },
-                GateSpec {
-                    kind: CellKind::Inv,
-                    operands: vec![4],
-                },
-            ],
-            ff_d: vec![5, 0],
-            outputs: 2,
-        };
-        let back = circuit_spec_from_json(&reparse(&circuit_spec_to_json(&spec))).unwrap();
-        assert_eq!(spec, back);
-        let mut bad = circuit_spec_to_json(&spec).to_string_compact();
-        bad = bad.replace("AOI21", "DFFR");
-        assert!(circuit_spec_from_json(&ssresf_json::parse(&bad).unwrap()).is_err());
-    }
+    CampaignOutcome::from_json(value)
 }

@@ -2,15 +2,13 @@
 //! worker processes (or in-process), merges the results and memoizes the
 //! merged outcome in the artifact cache.
 //!
-//! Shards merge through
-//! [`merge_shard_outcomes`](ssresf::merge_shard_outcomes), so a sharded
-//! run's records are byte-identical to a single-process
+//! Shards merge through [`merge_shard_outcomes`], so a sharded run's
+//! records are byte-identical to a single-process
 //! [`run_campaign_with`](ssresf::run_campaign_with) — the conformance
 //! suite's check 10 asserts exactly that. A repeated job short-circuits on
 //! the `campaign` cache artifact and does no simulation at all.
 
 use crate::cache::{ArtifactCache, NS_CAMPAIGN};
-use crate::codec::{campaign_outcome_from_json, campaign_outcome_to_json};
 use crate::frame::{read_frame, write_frame, Message};
 use crate::joblog::JobLog;
 use crate::key::{campaign_key, JobSpec};
@@ -19,7 +17,7 @@ use ssresf::{
     merge_shard_outcomes, CampaignOutcome, CampaignProgress, Instrument, MetricsRegistry,
     ProgressSink, ShardOutcome,
 };
-use ssresf_json::Value;
+use ssresf_json::{FromJson, ToJson, Value};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -133,7 +131,7 @@ pub fn serve_campaign(
     };
 
     if let Some(artifact) = cache.as_ref().and_then(|c| c.get(NS_CAMPAIGN, &key)) {
-        let outcome = campaign_outcome_from_json(&artifact)
+        let outcome = CampaignOutcome::from_json(&artifact)
             .map_err(|e| format!("corrupt campaign artifact {key}: {e}"))?;
         gauge(options.metrics, "shard.count", 0.0);
         gauge(
@@ -175,7 +173,7 @@ pub fn serve_campaign(
     );
     if let Some(cache) = &cache {
         cache
-            .put(NS_CAMPAIGN, &key, &campaign_outcome_to_json(&merged))
+            .put(NS_CAMPAIGN, &key, &merged.to_json())
             .map_err(|e| format!("cannot store campaign artifact: {e}"))?;
     }
     log_event(

@@ -6,10 +6,9 @@
 //! length prefix lets a reader reject garbage (or a runaway writer) before
 //! allocating.
 
-use crate::codec::{shard_outcome_from_json, shard_outcome_to_json};
 use crate::key::JobSpec;
 use ssresf::ShardOutcome;
-use ssresf_json::Value;
+use ssresf_json::{field, FromJson, ToJson, Value};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame body. Shard results carry full golden
@@ -123,9 +122,9 @@ pub enum Message {
     },
 }
 
-impl Message {
-    /// Encodes the message as a frame body.
-    pub fn to_json(&self) -> Value {
+/// The frame body. A `job` omits absent cache settings.
+impl ToJson for Message {
+    fn to_json(&self) -> Value {
         match self {
             Message::Job {
                 spec,
@@ -137,14 +136,14 @@ impl Message {
                 let mut fields = vec![
                     ("type", Value::from("job")),
                     ("spec", spec.to_json()),
-                    ("shard", Value::from(*shard)),
-                    ("shard_count", Value::from(*shard_count)),
+                    ("shard", shard.to_json()),
+                    ("shard_count", shard_count.to_json()),
                 ];
                 if let Some(root) = cache_root {
-                    fields.push(("cache_root", Value::from(root.as_str())));
+                    fields.push(("cache_root", root.to_json()));
                 }
                 if let Some(cap) = cache_max_bytes {
-                    fields.push(("cache_max_bytes", Value::from(*cap)));
+                    fields.push(("cache_max_bytes", cap.to_json()));
                 }
                 ssresf_json::object(fields)
             }
@@ -158,12 +157,12 @@ impl Message {
                 phase,
             } => ssresf_json::object([
                 ("type", Value::from("heartbeat")),
-                ("shard", Value::from(*shard)),
-                ("completed", Value::from(*completed)),
-                ("total", Value::from(*total)),
-                ("soft_errors", Value::from(*soft_errors)),
-                ("elapsed_seconds", Value::from(*elapsed_seconds)),
-                ("phase", Value::from(phase.as_str())),
+                ("shard", shard.to_json()),
+                ("completed", completed.to_json()),
+                ("total", total.to_json()),
+                ("soft_errors", soft_errors.to_json()),
+                ("elapsed_seconds", elapsed_seconds.to_json()),
+                ("phase", phase.to_json()),
             ]),
             Message::Result {
                 outcome,
@@ -171,83 +170,51 @@ impl Message {
                 cache_misses,
             } => ssresf_json::object([
                 ("type", Value::from("result")),
-                ("outcome", shard_outcome_to_json(outcome)),
-                ("cache_hits", Value::from(*cache_hits)),
-                ("cache_misses", Value::from(*cache_misses)),
+                ("outcome", outcome.to_json()),
+                ("cache_hits", cache_hits.to_json()),
+                ("cache_misses", cache_misses.to_json()),
             ]),
             Message::Cancelled { shard } => ssresf_json::object([
                 ("type", Value::from("cancelled")),
-                ("shard", Value::from(*shard)),
+                ("shard", shard.to_json()),
             ]),
             Message::Error { message } => ssresf_json::object([
                 ("type", Value::from("error")),
-                ("message", Value::from(message.as_str())),
+                ("message", message.to_json()),
             ]),
         }
     }
+}
 
-    /// Decodes a frame body.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the value is not a valid message.
-    pub fn from_json(value: &Value) -> Result<Message, String> {
-        let kind = value
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or("message has no type")?;
-        let usize_field = |key: &str| -> Result<usize, String> {
-            value
-                .get(key)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| format!("message key {key:?} missing or invalid"))
-        };
-        match kind {
+impl FromJson for Message {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        match field::<String>(value, "type")?.as_str() {
             "job" => Ok(Message::Job {
-                spec: JobSpec::from_json(value.get("spec").ok_or("job has no spec")?)?,
-                shard: usize_field("shard")?,
-                shard_count: usize_field("shard_count")?,
-                cache_root: value
-                    .get("cache_root")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned),
-                cache_max_bytes: value.get("cache_max_bytes").and_then(Value::as_u64),
+                spec: field(value, "spec")?,
+                shard: field(value, "shard")?,
+                shard_count: field(value, "shard_count")?,
+                cache_root: field(value, "cache_root")?,
+                cache_max_bytes: field(value, "cache_max_bytes")?,
             }),
             "cancel" => Ok(Message::Cancel),
             "heartbeat" => Ok(Message::Heartbeat {
-                shard: usize_field("shard")?,
-                completed: usize_field("completed")?,
-                total: usize_field("total")?,
-                soft_errors: usize_field("soft_errors")?,
-                elapsed_seconds: value
-                    .get("elapsed_seconds")
-                    .and_then(Value::as_f64)
-                    .ok_or("heartbeat has no elapsed_seconds")?,
-                phase: value
-                    .get("phase")
-                    .and_then(Value::as_str)
-                    .ok_or("heartbeat has no phase")?
-                    .to_owned(),
+                shard: field(value, "shard")?,
+                completed: field(value, "completed")?,
+                total: field(value, "total")?,
+                soft_errors: field(value, "soft_errors")?,
+                elapsed_seconds: field(value, "elapsed_seconds")?,
+                phase: field(value, "phase")?,
             }),
             "result" => Ok(Message::Result {
-                outcome: Box::new(shard_outcome_from_json(
-                    value.get("outcome").ok_or("result has no outcome")?,
-                )?),
-                cache_hits: value.get("cache_hits").and_then(Value::as_u64).unwrap_or(0),
-                cache_misses: value
-                    .get("cache_misses")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
+                outcome: Box::new(field(value, "outcome")?),
+                cache_hits: field(value, "cache_hits")?,
+                cache_misses: field(value, "cache_misses")?,
             }),
             "cancelled" => Ok(Message::Cancelled {
-                shard: usize_field("shard")?,
+                shard: field(value, "shard")?,
             }),
             "error" => Ok(Message::Error {
-                message: value
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .ok_or("error has no message")?
-                    .to_owned(),
+                message: field(value, "message")?,
             }),
             other => Err(format!("unknown message type {other:?}")),
         }
@@ -278,6 +245,8 @@ mod tests {
             assert_eq!(back.to_string_compact(), v.to_string_compact());
         }
         assert!(read_frame(&mut cursor).unwrap().is_none());
+        let unknown = ssresf_json::object([("type", Value::from("shutdown"))]);
+        assert!(Message::from_json(&unknown).is_err());
     }
 
     #[test]

@@ -11,11 +11,8 @@
 //! change — one gate, one seed bit, one workload cycle — moves the key,
 //! while irrelevant knobs (thread count) leave it alone.
 
-use crate::codec::{
-    campaign_config_to_json, circuit_spec_from_json, circuit_spec_to_json, str_field,
-};
 use ssresf::CampaignConfig;
-use ssresf_json::Value;
+use ssresf_json::{field, FromJson, ToJson, Value};
 use ssresf_netlist::generate::CircuitSpec;
 use ssresf_netlist::{CellId, ContentHash, FlatNetlist, StableHasher};
 use ssresf_socgen::{build_soc, SocConfig};
@@ -61,34 +58,28 @@ impl NetlistSpec {
             NetlistSpec::Circuit(spec) => spec.build_design().flatten().map_err(|e| e.to_string()),
         }
     }
+}
 
-    /// Encodes the recipe.
-    pub fn to_json(&self) -> Value {
+impl ToJson for NetlistSpec {
+    fn to_json(&self) -> Value {
         match self {
-            NetlistSpec::Soc { preset } => ssresf_json::object([
-                ("type", Value::from("soc")),
-                ("preset", Value::from(preset.as_str())),
-            ]),
-            NetlistSpec::Circuit(spec) => ssresf_json::object([
-                ("type", Value::from("circuit")),
-                ("spec", circuit_spec_to_json(spec)),
-            ]),
+            NetlistSpec::Soc { preset } => {
+                ssresf_json::object([("type", Value::from("soc")), ("preset", preset.to_json())])
+            }
+            NetlistSpec::Circuit(spec) => {
+                ssresf_json::object([("type", Value::from("circuit")), ("spec", spec.to_json())])
+            }
         }
     }
+}
 
-    /// Decodes a recipe.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the value is structurally invalid.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        match str_field(value, "type")? {
+impl FromJson for NetlistSpec {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        match field::<String>(value, "type")?.as_str() {
             "soc" => Ok(NetlistSpec::Soc {
-                preset: str_field(value, "preset")?.to_owned(),
+                preset: field(value, "preset")?,
             }),
-            "circuit" => Ok(NetlistSpec::Circuit(circuit_spec_from_json(
-                value.get("spec").ok_or("circuit spec missing")?,
-            )?)),
+            "circuit" => Ok(NetlistSpec::Circuit(field(value, "spec")?)),
             other => Err(format!("unknown netlist spec type {other:?}")),
         }
     }
@@ -105,43 +96,22 @@ pub struct JobSpec {
     pub config: CampaignConfig,
 }
 
-impl JobSpec {
-    /// Encodes the job.
-    pub fn to_json(&self) -> Value {
+impl ToJson for JobSpec {
+    fn to_json(&self) -> Value {
         ssresf_json::object([
             ("netlist", self.netlist.to_json()),
-            (
-                "cells",
-                Value::Array(self.cells.iter().map(|c| Value::from(c.0)).collect()),
-            ),
-            ("config", campaign_config_to_json(&self.config)),
+            ("cells", self.cells.to_json()),
+            ("config", self.config.to_json()),
         ])
     }
+}
 
-    /// Decodes a job.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the value is structurally invalid.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let cells = value
-            .get("cells")
-            .and_then(Value::as_array)
-            .ok_or("cells must be an array")?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .map(CellId)
-                    .ok_or_else(|| "cells holds an invalid cell id".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+impl FromJson for JobSpec {
+    fn from_json(value: &Value) -> Result<Self, String> {
         Ok(JobSpec {
-            netlist: NetlistSpec::from_json(value.get("netlist").ok_or("netlist missing")?)?,
-            cells,
-            config: crate::codec::campaign_config_from_json(
-                value.get("config").ok_or("config missing")?,
-            )?,
+            netlist: field(value, "netlist")?,
+            cells: field(value, "cells")?,
+            config: field(value, "config")?,
         })
     }
 }
@@ -189,23 +159,11 @@ pub fn campaign_key(
     let mut hasher = StableHasher::new();
     hasher.update_str("ssresf-serve-campaign-v1");
     hash_content_hash(&mut hasher, netlist);
-    hasher.update_str(&campaign_config_to_json(&canonical).to_string_compact());
+    hasher.update_str(&canonical.to_json().to_string_compact());
     hasher.update_u64(cells.len() as u64);
     for cell in cells {
         hasher.update_u64(u64::from(cell.0));
     }
-    hasher.finish()
-}
-
-/// Key of a derived artifact (trained model, SER table) produced from a
-/// campaign: the campaign key plus a stage tag and the stage's canonical
-/// parameter JSON.
-pub fn derived_key(campaign: ContentHash, stage: &str, params: &Value) -> ContentHash {
-    let mut hasher = StableHasher::new();
-    hasher.update_str("ssresf-serve-derived-v1");
-    hash_content_hash(&mut hasher, campaign);
-    hasher.update_str(stage);
-    hasher.update_str(&params.to_string_compact());
     hasher.finish()
 }
 
@@ -264,6 +222,8 @@ mod tests {
             NetlistSpec::from_json(&ssresf_json::parse(&text).unwrap()).unwrap(),
             soc
         );
+        let unknown = text.replace("\"soc\"", "\"verilog\"");
+        assert!(NetlistSpec::from_json(&ssresf_json::parse(&unknown).unwrap()).is_err());
     }
 
     #[test]

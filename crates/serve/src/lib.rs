@@ -6,10 +6,9 @@
 //! - **Artifact cache** ([`ArtifactCache`]): a filesystem store addressed
 //!   by [`ContentHash`](ssresf_netlist::ContentHash) keys derived from the
 //!   netlist content, the campaign config and the seed
-//!   ([`key`]). It memoizes golden runs (trace + engine checkpoints),
-//!   merged campaign outcomes, trained SVM models and per-cluster SER
-//!   tables, so a repeated or overlapping job does near-zero simulation
-//!   work. Hits, misses, evictions and stored bytes surface through the
+//!   ([`key`]). It memoizes golden runs (trace + engine checkpoints) and
+//!   merged campaign outcomes, so a repeated or overlapping job does
+//!   near-zero simulation work. Hits, misses, evictions and stored bytes surface through the
 //!   existing telemetry registry.
 //! - **Process-sharded executor** ([`serve_campaign`]): a coordinator
 //!   that splits the injection list into contiguous shards, runs each in
@@ -52,9 +51,9 @@ pub mod joblog;
 pub mod key;
 pub mod worker;
 
-pub use cache::{ArtifactCache, NS_CAMPAIGN, NS_GOLDEN, NS_MODEL, NS_SER};
+pub use cache::{ArtifactCache, NS_CAMPAIGN, NS_GOLDEN};
 pub use coordinator::{serve_campaign, CacheConfig, ServeOptions};
 pub use frame::{read_frame, write_frame, Message};
 pub use joblog::{replay, JobLog};
-pub use key::{campaign_key, derived_key, golden_key, soc_presets, JobSpec, NetlistSpec};
+pub use key::{campaign_key, golden_key, soc_presets, JobSpec, NetlistSpec};
 pub use worker::{run_shard_local, run_worker, ShardError};

@@ -9,13 +9,13 @@
 //! (and publishing) it on a miss.
 
 use crate::cache::{ArtifactCache, NS_GOLDEN};
-use crate::codec::{golden_run_from_json, golden_run_to_json};
 use crate::frame::{read_frame, write_frame, Message};
 use crate::key::{golden_key, JobSpec};
 use ssresf::{
-    campaign_jobs, plan_shards, run_injection_jobs_with_golden, CampaignProgress, Dut, Instrument,
-    ProgressPhase, ProgressSink, ShardOutcome, SsresfError,
+    campaign_jobs, plan_shards, run_injection_jobs_with_golden, CampaignProgress, Dut, GoldenRun,
+    Instrument, ProgressPhase, ProgressSink, ShardOutcome, SsresfError,
 };
+use ssresf_json::{FromJson, ToJson};
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,7 +84,7 @@ pub fn run_shard_local(
     let golden_started = Instant::now();
     let cached = cache
         .and_then(|c| c.get(NS_GOLDEN, &gkey))
-        .and_then(|v| golden_run_from_json(&v).ok());
+        .and_then(|v| GoldenRun::from_json(&v).ok());
     let golden = match cached {
         Some(golden) => golden,
         None => {
@@ -96,7 +96,7 @@ pub fn run_shard_local(
             if let Some(cache) = cache {
                 // Event-driven checkpoints are not serializable; skipping
                 // the put keeps them correct (recomputed every time).
-                if let Ok(artifact) = golden_run_to_json(&golden) {
+                if let Ok(artifact) = golden.to_json() {
                     cache
                         .put(NS_GOLDEN, &gkey, &artifact)
                         .map_err(|e| ShardError::Other(e.to_string()))?;

@@ -2,6 +2,7 @@
 //! cache directories, byte-identity against the single-process campaign.
 
 use ssresf::{run_campaign_with, CampaignConfig, Dut, Instrument, MetricsRegistry};
+use ssresf_json::{FromJson, ToJson};
 use ssresf_netlist::CellId;
 use ssresf_serve::key::smoke_circuit;
 use ssresf_serve::{replay, serve_campaign, CacheConfig, JobSpec, NetlistSpec, ServeOptions};

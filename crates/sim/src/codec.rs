@@ -19,278 +19,213 @@ use crate::inject::{Fault, SetFault, SeuFault};
 use crate::levelized::LevelizedState;
 use crate::trace::CycleTrace;
 use crate::value::Logic;
-use ssresf_json::Value;
-use ssresf_netlist::{CellId, NetId};
-
-/// Encodes one logic value as its trace character.
-fn logic_char(l: Logic) -> char {
-    match l {
-        Logic::Zero => '0',
-        Logic::One => '1',
-        Logic::X => 'x',
-        Logic::Z => 'z',
-    }
-}
-
-/// Decodes a trace character.
-fn logic_of(c: char) -> Result<Logic, String> {
-    match c {
-        '0' => Ok(Logic::Zero),
-        '1' => Ok(Logic::One),
-        'x' => Ok(Logic::X),
-        'z' => Ok(Logic::Z),
-        other => Err(format!("invalid logic character {other:?}")),
-    }
-}
+use ssresf_json::{field, FromJson, ToJson, Value};
 
 /// Packs a logic slice into one `0`/`1`/`x`/`z` string.
-pub fn logic_row_to_json(row: &[Logic]) -> Value {
-    Value::String(row.iter().map(|&l| logic_char(l)).collect())
+fn logic_row_to_json(row: &[Logic]) -> Value {
+    Value::String(
+        row.iter()
+            .map(|&l| match l {
+                Logic::Zero => '0',
+                Logic::One => '1',
+                Logic::X => 'x',
+                Logic::Z => 'z',
+            })
+            .collect(),
+    )
 }
 
 /// Unpacks a packed logic string.
-pub fn logic_row_from_json(value: &Value) -> Result<Vec<Logic>, String> {
-    value
-        .as_str()
-        .ok_or_else(|| "logic row must be a string".to_string())?
-        .chars()
-        .map(logic_of)
-        .collect()
-}
-
-fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
-    value.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("key {key:?} is not an exact u64"))
-}
-
-fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| format!("key {key:?} is not a number"))
-}
-
-fn str_field<'a>(value: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| format!("key {key:?} is not a string"))
-}
-
-/// Encodes a fault.
-pub fn fault_to_json(fault: &Fault) -> Value {
-    match *fault {
-        Fault::Seu(f) => ssresf_json::object([
-            ("type", Value::from("seu")),
-            ("cell", Value::from(f.cell.0)),
-            ("cycle", Value::from(f.cycle)),
-            ("offset", Value::from(f.offset)),
-        ]),
-        Fault::Set(f) => ssresf_json::object([
-            ("type", Value::from("set")),
-            ("net", Value::from(f.net.0)),
-            ("cycle", Value::from(f.cycle)),
-            ("offset", Value::from(f.offset)),
-            ("width", Value::from(f.width)),
-        ]),
-    }
-}
-
-/// Decodes a fault.
-pub fn fault_from_json(value: &Value) -> Result<Fault, String> {
-    match str_field(value, "type")? {
-        "seu" => Ok(Fault::Seu(SeuFault {
-            cell: CellId(u64_field(value, "cell")? as u32),
-            cycle: u64_field(value, "cycle")?,
-            offset: f64_field(value, "offset")?,
-        })),
-        "set" => Ok(Fault::Set(SetFault {
-            net: NetId(u64_field(value, "net")? as u32),
-            cycle: u64_field(value, "cycle")?,
-            offset: f64_field(value, "offset")?,
-            width: f64_field(value, "width")?,
-        })),
-        other => Err(format!("unknown fault type {other:?}")),
-    }
-}
-
-/// Encodes a cycle trace with one packed string per row.
-pub fn trace_to_json(trace: &CycleTrace) -> Value {
-    ssresf_json::object([
-        (
-            "signals",
-            Value::Array(
-                trace
-                    .signals
-                    .iter()
-                    .map(|s| Value::from(s.as_str()))
-                    .collect(),
-            ),
-        ),
-        (
-            "rows",
-            Value::Array(trace.rows.iter().map(|r| logic_row_to_json(r)).collect()),
-        ),
-    ])
-}
-
-/// Decodes a cycle trace.
-pub fn trace_from_json(value: &Value) -> Result<CycleTrace, String> {
-    let signals = field(value, "signals")?
-        .as_array()
-        .ok_or("signals must be an array")?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| "signal name must be a string".to_string())
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let rows = field(value, "rows")?
-        .as_array()
-        .ok_or("rows must be an array")?
-        .iter()
-        .map(logic_row_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    for row in &rows {
-        if row.len() != signals.len() {
-            return Err(format!(
-                "trace row has {} values for {} signals",
-                row.len(),
-                signals.len()
-            ));
-        }
-    }
-    Ok(CycleTrace { signals, rows })
-}
-
-/// Encodes engine telemetry counters.
-pub fn telemetry_to_json(t: &EngineTelemetry) -> Value {
-    ssresf_json::object([
-        ("events_processed", Value::from(t.events_processed)),
-        ("cells_evaluated", Value::from(t.cells_evaluated)),
-        ("delta_cycles", Value::from(t.delta_cycles)),
-        ("wheel_advances", Value::from(t.wheel_advances)),
-        ("restores", Value::from(t.restores)),
-        ("word_evals", Value::from(t.word_evals)),
-    ])
-}
-
-/// Decodes engine telemetry counters.
-pub fn telemetry_from_json(value: &Value) -> Result<EngineTelemetry, String> {
-    Ok(EngineTelemetry {
-        events_processed: u64_field(value, "events_processed")?,
-        cells_evaluated: u64_field(value, "cells_evaluated")?,
-        delta_cycles: u64_field(value, "delta_cycles")?,
-        wheel_advances: u64_field(value, "wheel_advances")?,
-        restores: u64_field(value, "restores")?,
-        word_evals: u64_field(value, "word_evals")?,
-    })
-}
-
-fn u64s_to_json(values: &[u64]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::from(v)).collect())
-}
-
-fn u64s_from_json(value: &Value, key: &str) -> Result<Vec<u64>, String> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| format!("key {key:?} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("key {key:?} holds a non-u64 entry"))
-        })
-        .collect()
-}
-
-/// Encodes a levelized engine snapshot.
-pub fn levelized_state_to_json(state: &LevelizedState) -> Value {
-    ssresf_json::object([
-        ("values", logic_row_to_json(state.values())),
-        ("state", logic_row_to_json(state.state())),
-        (
-            "inverted",
-            Value::String(
-                state
-                    .inverted()
-                    .iter()
-                    .map(|&b| if b { '1' } else { '0' })
-                    .collect(),
-            ),
-        ),
-        (
-            "faults",
-            Value::Array(state.faults().iter().map(fault_to_json).collect()),
-        ),
-        ("cycle", Value::from(state.cycle())),
-        ("activity", u64s_to_json(state.activity())),
-        ("evals", Value::from(state.evals())),
-    ])
-}
-
-/// Decodes a levelized engine snapshot.
-pub fn levelized_state_from_json(value: &Value) -> Result<LevelizedState, String> {
-    let inverted = str_field(value, "inverted")?
-        .chars()
+fn logic_row(text: &str) -> Result<Vec<Logic>, String> {
+    text.chars()
         .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            other => Err(format!("invalid inverted flag {other:?}")),
+            '0' => Ok(Logic::Zero),
+            '1' => Ok(Logic::One),
+            'x' => Ok(Logic::X),
+            'z' => Ok(Logic::Z),
+            other => Err(format!("invalid logic character {other:?}")),
         })
-        .collect::<Result<Vec<_>, _>>()?;
-    let faults = field(value, "faults")?
-        .as_array()
-        .ok_or("faults must be an array")?
-        .iter()
-        .map(fault_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(LevelizedState::from_parts(
-        logic_row_from_json(field(value, "values")?)?,
-        logic_row_from_json(field(value, "state")?)?,
-        inverted,
-        faults,
-        u64_field(value, "cycle")?,
-        u64s_from_json(value, "activity")?,
-        u64_field(value, "evals")?,
-    ))
+        .collect()
 }
 
-/// Encodes an engine snapshot. Only levelized snapshots are encodable —
-/// see the module docs for why.
-///
-/// # Errors
-///
-/// Returns a description for event-driven and oracle snapshots.
-pub fn engine_state_to_json(state: &EngineState) -> Result<Value, String> {
-    match state {
-        EngineState::Levelized(s) => Ok(ssresf_json::object([
-            ("engine", Value::from("levelized")),
-            ("state", levelized_state_to_json(s)),
-        ])),
-        EngineState::EventDriven(_) => {
-            Err("event-driven snapshots embed an event wheel and are not serializable".into())
+impl ToJson for Fault {
+    fn to_json(&self) -> Value {
+        match *self {
+            Fault::Seu(f) => ssresf_json::object([
+                ("type", Value::from("seu")),
+                ("cell", f.cell.to_json()),
+                ("cycle", f.cycle.to_json()),
+                ("offset", f.offset.to_json()),
+            ]),
+            Fault::Set(f) => ssresf_json::object([
+                ("type", Value::from("set")),
+                ("net", f.net.to_json()),
+                ("cycle", f.cycle.to_json()),
+                ("offset", f.offset.to_json()),
+                ("width", f.width.to_json()),
+            ]),
         }
-        EngineState::Oracle(_) => Err("oracle snapshots are not serializable".into()),
     }
 }
 
-/// Decodes an engine snapshot encoded by [`engine_state_to_json`].
-pub fn engine_state_from_json(value: &Value) -> Result<EngineState, String> {
-    match str_field(value, "engine")? {
-        "levelized" => Ok(EngineState::Levelized(levelized_state_from_json(field(
-            value, "state",
-        )?)?)),
-        other => Err(format!("unknown engine snapshot kind {other:?}")),
+impl FromJson for Fault {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        match field::<String>(value, "type")?.as_str() {
+            "seu" => Ok(Fault::Seu(SeuFault {
+                cell: field(value, "cell")?,
+                cycle: field(value, "cycle")?,
+                offset: field(value, "offset")?,
+            })),
+            "set" => Ok(Fault::Set(SetFault {
+                net: field(value, "net")?,
+                cycle: field(value, "cycle")?,
+                offset: field(value, "offset")?,
+                width: field(value, "width")?,
+            })),
+            other => Err(format!("unknown fault type {other:?}")),
+        }
+    }
+}
+
+/// One packed string per row.
+impl ToJson for CycleTrace {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("signals", self.signals.to_json()),
+            (
+                "rows",
+                Value::Array(self.rows.iter().map(|r| logic_row_to_json(r)).collect()),
+            ),
+        ])
+    }
+}
+
+/// Rejects rows whose width differs from the signal count.
+impl FromJson for CycleTrace {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        let signals: Vec<String> = field(value, "signals")?;
+        let rows = field::<Vec<String>>(value, "rows")?
+            .iter()
+            .map(|r| logic_row(r))
+            .collect::<Result<Vec<_>, _>>()?;
+        for row in &rows {
+            if row.len() != signals.len() {
+                return Err(format!(
+                    "trace row has {} values for {} signals",
+                    row.len(),
+                    signals.len()
+                ));
+            }
+        }
+        Ok(CycleTrace { signals, rows })
+    }
+}
+
+impl ToJson for EngineTelemetry {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("events_processed", self.events_processed.to_json()),
+            ("cells_evaluated", self.cells_evaluated.to_json()),
+            ("delta_cycles", self.delta_cycles.to_json()),
+            ("wheel_advances", self.wheel_advances.to_json()),
+            ("restores", self.restores.to_json()),
+            ("word_evals", self.word_evals.to_json()),
+        ])
+    }
+}
+
+impl FromJson for EngineTelemetry {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        Ok(EngineTelemetry {
+            events_processed: field(value, "events_processed")?,
+            cells_evaluated: field(value, "cells_evaluated")?,
+            delta_cycles: field(value, "delta_cycles")?,
+            wheel_advances: field(value, "wheel_advances")?,
+            restores: field(value, "restores")?,
+            word_evals: field(value, "word_evals")?,
+        })
+    }
+}
+
+impl ToJson for LevelizedState {
+    fn to_json(&self) -> Value {
+        ssresf_json::object([
+            ("values", logic_row_to_json(self.values())),
+            ("state", logic_row_to_json(self.state())),
+            (
+                "inverted",
+                Value::String(
+                    self.inverted()
+                        .iter()
+                        .map(|&b| if b { '1' } else { '0' })
+                        .collect(),
+                ),
+            ),
+            ("faults", self.faults().to_json()),
+            ("cycle", self.cycle().to_json()),
+            ("activity", self.activity().to_json()),
+            ("evals", self.evals().to_json()),
+        ])
+    }
+}
+
+impl FromJson for LevelizedState {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        let inverted = field::<String>(value, "inverted")?
+            .chars()
+            .map(|c| match c {
+                '0' => Ok(false),
+                '1' => Ok(true),
+                other => Err(format!("invalid inverted flag {other:?}")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(LevelizedState::from_parts(
+            logic_row(&field::<String>(value, "values")?)?,
+            logic_row(&field::<String>(value, "state")?)?,
+            inverted,
+            field(value, "faults")?,
+            field(value, "cycle")?,
+            field(value, "activity")?,
+            field(value, "evals")?,
+        ))
+    }
+}
+
+impl EngineState {
+    /// Encodes the snapshot. Only levelized snapshots are encodable: an
+    /// event-driven snapshot embeds an event wheel, so callers fall back to
+    /// re-simulating (a cache miss, not an error).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description for event-driven and oracle snapshots.
+    pub fn to_json(&self) -> Result<Value, String> {
+        match self {
+            EngineState::Levelized(s) => Ok(ssresf_json::object([
+                ("engine", Value::from("levelized")),
+                ("state", s.to_json()),
+            ])),
+            EngineState::EventDriven(_) => {
+                Err("event-driven snapshots embed an event wheel and are not serializable".into())
+            }
+            EngineState::Oracle(_) => Err("oracle snapshots are not serializable".into()),
+        }
+    }
+}
+
+impl FromJson for EngineState {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        match field::<String>(value, "engine")?.as_str() {
+            "levelized" => Ok(EngineState::Levelized(field(value, "state")?)),
+            other => Err(format!("unknown engine snapshot kind {other:?}")),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssresf_netlist::{CellId, NetId};
 
     fn sample_faults() -> Vec<Fault> {
         vec![
@@ -311,10 +246,12 @@ mod tests {
     #[test]
     fn faults_round_trip_exactly() {
         for fault in sample_faults() {
-            let text = fault_to_json(&fault).to_string_compact();
-            let back = fault_from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
+            let text = fault.to_json().to_string_compact();
+            let back = Fault::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
             assert_eq!(fault, back);
         }
+        let unknown = r#"{"type":"mbu","cell":7,"cycle":13,"offset":0.5}"#;
+        assert!(Fault::from_json(&ssresf_json::parse(unknown).unwrap()).is_err());
     }
 
     #[test]
@@ -327,12 +264,12 @@ mod tests {
                 vec![Logic::One, Logic::Zero],
             ],
         };
-        let text = trace_to_json(&trace).to_string_compact();
-        let back = trace_from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
+        let text = trace.to_json().to_string_compact();
+        let back = CycleTrace::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
         assert_eq!(trace, back);
         // Mismatched row width is rejected.
         let bad = r#"{"signals":["a"],"rows":["01"]}"#;
-        assert!(trace_from_json(&ssresf_json::parse(bad).unwrap()).is_err());
+        assert!(CycleTrace::from_json(&ssresf_json::parse(bad).unwrap()).is_err());
     }
 
     #[test]
@@ -345,8 +282,8 @@ mod tests {
             restores: 5,
             word_evals: 6,
         };
-        let text = telemetry_to_json(&t).to_string_compact();
-        let back = telemetry_from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
+        let text = t.to_json().to_string_compact();
+        let back = EngineTelemetry::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
         assert_eq!(t, back);
     }
 
@@ -362,11 +299,13 @@ mod tests {
             1234,
         );
         let wrapped = EngineState::Levelized(state.clone());
-        let text = engine_state_to_json(&wrapped).unwrap().to_string_compact();
-        let back = engine_state_from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
+        let text = wrapped.to_json().unwrap().to_string_compact();
+        let back = EngineState::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
         match back {
             EngineState::Levelized(s) => assert_eq!(s, state),
             other => panic!("wrong variant: {other:?}"),
         }
+        let unknown = text.replace("\"levelized\"", "\"event-driven\"");
+        assert!(EngineState::from_json(&ssresf_json::parse(&unknown).unwrap()).is_err());
     }
 }

@@ -5,7 +5,6 @@ use crate::inject::Fault;
 use crate::levelized::LevelizedState;
 use crate::oracle::OracleState;
 use crate::value::Logic;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{CellId, FlatNetlist, NetId};
 
 /// A complete snapshot of an engine's dynamic state.
@@ -14,7 +13,7 @@ use ssresf_netlist::{CellId, FlatNetlist, NetId};
 /// the variant must match the engine kind that produced it. Snapshots are
 /// serializable so campaign checkpoints can be persisted or shipped to
 /// remote workers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EngineState {
     /// State of an [`EventDrivenEngine`](crate::EventDrivenEngine).
     EventDriven(EventDrivenState),
@@ -58,7 +57,7 @@ impl EngineState {
 /// Returned by [`Engine::telemetry`]; all counters are deterministic for a
 /// deterministic run (no wall-clock quantities). Engines that do not track
 /// a given counter leave it at 0.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineTelemetry {
     /// Events executed by an event-driven engine.
     pub events_processed: u64,

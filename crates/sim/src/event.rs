@@ -12,7 +12,6 @@ use crate::inject::Fault;
 use crate::trace::{WaveSignal, WaveTrace};
 use crate::value::Logic;
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::flat::Driver;
 use ssresf_netlist::{CellId, CellKind, FlatNetlist, NetId};
 
@@ -21,7 +20,7 @@ const GATE_DELAY: u64 = 1;
 /// Flip-flop clock-to-Q delay, in time units.
 const CLK_Q_DELAY: u64 = 2;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
     SetNet(NetId, Logic),
     Eval(CellId),
@@ -30,7 +29,7 @@ enum Action {
     Flip(CellId),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
     time: u64,
     seq: u64,
@@ -194,7 +193,7 @@ impl TimeWheel {
 /// Waveform recording ([`EventDrivenEngine::record`]) is deliberately not
 /// part of the snapshot; restoring into an engine that is recording is
 /// unsupported.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventDrivenState {
     values: Vec<Logic>,
     state: Vec<Logic>,

@@ -7,12 +7,11 @@
 //! cycle-accurate approximation).
 
 use crate::value::Logic;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{CellId, NetId};
 
 /// A single-event transient: the target net is forced to the inverse of its
 /// current value for a bounded duration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SetFault {
     /// Net to disturb (typically the output net of a combinational cell).
     pub net: NetId,
@@ -25,7 +24,7 @@ pub struct SetFault {
 }
 
 /// A single-event upset: the state of a sequential cell is inverted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeuFault {
     /// Sequential cell whose stored bit flips.
     pub cell: CellId,
@@ -36,7 +35,7 @@ pub struct SeuFault {
 }
 
 /// A fault to inject during simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// Transient on a net.
     Set(SetFault),
@@ -82,7 +81,7 @@ impl Fault {
 /// A forced value on a net, used by engines to implement SET pulses
 /// (equivalent to the VPI `force`/`release` pair the paper drives through
 /// the simulator interface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Force {
     /// Forced net.
     pub net: NetId,

@@ -10,7 +10,6 @@ use crate::eval::{async_override, disturb, eval_comb, gather, next_state, Inputs
 use crate::inject::Fault;
 use crate::value::Logic;
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::flat::Driver;
 use ssresf_netlist::{CellId, FlatNetlist, NetId};
 
@@ -20,7 +19,7 @@ const ASYNC_FIXPOINT_LIMIT: usize = 16;
 /// Snapshot of a [`LevelizedEngine`]'s dynamic state. The levelized engine
 /// is memoryless between cycles apart from net values, sequential state and
 /// scheduled faults, so its snapshot is correspondingly small.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelizedState {
     values: Vec<Logic>,
     state: Vec<Logic>,

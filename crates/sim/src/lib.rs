@@ -49,7 +49,7 @@
 //! ```
 
 pub mod bitparallel;
-pub mod codec;
+mod codec;
 pub mod engine;
 pub mod error;
 pub mod eval;

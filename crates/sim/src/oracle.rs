@@ -25,7 +25,6 @@ use crate::eval::{async_override, disturb, eval_comb_with_mutant, next_state, Ev
 use crate::inject::Fault;
 use crate::value::Logic;
 use crate::SimError;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::flat::Driver;
 use ssresf_netlist::{CellId, FlatNetlist, NetId};
 
@@ -82,7 +81,7 @@ fn find_combinational_loop(netlist: &FlatNetlist) -> Option<NetId> {
 }
 
 /// Snapshot of an [`OracleEngine`]'s dynamic state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OracleState {
     values: Vec<Logic>,
     state: Vec<Logic>,

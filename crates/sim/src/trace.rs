@@ -1,14 +1,13 @@
 //! Simulation traces: per-cycle samples and full-resolution waveforms.
 
 use crate::value::Logic;
-use serde::{Deserialize, Serialize};
 
 /// A per-cycle sampled trace of a set of signals.
 ///
 /// Both engines sample the observed signals once per clock cycle (after the
 /// cycle settles); soft-error detection compares the golden and faulty
 /// [`CycleTrace`]s of the primary outputs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleTrace {
     /// Signal names, one per column.
     pub signals: Vec<String>,
@@ -17,7 +16,7 @@ pub struct CycleTrace {
 }
 
 /// A single point where two traces disagree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Cycle index of the mismatch.
     pub cycle: usize,
@@ -123,7 +122,7 @@ impl CycleTrace {
 }
 
 /// The change history of one signal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaveSignal {
     /// Signal name.
     pub name: String,
@@ -149,7 +148,7 @@ impl WaveSignal {
 
 /// A full-resolution waveform of several signals, as written to / read from
 /// VCD files.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WaveTrace {
     /// Signals in declaration order.
     pub signals: Vec<WaveSignal>,

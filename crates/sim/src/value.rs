@@ -1,9 +1,7 @@
 //! Four-state logic values.
 
-use serde::{Deserialize, Serialize};
-
 /// An IEEE-1364-style four-state logic value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Logic {
     /// Logic low.
     Zero,

@@ -7,10 +7,8 @@
 //! functional units, then loops forever — a continuously toggling workload
 //! for fault-injection campaigns.
 
-use serde::{Deserialize, Serialize};
-
 /// One instruction of the embedded ISA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Insn {
     /// No operation.
     Nop,
@@ -94,7 +92,7 @@ impl Insn {
 }
 
 /// An assembled program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// The source instructions.
     pub insns: Vec<Insn>,

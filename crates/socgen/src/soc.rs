@@ -1,11 +1,10 @@
 //! SoC configurations and top-level assembly.
 
 use crate::program::default_program;
-use serde::{Deserialize, Serialize};
 use ssresf_netlist::{Design, NetlistError};
 
 /// Memory technology of the SoC's data memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// Six-transistor SRAM.
     Sram,
@@ -37,7 +36,7 @@ impl MemoryKind {
 
 /// Bus protocol family; selects the fabric's pipeline depth and per-lane
 /// complexity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusKind {
     /// Simple single-stage peripheral bus.
     Apb,
@@ -68,7 +67,7 @@ impl BusKind {
 }
 
 /// Instruction-set configuration of the generated cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
     /// Base integer ISA (8-bit synthetic datapath).
     Rv32i,
@@ -132,7 +131,7 @@ impl Isa {
 }
 
 /// Full configuration of one generated SoC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocConfig {
     /// Benchmark name (e.g. `PULP SoC_1`).
     pub name: String,
@@ -337,7 +336,7 @@ impl SocConfig {
 }
 
 /// Metadata of a generated SoC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocInfo {
     /// The configuration it was generated from.
     pub config: SocConfig,

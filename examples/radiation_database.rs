@@ -7,9 +7,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ssresf_json::{FromJson, ToJson};
 use ssresf_netlist::CellKind;
 use ssresf_radiation::{
-    CampaignConfig, FluxCampaign, Let, PulseWidthModel, RadiationEnvironment, SoftErrorDatabase,
+    FluxCampaign, FluxCampaignConfig, Let, PulseWidthModel, RadiationEnvironment, SoftErrorDatabase,
 };
 use ssresf_socgen::{build_soc, SocConfig};
 
@@ -43,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Persist and reload (the artifact a lab would version-control).
-    let json = db.to_json();
-    let restored = SoftErrorDatabase::from_json(&json)?;
+    let json = db.to_json().to_string_pretty();
+    let restored = SoftErrorDatabase::from_json(&ssresf_json::parse(&json)?)?;
     println!(
         "\nserialized {} bytes of JSON; reload matches: {}",
         json.len(),
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let netlist = soc.design.flatten()?;
     let campaign = FluxCampaign::new(
         &db,
-        CampaignConfig {
+        FluxCampaignConfig {
             environment: RadiationEnvironment::heavy_ion_beam(),
             exposure_cycles: 10_000,
             cycle_time_s: 10e-9,
@@ -75,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Amplify the flux so a sampled exposure actually contains strikes.
     let hot = FluxCampaign::new(
         &db,
-        CampaignConfig {
+        FluxCampaignConfig {
             environment: RadiationEnvironment::new(
                 Let::new(100.0),
                 ssresf_radiation::Flux::new(5e14),

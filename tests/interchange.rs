@@ -2,6 +2,7 @@
 //! round trips on generated SoCs, and soft-error database persistence.
 
 use ssresf::{Dut, EngineKind, Workload};
+use ssresf_json::{FromJson, ToJson};
 use ssresf_netlist::verilog::{parse_verilog, write_verilog};
 use ssresf_netlist::NetlistStats;
 use ssresf_radiation::SoftErrorDatabase;
@@ -76,10 +77,10 @@ fn soc_waveforms_round_trip_through_vcd() {
 #[test]
 fn soft_error_database_persists_and_reloads() {
     let db = SoftErrorDatabase::standard();
-    let json = db.to_json();
+    let json = db.to_json().to_string_pretty();
     assert!(json.contains("SRAMB"));
     assert!(json.contains("seu_cm2"));
-    let restored = SoftErrorDatabase::from_json(&json).unwrap();
+    let restored = SoftErrorDatabase::from_json(&ssresf_json::parse(&json).unwrap()).unwrap();
     assert_eq!(restored.entries().len(), db.entries().len());
 
     // The restored database drives identical chip cross-sections.

@@ -14,6 +14,7 @@ use ssresf::{
     run_campaign, run_mission_campaign, CampaignConfig, Dut, EngineKind, SsresfError, Workload,
 };
 use ssresf_conformance::{cases, Scenario};
+use ssresf_json::FromJson;
 use ssresf_netlist::CellId;
 use ssresf_radiation::{MissionProfile, MissionSegment, ParticleEnvironment};
 
