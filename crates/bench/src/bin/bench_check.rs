@@ -10,9 +10,12 @@
 //! bench_check --baseline <dir> --current <dir> [--tolerance 0.9]
 //! ```
 //!
-//! Tracked metrics (all higher-is-better):
+//! Metric keys are dotted paths into the report's JSON objects. Tracked
+//! metrics (all higher-is-better):
 //! - `BENCH_bitparallel.json` / `eval_reduction` — the wide-lane batching
-//!   kernel's per-injection gate-evaluation reduction;
+//!   kernel's per-injection gate-evaluation reduction (the best config),
+//!   plus each config's own `configs.<name>.eval_reduction`, since the
+//!   headline maximum alone would not see one config regress;
 //! - `BENCH_bitparallel.json` / `wall_clock_ratio` — its end-to-end
 //!   campaign speedup (informational: reported but never gating, since
 //!   wall clock is hardware-dependent);
@@ -39,6 +42,7 @@
 //! either directory but tracked by no metric are listed as new baselines
 //! rather than silently omitted.
 
+use ssresf_json::FromJson;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -54,6 +58,21 @@ const METRICS: &[Metric] = &[
     Metric {
         file: "BENCH_bitparallel.json",
         key: "eval_reduction",
+        gating: true,
+    },
+    Metric {
+        file: "BENCH_bitparallel.json",
+        key: "configs.w64.eval_reduction",
+        gating: true,
+    },
+    Metric {
+        file: "BENCH_bitparallel.json",
+        key: "configs.w256_collapse_refill.eval_reduction",
+        gating: true,
+    },
+    Metric {
+        file: "BENCH_bitparallel.json",
+        key: "configs.w512_collapse_refill.eval_reduction",
         gating: true,
     },
     Metric {
@@ -135,9 +154,15 @@ fn load_metric(dir: &Path, file: &str, key: &str) -> Result<f64, String> {
     let path = dir.join(file);
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let value =
+    let root =
         ssresf_json::parse(&text).map_err(|e| format!("cannot parse {}: {e:?}", path.display()))?;
-    ssresf_json::field(&value, key).map_err(|e| format!("{}: {e}", path.display()))
+    let mut value = &root;
+    for part in key.split('.') {
+        value = value
+            .get(part)
+            .ok_or_else(|| format!("{}: missing key {part:?}", path.display()))?;
+    }
+    f64::from_json(value).map_err(|e| format!("{}: key {key:?}: {e}", path.display()))
 }
 
 fn main() -> ExitCode {

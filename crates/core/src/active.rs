@@ -26,7 +26,7 @@
 //! `(seed, config)`: the golden run, fault streams, seed draw, margin
 //! ordering and batch tie-breaks are all deterministic.
 
-use crate::campaign::{faults_for_cell, run_injection_jobs_with_golden, CampaignOutcome};
+use crate::campaign::{run_injection_jobs_with_golden, CampaignOutcome};
 use crate::clustering::cluster_cells;
 use crate::error::SsresfError;
 use crate::framework::{Analysis, LabelRule, Ssresf, Timing};
@@ -34,12 +34,12 @@ use crate::progress::Instrument;
 use crate::sampling::{sample_clusters, ClusterSample, SamplingConfig};
 use crate::sensitivity::train_sensitivity;
 use crate::ser::evaluate_ser;
+use crate::shard::campaign_jobs;
 use crate::workload::Dut;
 use ssresf_mlcore::{
     parallel_map, Dataset, SmoContext, StandardScaler, SvmModel, SvmParams, TrainStats,
 };
 use ssresf_netlist::{CellId, FeatureExtractor, FlatNetlist};
-use ssresf_sim::Fault;
 use std::time::Instant;
 
 /// Configuration of the active-learning loop.
@@ -226,14 +226,7 @@ impl Ssresf {
                       merged: &mut Option<CampaignOutcome>,
                       timing: &mut Timing|
          -> Result<(), SsresfError> {
-            let jobs: Vec<(CellId, Fault)> = cells
-                .iter()
-                .flat_map(|&cell| {
-                    faults_for_cell(&dut, cell, &config.campaign)
-                        .into_iter()
-                        .map(move |f| (cell, f))
-                })
-                .collect();
+            let jobs = campaign_jobs(&dut, cells, &config.campaign)?;
             let outcome =
                 run_injection_jobs_with_golden(&dut, jobs, &config.campaign, &golden, hooks)?;
             timing.injections += outcome.simulation_time;
@@ -250,20 +243,13 @@ impl Ssresf {
                     m.records.extend(outcome.records);
                     m.simulation_time += outcome.simulation_time;
                     m.total_work += outcome.total_work;
-                    m.telemetry.engine.accumulate(outcome.telemetry.engine);
-                    m.telemetry.checkpoint_restores += outcome.telemetry.checkpoint_restores;
-                    m.telemetry.early_stop_truncations += outcome.telemetry.early_stop_truncations;
-                    m.telemetry.collapsed_faults += outcome.telemetry.collapsed_faults;
-                    m.telemetry.lane_refills += outcome.telemetry.lane_refills;
+                    m.telemetry.accumulate(outcome.telemetry);
                 }
                 None => *merged = Some(outcome),
             }
             Ok(())
         };
 
-        if config.campaign.injections_per_cell == 0 {
-            return Err(SsresfError::Config("injections_per_cell is 0".into()));
-        }
         inject(
             &seed_sample.all_cells(),
             &mut sample,

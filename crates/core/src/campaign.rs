@@ -18,6 +18,7 @@
 
 use crate::error::SsresfError;
 use crate::progress::{CampaignProgress, Instrument, ProgressPhase, WorkerUtilization};
+use crate::shard::campaign_jobs;
 use crate::workload::{Dut, EngineKind, GoldenRun, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,10 +53,15 @@ pub struct CampaignConfig {
     /// Terminate a faulty run early once its verdict is decided and its
     /// engine state has re-converged with the golden run at a checkpoint
     /// boundary; the skipped tail is filled from the golden trace, so
-    /// records are bit-identical either way.
+    /// records are bit-identical either way. In batched mode a lane
+    /// instead retires at the first cycle after its fault has fired where
+    /// it has re-converged with the golden lane; with
+    /// [`lane_refill`](CampaignConfig::lane_refill) lanes retire whether
+    /// or not this is set.
     pub early_stop: bool,
-    /// Pack fault instances into bit-parallel batches ([`Dut::run_batch`])
-    /// instead of simulating them one scalar run at a time. Requires
+    /// Pack fault instances into bit-parallel batches
+    /// ([`Dut::run_batch_queue`]) instead of simulating them one scalar
+    /// run at a time. Requires
     /// [`EngineKind::Levelized`] — the event-driven engine resolves
     /// sub-cycle SET timing that cannot be lane-packed. Records are
     /// bit-identical to scalar-mode records for the same seed and config,
@@ -78,9 +84,10 @@ pub struct CampaignConfig {
     /// cycle-wide fault semantics, so records stay bit-identical. Requires
     /// [`batching`](CampaignConfig::batching).
     pub collapse_faults: bool,
-    /// Retire lanes early and refill them mid-sweep from the pending fault
-    /// queue ([`Dut::run_batch_queue`]) instead of idling retired lanes
-    /// until the batch-wide stop. Records stay bit-identical. Requires
+    /// Retire lanes as soon as their verdict is final (as
+    /// [`early_stop`](CampaignConfig::early_stop) does) and refill them
+    /// mid-sweep from the pending fault queue instead of leaving them idle
+    /// until the sweep ends. Records stay bit-identical. Requires
     /// [`batching`](CampaignConfig::batching).
     pub lane_refill: bool,
 }
@@ -134,6 +141,17 @@ pub struct CampaignTelemetry {
     /// Retired lanes rewritten mid-sweep with a fresh pending fault
     /// (queued batching).
     pub lane_refills: u64,
+}
+
+impl CampaignTelemetry {
+    /// Fieldwise sum.
+    pub(crate) fn accumulate(&mut self, other: CampaignTelemetry) {
+        self.engine.accumulate(other.engine);
+        self.checkpoint_restores += other.checkpoint_restores;
+        self.early_stop_truncations += other.early_stop_truncations;
+        self.collapsed_faults += other.collapsed_faults;
+        self.lane_refills += other.lane_refills;
+    }
 }
 
 /// Per-cell injection statistics (see
@@ -404,9 +422,9 @@ fn chunk_lanes(classes: usize, batch_lanes: usize) -> usize {
         .unwrap_or(batch_lanes)
 }
 
-/// Runs one worker's job chunk through the bit-parallel batched path at
-/// the width [`chunk_lanes`] picks, with optional fault-list collapsing
-/// and early-lane-retirement refilling. Results scatter back into `mine`
+/// Runs one worker's job chunk through the bit-parallel lane queue at the
+/// width [`chunk_lanes`] picks, with optional fault-list collapsing, lane
+/// retirement and refilling. Results scatter back into `mine`
 /// at each job's original slot, so record order — and the records
 /// themselves — stay identical to scalar mode.
 #[allow(clippy::too_many_arguments)]
@@ -429,151 +447,64 @@ fn run_batched_chunk(
     let (reps, members) = collapse_classes(job_chunk, &by_cycle, collapse);
     // Dispatch to a compile-time width so the hot loops stay monomorphized
     // over fixed-size chunk arrays.
-    let run = match chunk_lanes(reps.len(), config.batch_lanes) {
-        256 => run_classes::<4>,
-        512 => run_classes::<8>,
-        _ => run_classes::<1>,
+    let run_queue = match chunk_lanes(reps.len(), config.batch_lanes) {
+        256 => Dut::run_batch_queue::<4>,
+        512 => Dut::run_batch_queue::<8>,
+        _ => Dut::run_batch_queue::<1>,
     };
-    run(
-        dut, config, golden_run, job_chunk, &reps, &members, mine, cancelled, note_done, jobs_done,
-        occupancy,
-    )
-}
-
-/// [`run_batched_chunk`] at compile-time lane width `W` (64·`W` lanes):
-/// simulates the class representatives `reps` and scatters each verdict
-/// to every member of its class.
-#[allow(clippy::too_many_arguments)]
-fn run_classes<const W: usize>(
-    dut: &Dut<'_>,
-    config: &CampaignConfig,
-    golden_run: &GoldenRun,
-    job_chunk: &[(CellId, Fault)],
-    reps: &[usize],
-    members: &[Vec<usize>],
-    mine: &mut [Option<JobResult>],
-    cancelled: &dyn Fn() -> bool,
-    note_done: &dyn Fn(bool),
-    jobs_done: &mut usize,
-    occupancy: &mut Vec<u64>,
-) -> Result<BatchChunkStats, SsresfError> {
-    let mut stats = BatchChunkStats {
-        collapsed: (job_chunk.len() - reps.len()) as u64,
-        refills: 0,
-    };
-
-    // Writes one simulated verdict back to every member of its class,
-    // splitting the batch-shared work evenly via the (k, per, rem) counter
-    // so per-injection work sums stay exact.
-    let scatter = |mine: &mut [Option<JobResult>],
-                   class: usize,
-                   soft_error: bool,
-                   divergences: usize,
-                   engine: EngineTelemetry,
-                   resumed_from: Option<u64>,
-                   early_stopped: bool,
-                   k: &mut u64,
-                   per: u64,
-                   rem: u64,
-                   jobs_done: &mut usize| {
+    // The queue polls `cancelled` before every sweep and once per cycle,
+    // so a cancellation lands mid-batch; partially-judged faults keep no
+    // verdict (their results are discarded by the cancellation anyway).
+    let faults: Vec<Fault> = reps.iter().map(|&i| job_chunk[i].1).collect();
+    let out = run_queue(
+        dut,
+        &config.workload,
+        &faults,
+        golden_run,
+        config.early_stop,
+        config.lane_refill,
+        Some(cancelled),
+    )?;
+    occupancy.extend(out.occupancy.iter().copied());
+    // Each class verdict scatters to every member of its class. The
+    // chunk's work splits evenly over its jobs via the (k, per, rem)
+    // counter so per-injection work sums stay exact; the engine counters
+    // go to the first job.
+    let n = job_chunk.len() as u64;
+    let per = out.work / n;
+    let rem = out.work % n;
+    let mut k = 0u64;
+    for (class, fault_outcome) in out.faults.iter().enumerate() {
+        let Some(fault_outcome) = fault_outcome else {
+            continue;
+        };
         for &i in &members[class] {
             let (cell, fault) = job_chunk[i];
             mine[i] = Some(JobResult {
                 record: InjectionRecord {
                     cell,
                     fault,
-                    soft_error,
-                    divergences,
+                    soft_error: fault_outcome.soft_error,
+                    divergences: fault_outcome.divergences,
                 },
-                work: per + u64::from(*k < rem),
-                engine: if *k == 0 {
-                    engine
+                work: per + u64::from(k < rem),
+                engine: if k == 0 {
+                    out.engine
                 } else {
                     EngineTelemetry::default()
                 },
-                resumed_from,
-                early_stopped,
+                resumed_from: fault_outcome.resumed_from,
+                early_stopped: fault_outcome.early_stopped,
             });
-            *k += 1;
+            k += 1;
             *jobs_done += 1;
-            note_done(soft_error);
-        }
-    };
-
-    if config.lane_refill {
-        // One queued run retires lanes the moment their verdict is final
-        // and refills them mid-sweep, so the whole chunk is a single
-        // (multi-sweep) engine session. The queue polls `cancelled`
-        // between lane-refill rounds, so a cancellation lands mid-batch;
-        // partially-judged faults keep no verdict (their results are
-        // discarded by the cancellation anyway).
-        if cancelled() {
-            return Ok(stats);
-        }
-        let faults: Vec<Fault> = reps.iter().map(|&i| job_chunk[i].1).collect();
-        let out =
-            dut.run_batch_queue::<W>(&config.workload, &faults, golden_run, Some(cancelled))?;
-        occupancy.extend(out.occupancy.iter().copied());
-        stats.refills = out.refills;
-        let n = job_chunk.len() as u64;
-        let per = out.work / n;
-        let rem = out.work % n;
-        let mut k = 0u64;
-        for (class, fault_outcome) in out.faults.iter().enumerate() {
-            let Some(fault_outcome) = fault_outcome else {
-                continue;
-            };
-            scatter(
-                mine,
-                class,
-                fault_outcome.soft_error,
-                fault_outcome.divergences,
-                out.engine,
-                fault_outcome.resumed_from,
-                fault_outcome.early_stopped,
-                &mut k,
-                per,
-                rem,
-                jobs_done,
-            );
-        }
-    } else {
-        // Fixed-size batches of class representatives (lane 0 stays
-        // golden, so a batch carries up to `64·W - 1` faults).
-        let classes: Vec<usize> = (0..reps.len()).collect();
-        for batch_classes in classes.chunks(W * ssresf_sim::WORD_LANES - 1) {
-            if cancelled() {
-                break;
-            }
-            let faults: Vec<Fault> = batch_classes
-                .iter()
-                .map(|&c| job_chunk[reps[c]].1)
-                .collect();
-            let batch =
-                dut.run_batch::<W>(&config.workload, &faults, golden_run, config.early_stop)?;
-            occupancy.push(batch_classes.len() as u64);
-            let n: u64 = batch_classes.iter().map(|&c| members[c].len() as u64).sum();
-            let per = batch.work / n;
-            let rem = batch.work % n;
-            let mut k = 0u64;
-            for (&class, lane) in batch_classes.iter().zip(batch.lanes.iter()) {
-                scatter(
-                    mine,
-                    class,
-                    lane.soft_error,
-                    lane.divergences,
-                    batch.engine,
-                    batch.resumed_from,
-                    batch.early_stopped,
-                    &mut k,
-                    per,
-                    rem,
-                    jobs_done,
-                );
-            }
+            note_done(fault_outcome.soft_error);
         }
     }
-    Ok(stats)
+    Ok(BatchChunkStats {
+        collapsed: (job_chunk.len() - reps.len()) as u64,
+        refills: out.refills,
+    })
 }
 
 /// [`run_campaign`] with observability hooks attached.
@@ -596,19 +527,8 @@ pub fn run_campaign_with(
     config: &CampaignConfig,
     hooks: &Instrument<'_>,
 ) -> Result<CampaignOutcome, SsresfError> {
-    if config.injections_per_cell == 0 {
-        return Err(SsresfError::Config("injections_per_cell is 0".into()));
-    }
     // Pre-generate every fault so worker threads only simulate.
-    let jobs: Vec<(CellId, Fault)> = cells
-        .iter()
-        .flat_map(|&cell| {
-            faults_for_cell(dut, cell, config)
-                .into_iter()
-                .map(move |f| (cell, f))
-        })
-        .collect();
-    run_injection_jobs(dut, jobs, config, hooks)
+    run_injection_jobs(dut, campaign_jobs(dut, cells, config)?, config, hooks)
 }
 
 /// Runs a pre-generated injection job list: golden run, parallel workers,
@@ -1176,12 +1096,16 @@ mod tests {
             lane_refill: true,
             ..scalar
         };
+        let unrefilled = CampaignConfig {
+            lane_refill: false,
+            ..batched
+        };
         let flag = AtomicBool::new(true);
         let hooks = Instrument {
             cancel: Some(&flag),
             ..Instrument::default()
         };
-        for config in [&scalar, &batched] {
+        for config in [&scalar, &batched, &unrefilled] {
             assert!(matches!(
                 run_campaign_with(&dut, &cells, config, &hooks),
                 Err(SsresfError::Cancelled)
@@ -1189,7 +1113,7 @@ mod tests {
         }
         // An unset flag is inert: records match the uninstrumented run.
         flag.store(false, Ordering::Relaxed);
-        for config in [&scalar, &batched] {
+        for config in [&scalar, &batched, &unrefilled] {
             let plain = run_campaign(&dut, &cells, config).unwrap();
             let hooked = run_campaign_with(&dut, &cells, config, &hooks).unwrap();
             assert_eq!(plain.records, hooked.records);
@@ -1540,9 +1464,8 @@ mod tests {
     fn batched_early_stop_truncates_on_reconvergent_design() {
         let flat = shift_netlist();
         let dut = Dut::from_conventions(&flat).unwrap();
-        // Early stop releases a batch only when *every* lane re-converges,
-        // so inject only into the shift stages (whose upsets flush within
-        // 3 cycles) — a toggler upset would pin the batch forever.
+        // Inject only into the shift stages, whose upsets flush within 3
+        // cycles, so every lane re-converges — a toggler upset never does.
         let cells: Vec<CellId> = flat
             .iter_cells()
             .filter(|(_, c)| c.name.starts_with("u_sh_"))
@@ -1572,8 +1495,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain.records, stopped.records);
-        // Shift-register upsets flush within 3 cycles; the single batch
-        // re-converges and stops at a checkpoint boundary.
+        // Shift-register upsets flush within 3 cycles, so their lanes
+        // retire before the workload end.
         assert!(stopped.telemetry.early_stop_truncations > 0);
         assert!(
             stopped.total_work < plain.total_work,
@@ -1583,12 +1506,11 @@ mod tests {
         );
     }
 
-    /// Regression test: a batch mixing early- and late-cycle faults must
-    /// not early-stop before the late fault's injection cycle. The gate in
-    /// [`Dut::run_batch`] waits for the latest fault cycle; without it,
-    /// the cycle-2 upset here re-converges (and the whole batch state
-    /// equals golden) long before cycle 40, and the second fault would
-    /// never fire.
+    /// Regression test: a lane whose fault has not fired yet must not
+    /// retire. A pending lane fault marks the lane diverged; without that
+    /// gate, the cycle-40 lane here equals the golden lane long before
+    /// cycle 40 (the cycle-2 upset re-converges early too) and would
+    /// retire before its fault ever fired.
     #[test]
     fn batched_early_stop_waits_for_late_faults_in_mixed_batches() {
         let flat = shift_netlist();
@@ -1610,20 +1532,28 @@ mod tests {
         };
         let faults = [seu("u_sh_0", 2), seu("u_sh_2", 40)];
         let batch = dut
-            .run_batch::<1>(&workload, &faults, &golden, true)
+            .run_batch_queue::<1>(&workload, &faults, &golden, true, false, None)
             .unwrap();
+        let lanes: Vec<_> = batch.faults.iter().map(|f| f.unwrap()).collect();
         // Both upsets hit observable shift stages; the second lane can
         // only report one if its cycle-40 injection actually ran.
-        assert!(batch.lanes[0].soft_error);
-        assert!(batch.lanes[1].soft_error);
+        assert!(lanes[0].soft_error);
+        assert!(lanes[1].soft_error);
         // The tail after the late upset flushes is still truncated.
-        assert!(batch.early_stopped);
+        assert!(lanes[1].early_stopped);
         // And each lane's verdict matches running its fault alone.
-        for (i, fault) in faults.iter().enumerate() {
+        for (lane, fault) in lanes.iter().zip(&faults) {
             let solo = dut
-                .run_batch::<1>(&workload, std::slice::from_ref(fault), &golden, false)
+                .run_batch_queue::<1>(
+                    &workload,
+                    std::slice::from_ref(fault),
+                    &golden,
+                    false,
+                    false,
+                    None,
+                )
                 .unwrap();
-            assert_eq!(batch.lanes[i].divergences, solo.lanes[0].divergences);
+            assert_eq!(lane.divergences, solo.faults[0].unwrap().divergences);
         }
     }
 
@@ -1920,6 +1850,119 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Pins the batched work ledger of the `bitparallel` bench's SoC_1
+    /// campaign (120 cells x 2 injections on one thread). Without refill or
+    /// early stop a 64-lane chunk of 240 faults takes four sweeps to the
+    /// workload end; its work, every campaign counter and the batch
+    /// occupancy are fixed by that sweep plan. A collapse+refill run is
+    /// the control.
+    #[test]
+    fn batched_work_ledger_is_pinned_on_soc1() {
+        use ssresf_socgen::{build_soc, SocConfig};
+        let soc = build_soc(&SocConfig::table1()[0]).unwrap();
+        let flat = soc.design.flatten().unwrap();
+        let dut = Dut::from_conventions(&flat).unwrap();
+        let cells: Vec<CellId> = flat
+            .iter_cells()
+            .map(|(id, _)| id)
+            .step_by(3)
+            .take(120)
+            .collect();
+        let base = CampaignConfig {
+            workload: Workload {
+                reset_cycles: 3,
+                run_cycles: 120,
+            },
+            injections_per_cell: 2,
+            engine: EngineKind::Levelized,
+            threads: 1,
+            batching: true,
+            batch_lanes: 64,
+            ..CampaignConfig::default()
+        };
+        // (total work, telemetry, batch occupancy and per-injection work
+        // as (count, sum))
+        let ledger = |config: CampaignConfig| {
+            let metrics = ssresf_telemetry::MetricsRegistry::new();
+            let out = run_campaign_with(&dut, &cells, &config, &Instrument::with_metrics(&metrics))
+                .unwrap();
+            let hist = |name: &str| {
+                let h = metrics.histogram(name).unwrap();
+                (h.count, h.sum as u64)
+            };
+            (
+                out.total_work,
+                out.telemetry,
+                hist("campaign.batch_occupancy"),
+                hist("campaign.work_per_injection"),
+            )
+        };
+        // The scalar golden run evaluates 109,250 cells in every config.
+        let engine = |delta_cycles, word_evals| EngineTelemetry {
+            cells_evaluated: 109_250,
+            delta_cycles,
+            word_evals,
+            ..EngineTelemetry::default()
+        };
+        assert_eq!(
+            ledger(CampaignConfig {
+                checkpoint_interval: 0,
+                ..base
+            }),
+            (
+                528_770,
+                CampaignTelemetry {
+                    engine: engine(605, 419_520),
+                    ..CampaignTelemetry::default()
+                },
+                (4, 240),
+                (240, 419_520),
+            )
+        );
+        assert_eq!(
+            ledger(CampaignConfig {
+                checkpoint_interval: 10,
+                ..base
+            }),
+            (
+                371_450,
+                CampaignTelemetry {
+                    engine: engine(425, 262_200),
+                    checkpoint_restores: 240,
+                    ..CampaignTelemetry::default()
+                },
+                (4, 240),
+                (240, 262_200),
+            )
+        );
+        // Control: after collapsing, the 237 classes fit one sweep at 256
+        // lanes, and at 64 lanes through refills, for the same work.
+        for (batch_lanes, lane_refills) in [(256, 0), (64, 174)] {
+            assert_eq!(
+                ledger(CampaignConfig {
+                    checkpoint_interval: 0,
+                    batch_lanes,
+                    collapse_faults: true,
+                    lane_refill: true,
+                    ..base
+                }),
+                (
+                    214_130,
+                    CampaignTelemetry {
+                        engine: engine(245, 104_880),
+                        early_stop_truncations: 184,
+                        collapsed_faults: 3,
+                        lane_refills,
+                        ..CampaignTelemetry::default()
+                    },
+                    (1, 237),
+                    (240, 104_880),
+                ),
+                "{batch_lanes} lanes"
+            );
         }
     }
 }

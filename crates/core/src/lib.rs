@@ -90,6 +90,4 @@ pub use shard::{
 // Re-exported so downstream users can attach metrics without depending on
 // the telemetry crate directly.
 pub use ssresf_telemetry::{MetricsRegistry, Span};
-pub use workload::{
-    BatchOutcome, Checkpoint, Dut, EngineKind, GoldenRun, LaneOutcome, RunOutcome, Workload,
-};
+pub use workload::{Checkpoint, Dut, EngineKind, GoldenRun, RunOutcome, Workload};

@@ -27,6 +27,7 @@
 
 use crate::campaign::{
     faults_for_cell, run_injection_jobs_with_golden, CampaignConfig, CampaignOutcome,
+    CampaignTelemetry,
 };
 use crate::error::SsresfError;
 use crate::progress::Instrument;
@@ -209,25 +210,15 @@ pub fn merge_shard_outcomes(shards: &[ShardOutcome]) -> Result<CampaignOutcome, 
         // (every shard ran it; in a process fleet they overlap).
         golden_time: shards.iter().map(|s| s.golden_time).max().unwrap(),
         total_work: first.golden_work,
-        telemetry: crate::campaign::CampaignTelemetry {
+        telemetry: CampaignTelemetry {
             engine: first.golden_engine,
-            checkpoint_restores: 0,
-            early_stop_truncations: 0,
-            collapsed_faults: 0,
-            lane_refills: 0,
+            ..CampaignTelemetry::default()
         },
     };
     for shard in shards {
         merged.records.extend(shard.outcome.records.iter().cloned());
         merged.total_work += shard.outcome.total_work;
-        merged
-            .telemetry
-            .engine
-            .accumulate(shard.outcome.telemetry.engine);
-        merged.telemetry.checkpoint_restores += shard.outcome.telemetry.checkpoint_restores;
-        merged.telemetry.early_stop_truncations += shard.outcome.telemetry.early_stop_truncations;
-        merged.telemetry.collapsed_faults += shard.outcome.telemetry.collapsed_faults;
-        merged.telemetry.lane_refills += shard.outcome.telemetry.lane_refills;
+        merged.telemetry.accumulate(shard.outcome.telemetry);
         merged.simulation_time += shard.outcome.simulation_time;
     }
     merged.simulation_time += merged.golden_time;

@@ -69,37 +69,10 @@ pub struct RunOutcome {
     pub early_stopped: bool,
 }
 
-/// Per-fault observation of one lane of a batched run; field-compatible
-/// with the observations a scalar [`Dut::resume`] run yields through a
-/// golden-trace diff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneOutcome {
-    /// Whether the lane's primary outputs ever differed from the golden
-    /// lane.
-    pub soft_error: bool,
-    /// Number of (cycle, signal) divergences against the golden lane.
-    pub divergences: usize,
-}
-
-/// Outcome of one bit-parallel batched run ([`Dut::run_batch`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchOutcome {
-    /// One observation per scheduled fault, in scheduling order.
-    pub lanes: Vec<LaneOutcome>,
-    /// Word evaluations spent on the batch (excluding any fast-forwarded
-    /// prefix); one word evaluation covers a cell for all lanes.
-    pub work: u64,
-    /// Engine-level counters for the batched portion of the run.
-    pub engine: EngineTelemetry,
-    /// The golden checkpoint cycle the batch fast-forwarded from, if any.
-    pub resumed_from: Option<u64>,
-    /// Whether early stop truncated the batch's simulated tail.
-    pub early_stopped: bool,
-}
-
 /// Per-fault observation of a queued batched run
-/// ([`Dut::run_batch_queue`]): a [`LaneOutcome`] plus the fast-forward and
-/// truncation facts of the sweep segment that carried the fault.
+/// ([`Dut::run_batch_queue`]), field-compatible with what a scalar
+/// [`Dut::resume`] run yields through a golden-trace diff, plus the
+/// fast-forward and truncation facts of the sweep that carried the fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedFaultOutcome {
     /// Whether the lane's primary outputs ever differed from the golden
@@ -247,16 +220,7 @@ impl<'a> Dut<'a> {
         workload: &Workload,
         faults: &[Fault],
     ) -> Result<RunOutcome, SsresfError> {
-        match kind {
-            EngineKind::EventDriven => {
-                let engine = EventDrivenEngine::new(self.netlist, self.clock)?;
-                self.drive(engine, workload, faults, |e| e.events_processed())
-            }
-            EngineKind::Levelized => {
-                let engine = LevelizedEngine::new(self.netlist, self.clock)?;
-                self.drive(engine, workload, faults, |e| e.cells_evaluated())
-            }
-        }
+        Ok(self.run_from_reset(kind, workload, faults, 0)?.outcome)
     }
 
     /// Runs the fault-free workload, snapshotting engine state every
@@ -273,16 +237,7 @@ impl<'a> Dut<'a> {
         workload: &Workload,
         interval: u64,
     ) -> Result<GoldenRun, SsresfError> {
-        match kind {
-            EngineKind::EventDriven => {
-                let engine = EventDrivenEngine::new(self.netlist, self.clock)?;
-                self.drive_golden(engine, workload, interval, |e| e.events_processed())
-            }
-            EngineKind::Levelized => {
-                let engine = LevelizedEngine::new(self.netlist, self.clock)?;
-                self.drive_golden(engine, workload, interval, |e| e.cells_evaluated())
-            }
-        }
+        self.run_from_reset(kind, workload, &[], interval)
     }
 
     /// Re-runs the workload with `faults`, fast-forwarding over the golden
@@ -335,146 +290,35 @@ impl<'a> Dut<'a> {
         }
     }
 
-    /// Runs up to `W * 64 - 1` faulty instances in one bit-parallel sweep:
-    /// lane 0 replays the golden run, lane `i + 1` carries `faults[i]`,
-    /// and the whole batch shares one netlist evaluation per cycle. `W` is
-    /// the lane-word chunk count (1/4/8 for 64/256/512 lanes).
+    /// Runs an arbitrarily long fault queue through bit-parallel sweeps:
+    /// lane 0 replays the golden run, every other lane carries one fault,
+    /// and a sweep shares one netlist evaluation per cycle across up to
+    /// `W * 64 - 1` faults (`W` is the lane-word chunk count, 1/4/8 for
+    /// 64/256/512 lanes). Each sweep fast-forwards from the latest golden
+    /// checkpoint at or before its earliest fault (the checkpoints must
+    /// come from a levelized golden run); faults that do not fit seed the
+    /// next sweep.
     ///
-    /// Per-lane observations are bit-identical to what a scalar
-    /// [`Dut::resume`] with the single fault would yield through a
-    /// golden-trace diff — same soft-error verdicts, same divergence
-    /// counts. Like [`Dut::resume`], the batch fast-forwards from the
-    /// latest golden checkpoint at or before the earliest fault cycle
-    /// (the checkpoints must come from a levelized golden run), and with
-    /// `early_stop` it terminates at the first checkpoint boundary past
-    /// the last fault cycle where *every* lane has re-converged with the
-    /// golden run. The early-stop gate waits for the **latest** fault
-    /// cycle in the batch, so mixing early- and late-cycle faults can
-    /// never truncate a later fault's injection window (the regression
-    /// test for this lives in the campaign module).
+    /// With `early_stop` or `lane_refill`, a lane retires as soon as its
+    /// fault has fired and the lane has re-converged with the golden lane
+    /// ([`BitParallelEngine::diverged_lanes`]): its verdict is final, and
+    /// a sweep ends once every lane has retired. With `lane_refill`, a
+    /// retired lane is also rewritten mid-sweep with the earliest pending
+    /// fault whose injection cycle has not yet passed. With neither, every
+    /// sweep runs to the workload end.
     ///
-    /// # Errors
+    /// Per-fault observations are bit-identical to scalar [`Dut::resume`]
+    /// runs through a golden-trace diff — same soft-error verdicts, same
+    /// divergence counts — whatever the switches: a lane only retires when
+    /// its state equals the golden lane's, which (lane 0 being
+    /// deterministic) proves the remaining cycles diverge nowhere.
     ///
-    /// Propagates engine construction failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `faults` is empty or exceeds `W * 64 - 1`, when
-    /// `golden` does not cover `workload.run_cycles`, or if the golden
-    /// lane ever disagrees with the golden trace (an engine bug, never
-    /// silent data corruption).
-    pub fn run_batch<const W: usize>(
-        &self,
-        workload: &Workload,
-        faults: &[Fault],
-        golden: &GoldenRun,
-        early_stop: bool,
-    ) -> Result<BatchOutcome, SsresfError> {
-        let lanes = W * WORD_LANES;
-        assert!(
-            (1..lanes).contains(&faults.len()),
-            "a batch carries 1..={} faults, got {}",
-            lanes - 1,
-            faults.len()
-        );
-        let golden_rows = &golden.outcome.trace.rows;
-        assert_eq!(
-            golden_rows.len(),
-            workload.run_cycles as usize,
-            "golden trace does not cover the workload"
-        );
-        let mut engine = BitParallelEngine::<W>::new(self.netlist, self.clock)?;
-
-        let first_fault = faults.iter().map(Fault::cycle).min().unwrap_or(0);
-        let resumed_from = match golden.nearest_checkpoint(first_fault) {
-            Some(start) => {
-                engine.restore(start.state());
-                Some(start.cycle)
-            }
-            None => {
-                self.setup(&mut engine, workload);
-                None
-            }
-        };
-        let resumed_at = engine.word_evals();
-        let telemetry_base = engine.telemetry();
-
-        for (i, fault) in faults.iter().enumerate() {
-            engine.schedule_fault_in_lane(i + 1, self.shift_fault(workload, fault));
-        }
-
-        let (outputs, _) = self.observed_outputs();
-        // Lanes carrying faults (lane 0 stays golden).
-        let fault_mask = LaneMask::<W>::fault_lanes(faults.len());
-        let mut divergences = vec![0usize; faults.len()];
-        let last_fault = faults.iter().map(Fault::cycle).max().unwrap_or(0);
-        let mut early_stopped = false;
-        let start_cycle = resumed_from.unwrap_or(0);
-        for done in (start_cycle + 1)..=workload.run_cycles {
-            engine.step_cycle();
-            let row = &golden_rows[(done - 1) as usize];
-            for (j, &net) in outputs.iter().enumerate() {
-                // Lane 0 replays the golden run by determinism; verify it
-                // so a batch can never silently drift.
-                assert_eq!(
-                    engine.peek(net),
-                    row[j],
-                    "golden lane diverged from the golden trace at cycle {done}"
-                );
-                let diff = engine.lanes_differing_from_golden(net) & fault_mask;
-                diff.for_each_lane(|lane| divergences[lane - 1] += 1);
-            }
-            if early_stop && done > last_fault && engine.diverged_lanes().none() {
-                let converged = golden
-                    .checkpoint_at(done)
-                    .is_some_and(|reference| engine.snapshot().converged_with(reference.state()));
-                if converged {
-                    // Every lane equals the golden state, so the remaining
-                    // rows diverge nowhere: stop simulating.
-                    early_stopped = true;
-                    break;
-                }
-            }
-        }
-
-        Ok(BatchOutcome {
-            lanes: divergences
-                .iter()
-                .map(|&d| LaneOutcome {
-                    soft_error: d > 0,
-                    divergences: d,
-                })
-                .collect(),
-            work: engine.word_evals() - resumed_at,
-            engine: engine.telemetry().since(telemetry_base),
-            resumed_from,
-            early_stopped,
-        })
-    }
-
-    /// Runs an arbitrarily long fault queue through bit-parallel sweeps
-    /// with early lane retirement: as soon as a lane's fault has fired and
-    /// the lane has re-converged with the golden lane, its verdict is
-    /// final — the lane retires and is rewritten mid-sweep with the next
-    /// pending fault whose injection cycle has not yet passed. Pending
-    /// faults that cannot be refilled into the current sweep (their cycle
-    /// already passed) seed the next sweep, which fast-forwards from the
-    /// latest golden checkpoint at or before its earliest fault.
-    ///
-    /// A sweep ends as soon as every lane has retired, so queued runs are
-    /// implicitly early-stopping. Per-fault observations are nevertheless
-    /// bit-identical to [`Dut::run_batch`] and to scalar [`Dut::resume`]
-    /// runs: a lane only retires when its full engine state equals the
-    /// golden lane's, which (lane 0 being deterministic) proves the
-    /// remaining cycles diverge nowhere.
-    ///
-    /// The optional `cancel` predicate is polled between sweeps and
-    /// between lane-refill rounds (once per simulated cycle), so a
-    /// cancellation lands mid-batch instead of waiting for the whole queue
-    /// to drain. On cancellation the outcome's
-    /// [`cancelled`](BatchQueueOutcome::cancelled) flag is set and faults
-    /// whose verdict was not yet final stay `None`; completed verdicts are
-    /// still exact.
+    /// The optional `cancel` predicate is polled before every sweep and
+    /// once per simulated cycle, so a cancellation lands mid-batch instead
+    /// of waiting for the whole queue to drain. On cancellation the
+    /// outcome's [`cancelled`](BatchQueueOutcome::cancelled) flag is set
+    /// and faults whose verdict was not yet final stay `None`; completed
+    /// verdicts are still exact.
     ///
     /// # Errors
     ///
@@ -484,12 +328,14 @@ impl<'a> Dut<'a> {
     ///
     /// Panics when `faults` is empty, when `golden` does not cover
     /// `workload.run_cycles`, or if the golden lane ever disagrees with
-    /// the golden trace.
+    /// the golden trace (an engine bug, never silent data corruption).
     pub fn run_batch_queue<const W: usize>(
         &self,
         workload: &Workload,
         faults: &[Fault],
         golden: &GoldenRun,
+        early_stop: bool,
+        lane_refill: bool,
         cancel: Option<&dyn Fn() -> bool>,
     ) -> Result<BatchQueueOutcome, SsresfError> {
         let lanes = W * WORD_LANES;
@@ -567,46 +413,51 @@ impl<'a> Dut<'a> {
                     });
                 }
 
-                // Retire lanes whose verdict is final: the fault has fired
-                // (no pending lane fault — a pending fault marks the lane
-                // diverged) and the lane's full state equals the golden
-                // lane's, so no further divergence is possible.
-                let diverged = engine.diverged_lanes();
-                for (lane, slot) in owner.iter_mut().enumerate().skip(1) {
-                    let Some(idx) = *slot else { continue };
-                    if faults[idx].cycle() >= done || diverged.get(lane) {
-                        continue;
+                if early_stop || lane_refill {
+                    // Retire lanes whose verdict is final: the fault has
+                    // fired (no pending lane fault — a pending fault marks
+                    // the lane diverged) and the lane's state equals the
+                    // golden lane's, so no further divergence is possible.
+                    let diverged = engine.diverged_lanes();
+                    for (lane, slot) in owner.iter_mut().enumerate().skip(1) {
+                        let Some(idx) = *slot else { continue };
+                        if faults[idx].cycle() >= done || diverged.get(lane) {
+                            continue;
+                        }
+                        outcomes[idx] = Some(QueuedFaultOutcome {
+                            soft_error: divergences[idx] > 0,
+                            divergences: divergences[idx],
+                            resumed_from,
+                            early_stopped: done < workload.run_cycles,
+                        });
+                        *slot = None;
+                        owned.clear(lane);
+                        if !lane_refill {
+                            continue;
+                        }
+                        // Refill with the earliest pending fault still
+                        // injectable this sweep (cycle not yet passed).
+                        let pos = pending.partition_point(|&i| faults[i].cycle() < done);
+                        if pos < pending.len() {
+                            let next = pending.remove(pos).expect("pos is in range");
+                            engine.schedule_fault_in_lane(
+                                lane,
+                                self.shift_fault(workload, &faults[next]),
+                            );
+                            *slot = Some(next);
+                            owned.set(lane);
+                            carried += 1;
+                            refills += 1;
+                        }
                     }
-                    outcomes[idx] = Some(QueuedFaultOutcome {
-                        soft_error: divergences[idx] > 0,
-                        divergences: divergences[idx],
-                        resumed_from,
-                        early_stopped: done < workload.run_cycles,
-                    });
-                    *slot = None;
-                    owned.clear(lane);
-                    // Refill with the earliest pending fault still
-                    // injectable this sweep (cycle not yet passed).
-                    let pos = pending.partition_point(|&i| faults[i].cycle() < done);
-                    if pos < pending.len() {
-                        let next = pending.remove(pos).expect("pos is in range");
-                        engine.schedule_fault_in_lane(
-                            lane,
-                            self.shift_fault(workload, &faults[next]),
-                        );
-                        *slot = Some(next);
-                        owned.set(lane);
-                        carried += 1;
-                        refills += 1;
+                    if owned.none() {
+                        // Every lane retired and nothing is refillable: the
+                        // sweep is over.
+                        break;
                     }
                 }
-                if owned.none() {
-                    // Every lane retired and nothing is refillable: the
-                    // sweep is over.
-                    break;
-                }
-                // Poll between refill rounds so a cancellation lands
-                // mid-batch instead of after the whole queue drains.
+                // Poll every cycle so a cancellation lands mid-batch
+                // instead of after the whole queue drains.
                 if is_cancelled() {
                     cancelled = true;
                     break;
@@ -709,38 +560,38 @@ impl<'a> Dut<'a> {
         (outputs, CycleTrace::new(names))
     }
 
-    fn drive<E: Engine>(
+    /// Simulates from reset with `faults` scheduled, snapshotting engine
+    /// state every `interval` post-reset cycles (0 = never); see
+    /// [`Dut::run_golden_with_checkpoints`].
+    fn run_from_reset(
+        &self,
+        kind: EngineKind,
+        workload: &Workload,
+        faults: &[Fault],
+        interval: u64,
+    ) -> Result<GoldenRun, SsresfError> {
+        match kind {
+            EngineKind::EventDriven => {
+                let engine = EventDrivenEngine::new(self.netlist, self.clock)?;
+                self.drive_from_reset(engine, workload, faults, interval, |e| e.events_processed())
+            }
+            EngineKind::Levelized => {
+                let engine = LevelizedEngine::new(self.netlist, self.clock)?;
+                self.drive_from_reset(engine, workload, faults, interval, |e| e.cells_evaluated())
+            }
+        }
+    }
+
+    fn drive_from_reset<E: Engine>(
         &self,
         mut engine: E,
         workload: &Workload,
         faults: &[Fault],
-        work: impl Fn(&E) -> u64,
-    ) -> Result<RunOutcome, SsresfError> {
-        self.setup(&mut engine, workload);
-        self.schedule_shifted(&mut engine, workload, faults);
-        let (outputs, mut trace) = self.observed_outputs();
-        for _ in 0..workload.run_cycles {
-            engine.step_cycle();
-            trace.push_row(engine.sample(&outputs));
-        }
-        Ok(RunOutcome {
-            trace,
-            activity_per_cycle: engine.activity_per_cycle(),
-            work: work(&engine),
-            engine: engine.telemetry(),
-            resumed_from: None,
-            early_stopped: false,
-        })
-    }
-
-    fn drive_golden<E: Engine>(
-        &self,
-        mut engine: E,
-        workload: &Workload,
         interval: u64,
         work: impl Fn(&E) -> u64,
     ) -> Result<GoldenRun, SsresfError> {
         self.setup(&mut engine, workload);
+        self.schedule_shifted(&mut engine, workload, faults);
         let (outputs, mut trace) = self.observed_outputs();
         let mut checkpoints = Vec::new();
         if interval > 0 {
@@ -1021,7 +872,7 @@ mod tests {
 
         // Baseline: no cancel hook and a never-firing hook are identical.
         let base = dut
-            .run_batch_queue::<1>(&wl, &faults, &golden, None)
+            .run_batch_queue::<1>(&wl, &faults, &golden, false, true, None)
             .unwrap();
         assert!(!base.cancelled);
         assert!(base.faults.iter().all(Option::is_some));
@@ -1030,6 +881,8 @@ mod tests {
                 &wl,
                 &faults,
                 &golden,
+                false,
+                true,
                 Some(&(|| false) as &dyn Fn() -> bool),
             )
             .unwrap();
@@ -1044,7 +897,14 @@ mod tests {
             polls.get() >= 3
         };
         let out = dut
-            .run_batch_queue::<1>(&wl, &faults, &golden, Some(&cancel as &dyn Fn() -> bool))
+            .run_batch_queue::<1>(
+                &wl,
+                &faults,
+                &golden,
+                false,
+                true,
+                Some(&cancel as &dyn Fn() -> bool),
+            )
             .unwrap();
         assert!(out.cancelled);
         assert!(out.work > 0, "cancellation fired before any simulation");
@@ -1059,7 +919,14 @@ mod tests {
 
         // A pre-set cancellation returns before any sweep starts.
         let pre = dut
-            .run_batch_queue::<1>(&wl, &faults, &golden, Some(&(|| true) as &dyn Fn() -> bool))
+            .run_batch_queue::<1>(
+                &wl,
+                &faults,
+                &golden,
+                false,
+                true,
+                Some(&(|| true) as &dyn Fn() -> bool),
+            )
             .unwrap();
         assert!(pre.cancelled);
         assert_eq!(pre.work, 0);

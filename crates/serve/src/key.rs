@@ -138,8 +138,9 @@ pub fn golden_key(netlist: ContentHash, config: &CampaignConfig) -> ContentHash 
 
 /// Key of a cached campaign outcome: the netlist content, the injection
 /// cell list and the canonical JSON of the full config — minus the knobs
-/// that provably cannot change any outcome byte (thread count, and batch
-/// shape in scalar mode).
+/// that provably cannot change any outcome byte (thread count, batch
+/// shape in scalar mode, and early stop when lane refilling already
+/// retires lanes).
 pub fn campaign_key(
     netlist: ContentHash,
     cells: &[CellId],
@@ -155,6 +156,10 @@ pub fn campaign_key(
         canonical.batch_lanes = 0;
         canonical.collapse_faults = false;
         canonical.lane_refill = false;
+    } else if canonical.lane_refill {
+        // The lane queue retires lanes under lane refill whether or not
+        // early stop is set, so both settings give the same outcome.
+        canonical.early_stop = false;
     }
     let mut hasher = StableHasher::new();
     hasher.update_str("ssresf-serve-campaign-v1");
@@ -258,6 +263,37 @@ mod tests {
             ..base
         };
         assert_ne!(golden_key(hash, &base), golden_key(hash, &longer));
+    }
+
+    #[test]
+    fn campaign_key_ignores_early_stop_under_lane_refill() {
+        let flat = NetlistSpec::Circuit(smoke_circuit("k")).build().unwrap();
+        let hash = flat.content_hash();
+        let cells = vec![CellId(0), CellId(1)];
+        let refill = CampaignConfig {
+            engine: ssresf::EngineKind::Levelized,
+            batching: true,
+            lane_refill: true,
+            ..CampaignConfig::default()
+        };
+        let key = |config: CampaignConfig, early_stop| {
+            campaign_key(
+                hash,
+                &cells,
+                &CampaignConfig {
+                    early_stop,
+                    ..config
+                },
+            )
+        };
+        assert_eq!(key(refill, false), key(refill, true));
+        let scalar = CampaignConfig::default();
+        assert_ne!(key(scalar, false), key(scalar, true));
+        let unrefilled = CampaignConfig {
+            lane_refill: false,
+            ..refill
+        };
+        assert_ne!(key(unrefilled, false), key(unrefilled, true));
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! pure optimizations.
 //!
 //! Across random seed-derived scenarios, a batched campaign with
-//! equivalence collapsing and mid-sweep lane refilling enabled must
-//! produce exactly the same [`InjectionRecord`] sequence — same cells,
-//! same faults, same verdicts, same divergence counts, in the same order
-//! — as the plain uncollapsed 64-lane batched path and as each other at
-//! every supported lane width (64/256/512). Case counts honor the
+//! equivalence collapsing and mid-sweep lane refilling enabled, and one
+//! with early stop but no refilling (lanes retire and stay idle), must
+//! each produce exactly the same [`InjectionRecord`] sequence — same
+//! cells, same faults, same verdicts, same divergence counts, in the same
+//! order — as the plain uncollapsed 64-lane batched path, at every
+//! supported lane width (64/256/512). Case counts honor the
 //! `PROPTEST_CASES` environment variable.
 //!
 //! [`InjectionRecord`]: ssresf::InjectionRecord
@@ -48,24 +49,35 @@ fn collapsing_and_retirement_preserve_records_across_widths() {
         let baseline = run_campaign(&dut, &cells, &base)
             .unwrap_or_else(|e| panic!("seed {seed}: baseline 64-lane run failed: {e}"));
         for batch_lanes in ssresf_sim::SUPPORTED_LANE_COUNTS {
-            let fast = run_campaign(
-                &dut,
-                &cells,
-                &CampaignConfig {
-                    batch_lanes,
-                    collapse_faults: true,
-                    lane_refill: true,
-                    ..base
-                },
-            )
-            .unwrap_or_else(|e| {
-                panic!("seed {seed}: collapse+refill run at {batch_lanes} lanes failed: {e}")
-            });
-            assert_eq!(
-                baseline.records, fast.records,
-                "seed {seed}: collapse+refill records diverge at {batch_lanes} lanes"
-            );
-            assert_eq!(baseline.golden, fast.golden, "seed {seed}");
+            let modes = [
+                (
+                    "collapse+refill",
+                    CampaignConfig {
+                        batch_lanes,
+                        collapse_faults: true,
+                        lane_refill: true,
+                        ..base
+                    },
+                ),
+                (
+                    "early-stop",
+                    CampaignConfig {
+                        batch_lanes,
+                        early_stop: true,
+                        ..base
+                    },
+                ),
+            ];
+            for (mode, config) in modes {
+                let fast = run_campaign(&dut, &cells, &config).unwrap_or_else(|e| {
+                    panic!("seed {seed}: {mode} run at {batch_lanes} lanes failed: {e}")
+                });
+                assert_eq!(
+                    baseline.records, fast.records,
+                    "seed {seed}: {mode} records diverge at {batch_lanes} lanes"
+                );
+                assert_eq!(baseline.golden, fast.golden, "seed {seed}");
+            }
         }
     }
 }
