@@ -2,16 +2,18 @@
 //!
 //! Compares freshly regenerated `BENCH_*.json` reports against a baseline
 //! directory (normally the numbers committed at the repository root) and
-//! fails when a tracked headline metric drops below `baseline x tolerance`
-//! (default tolerance 0.9, i.e. a >10% regression). Prints a markdown
-//! before/after table on stdout so CI can append it to the job summary.
+//! fails when a gating metric regresses: a higher-is-better metric drops
+//! below `baseline x tolerance`, a lower-is-better one rises above
+//! `baseline / tolerance` (default tolerance 0.9, i.e. a >10% regression
+//! for higher-is-better metrics). Prints a markdown before/after table on
+//! stdout so CI can append it to the job summary.
 //!
 //! ```text
 //! bench_check --baseline <dir> --current <dir> [--tolerance 0.9]
 //! ```
 //!
 //! Metric keys are dotted paths into the report's JSON objects. Tracked
-//! metrics (all higher-is-better):
+//! metrics (higher-is-better unless noted):
 //! - `BENCH_bitparallel.json` / `eval_reduction` — the wide-lane batching
 //!   kernel's per-injection gate-evaluation reduction (the best config),
 //!   plus each config's own `configs.<name>.eval_reduction`, since the
@@ -31,10 +33,12 @@
 //!   non-gating `wall_headroom` / `rss_headroom` budget ratios from the
 //!   `scale_smoke` gate (wall clock and allocator behavior are
 //!   hardware-dependent; the hard budget assertion lives in `scale_smoke`
-//!   itself);
+//!   itself), and the non-gating, lower-is-better elaboration ledger
+//!   `build_seconds` / `flatten_seconds`;
 //! - `BENCH_serve.json` / `work_reduction` — the campaign service's
 //!   warm-cache simulation-work reduction over a cold run (gating:
-//!   deterministic work counts), plus a non-gating `cold_seconds`.
+//!   deterministic work counts), plus a non-gating, lower-is-better
+//!   `cold_seconds`.
 //!
 //! A metric whose report file is absent from *both* directories is skipped
 //! (its producer did not run in this job); present in only one is still a
@@ -46,88 +50,134 @@ use ssresf_json::FromJson;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Which way a metric improves.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Better {
+    Higher,
+    Lower,
+}
+
 struct Metric {
     file: &'static str,
     key: &'static str,
+    better: Better,
     /// Regressions in non-gating metrics are reported but never fail the
     /// check (wall-clock numbers depend on the runner's hardware).
     gating: bool,
+}
+
+impl Metric {
+    /// Whether `current` is worse than `baseline` by more than `tolerance`
+    /// allows.
+    fn regressed(&self, baseline: f64, current: f64, tolerance: f64) -> bool {
+        match self.better {
+            Better::Higher => current < baseline * tolerance,
+            Better::Lower => current * tolerance > baseline,
+        }
+    }
 }
 
 const METRICS: &[Metric] = &[
     Metric {
         file: "BENCH_bitparallel.json",
         key: "eval_reduction",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_bitparallel.json",
         key: "configs.w64.eval_reduction",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_bitparallel.json",
         key: "configs.w256_collapse_refill.eval_reduction",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_bitparallel.json",
         key: "configs.w512_collapse_refill.eval_reduction",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_bitparallel.json",
         key: "wall_clock_ratio",
+        better: Better::Higher,
         gating: false,
     },
     Metric {
         file: "BENCH_mlpath.json",
         key: "speedup",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_activelearn.json",
         key: "active_accuracy",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_activelearn.json",
         key: "work_speedup",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_activelearn.json",
         key: "injections_ratio",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_activelearn.json",
         key: "active_wall_speedup",
+        better: Better::Higher,
         gating: false,
     },
     Metric {
         file: "BENCH_scale.json",
         key: "cells",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_scale.json",
         key: "wall_headroom",
+        better: Better::Higher,
         gating: false,
     },
     Metric {
         file: "BENCH_scale.json",
         key: "rss_headroom",
+        better: Better::Higher,
+        gating: false,
+    },
+    Metric {
+        file: "BENCH_scale.json",
+        key: "build_seconds",
+        better: Better::Lower,
+        gating: false,
+    },
+    Metric {
+        file: "BENCH_scale.json",
+        key: "flatten_seconds",
+        better: Better::Lower,
         gating: false,
     },
     Metric {
         file: "BENCH_serve.json",
         key: "work_reduction",
+        better: Better::Higher,
         gating: true,
     },
     Metric {
         file: "BENCH_serve.json",
         key: "cold_seconds",
+        better: Better::Lower,
         gating: false,
     },
 ];
@@ -195,13 +245,17 @@ fn main() -> ExitCode {
 
     println!("### Bench regression check (tolerance {tolerance:.2})");
     println!();
-    println!("| metric | baseline | current | ratio | status |");
-    println!("| --- | ---: | ---: | ---: | --- |");
+    println!("| metric | better | baseline | current | ratio | status |");
+    println!("| --- | --- | ---: | ---: | ---: | --- |");
     let mut failed = false;
     for metric in METRICS {
         let label = format!("{} `{}`", metric.file, metric.key);
+        let better = match metric.better {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        };
         if !current_dir.join(metric.file).exists() && !baseline_dir.join(metric.file).exists() {
-            println!("| {label} | — | — | — | skipped (not produced in this job) |");
+            println!("| {label} | {better} | — | — | — | skipped (not produced in this job) |");
             continue;
         }
         let current = match load_metric(&current_dir, metric.file, metric.key) {
@@ -209,7 +263,7 @@ fn main() -> ExitCode {
             Err(e) => {
                 // A missing *current* number means the bench did not run
                 // or dropped the key: always a failure.
-                println!("| {label} | — | — | — | MISSING: {e} |");
+                println!("| {label} | {better} | — | — | — | MISSING: {e} |");
                 failed = true;
                 continue;
             }
@@ -218,12 +272,12 @@ fn main() -> ExitCode {
             Ok(v) => v,
             Err(e) => {
                 // A missing baseline is a new metric, not a regression.
-                println!("| {label} | — | {current:.2} | — | NEW ({e}) |");
+                println!("| {label} | {better} | — | {current:.2} | — | NEW ({e}) |");
                 continue;
             }
         };
         let ratio = current / baseline.max(f64::MIN_POSITIVE);
-        let regressed = current < baseline * tolerance;
+        let regressed = metric.regressed(baseline, current, tolerance);
         let status = match (regressed, metric.gating) {
             (false, _) => "ok",
             (true, true) => {
@@ -232,7 +286,7 @@ fn main() -> ExitCode {
             }
             (true, false) => "regressed (non-gating)",
         };
-        println!("| {label} | {baseline:.2} | {current:.2} | {ratio:.3}x | {status} |");
+        println!("| {label} | {better} | {baseline:.2} | {current:.2} | {ratio:.3}x | {status} |");
     }
     for name in untracked_reports(&baseline_dir, &current_dir) {
         let places = match (
@@ -244,15 +298,14 @@ fn main() -> ExitCode {
             (false, _) => "current only",
         };
         println!(
-            "| {name} (untracked) | — | — | — | new baseline ({places}; add a metric to gate it) |"
+            "| {name} (untracked) | — | — | — | — | new baseline ({places}; add a metric to gate it) |"
         );
     }
     println!();
     if failed {
         println!(
-            "**FAIL**: a gating metric regressed more than {:.0}% below its \
-             committed baseline.",
-            (1.0 - tolerance) * 100.0
+            "**FAIL**: a gating metric regressed past tolerance {tolerance:.2} of \
+             its committed baseline."
         );
         ExitCode::FAILURE
     } else {

@@ -9,7 +9,9 @@
 use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::{LocalNetId, ModuleId};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Direction of a module port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,13 +78,104 @@ impl Module {
         self.cells.len()
     }
 
-    /// Looks up a port index by name.
-    pub fn port_index(&self, name: &str) -> Option<usize> {
-        self.ports.iter().position(|p| p.name == name)
+    fn item_name(&self, item: Item) -> &str {
+        match item {
+            Item::Cell(i) => &self.cells[i as usize].name,
+            Item::Instance(i) => &self.instances[i as usize].name,
+        }
     }
 }
 
+/// Hasher for keys that already are mixed 64-bit hashes: it passes the
+/// key through unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("name tables are keyed by u64 hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Index-only name table: maps each name's hash to the carrier (a net, a
+/// cell or an instance) that holds the name, without storing the string.
+/// Hashes come from a randomly keyed SipHash (see [`ModuleBuilder`]), so
+/// names read from a file cannot be chosen to pile into one bucket.
+/// Every hit is confirmed against the carrier's own name, so two names
+/// with one hash stay distinct: the first keeps the hash slot and later
+/// ones go to `spill`, which stays empty unless two names share all 64
+/// hash bits.
+#[derive(Debug)]
+struct NameTable<V> {
+    by_hash: HashMap<u64, V, BuildHasherDefault<PassThrough>>,
+    spill: HashMap<String, V>,
+}
+
+impl<V> Default for NameTable<V> {
+    fn default() -> Self {
+        NameTable {
+            by_hash: HashMap::default(),
+            spill: HashMap::new(),
+        }
+    }
+}
+
+impl<V: Copy> NameTable<V> {
+    /// The carrier of `name`, whose hash is `hash`. When no carrier has the
+    /// name yet, records `fresh` as its carrier and returns `None`.
+    /// `is_named(v)` tells whether carrier `v` is called `name`.
+    fn get_or_insert(
+        &mut self,
+        hash: u64,
+        name: &str,
+        fresh: V,
+        is_named: impl Fn(V) -> bool,
+    ) -> Option<V> {
+        match self.by_hash.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(fresh);
+                None
+            }
+            Entry::Occupied(slot) if is_named(*slot.get()) => Some(*slot.get()),
+            Entry::Occupied(_) => match self.spill.get(name) {
+                Some(&v) => Some(v),
+                None => {
+                    self.spill.insert(name.to_owned(), fresh);
+                    None
+                }
+            },
+        }
+    }
+
+    /// The carrier of `name` (hash `hash`), if any.
+    fn get(&self, hash: u64, name: &str, is_named: impl Fn(V) -> bool) -> Option<V> {
+        match self.by_hash.get(&hash) {
+            None => None,
+            Some(&v) if is_named(v) => Some(v),
+            Some(_) => self.spill.get(name).copied(),
+        }
+    }
+}
+
+/// A cell or an instance, by index: the two share one namespace.
+#[derive(Debug, Clone, Copy)]
+enum Item {
+    Cell(u32),
+    Instance(u32),
+}
+
 /// Incremental builder for a [`Module`].
+///
+/// Its name tables hold indices into the module under construction, not
+/// copies of the names, so each name is stored once.
 ///
 /// # Example
 ///
@@ -102,8 +195,10 @@ impl Module {
 #[derive(Debug)]
 pub struct ModuleBuilder {
     module: Module,
-    net_names: HashMap<String, LocalNetId>,
-    item_names: HashMap<String, ()>,
+    /// Hashes each name once per call, for both tables.
+    hasher: RandomState,
+    net_names: NameTable<LocalNetId>,
+    item_names: NameTable<Item>,
     anon_counter: u32,
 }
 
@@ -118,8 +213,9 @@ impl ModuleBuilder {
                 cells: Vec::new(),
                 instances: Vec::new(),
             },
-            net_names: HashMap::new(),
-            item_names: HashMap::new(),
+            hasher: RandomState::new(),
+            net_names: NameTable::default(),
+            item_names: NameTable::default(),
             anon_counter: 0,
         }
     }
@@ -135,13 +231,25 @@ impl ModuleBuilder {
     /// Returns the net called `name`, creating it if necessary.
     pub fn net(&mut self, name: impl Into<String>) -> LocalNetId {
         let name = name.into();
-        if let Some(&id) = self.net_names.get(&name) {
-            return id;
+        let hash = self.hasher.hash_one(&name);
+        self.intern_net(name, hash).0
+    }
+
+    /// The net called `name` (hash `hash`), and whether this call created
+    /// it.
+    fn intern_net(&mut self, name: String, hash: u64) -> (LocalNetId, bool) {
+        let fresh = LocalNetId(self.module.nets.len() as u32);
+        let nets = &self.module.nets;
+        match self
+            .net_names
+            .get_or_insert(hash, &name, fresh, |id| nets[id.index()] == name)
+        {
+            Some(id) => (id, false),
+            None => {
+                self.module.nets.push(name);
+                (fresh, true)
+            }
         }
-        let id = LocalNetId(self.module.nets.len() as u32);
-        self.net_names.insert(name.clone(), id);
-        self.module.nets.push(name);
-        id
     }
 
     /// Creates a fresh uniquely named net with the given prefix.
@@ -149,10 +257,21 @@ impl ModuleBuilder {
         loop {
             let candidate = format!("{prefix}_{}", self.anon_counter);
             self.anon_counter += 1;
-            if !self.net_names.contains_key(&candidate) {
-                return self.net(candidate);
+            let hash = self.hasher.hash_one(&candidate);
+            if let (id, true) = self.intern_net(candidate, hash) {
+                return id;
             }
         }
+    }
+
+    /// Records `name` (hash `hash`) as the name of `item`, the cell or
+    /// instance about to be pushed; `false` when a cell or instance already
+    /// has it.
+    fn claim_item(&mut self, name: &str, hash: u64, item: Item) -> bool {
+        let module = &self.module;
+        self.item_names
+            .get_or_insert(hash, name, item, |held| module.item_name(held) == name)
+            .is_none()
     }
 
     /// Adds a primitive cell.
@@ -170,6 +289,18 @@ impl ModuleBuilder {
         outputs: &[LocalNetId],
     ) -> Result<(), NetlistError> {
         let name = name.into();
+        let hash = self.hasher.hash_one(&name);
+        self.add_cell(name, hash, kind, inputs, outputs)
+    }
+
+    fn add_cell(
+        &mut self,
+        name: String,
+        hash: u64,
+        kind: CellKind,
+        inputs: &[LocalNetId],
+        outputs: &[LocalNetId],
+    ) -> Result<(), NetlistError> {
         if inputs.len() != kind.num_inputs() || outputs.len() != 1 {
             return Err(NetlistError::PinArity {
                 cell: name,
@@ -178,7 +309,8 @@ impl ModuleBuilder {
                 got: (inputs.len(), outputs.len()),
             });
         }
-        if self.item_names.insert(name.clone(), ()).is_some() {
+        let cell = Item::Cell(self.module.cells.len() as u32);
+        if !self.claim_item(&name, hash, cell) {
             return Err(NetlistError::DuplicateName(name));
         }
         self.module.cells.push(Cell {
@@ -198,14 +330,26 @@ impl ModuleBuilder {
         inputs: &[LocalNetId],
         output: LocalNetId,
     ) -> Result<(), NetlistError> {
-        let name = loop {
+        loop {
             let candidate = format!("{prefix}_{}", self.anon_counter);
             self.anon_counter += 1;
-            if !self.item_names.contains_key(&candidate) {
-                break candidate;
+            let hash = self.hasher.hash_one(&candidate);
+            // An arity error names the first free candidate, so skip the
+            // taken ones before `add_cell` reports it.
+            if inputs.len() != kind.num_inputs() {
+                let module = &self.module;
+                let taken = self
+                    .item_names
+                    .get(hash, &candidate, |held| module.item_name(held) == candidate);
+                if taken.is_some() {
+                    continue;
+                }
             }
-        };
-        self.cell(name, kind, inputs, &[output])
+            match self.add_cell(candidate, hash, kind, inputs, &[output]) {
+                Err(NetlistError::DuplicateName(_)) => {}
+                result => return result,
+            }
+        }
     }
 
     /// Adds an instance of `module`, whose port list the caller must match
@@ -225,7 +369,9 @@ impl ModuleBuilder {
         connections: &[LocalNetId],
     ) -> Result<(), NetlistError> {
         let name = name.into();
-        if self.item_names.insert(name.clone(), ()).is_some() {
+        let instance = Item::Instance(self.module.instances.len() as u32);
+        let hash = self.hasher.hash_one(&name);
+        if !self.claim_item(&name, hash, instance) {
             return Err(NetlistError::DuplicateName(name));
         }
         self.module.instances.push(Instance {
@@ -267,11 +413,15 @@ impl Design {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateName`] if a module of the same name
-    /// exists, [`NetlistError::UnknownModule`] / [`NetlistError::PortMismatch`]
-    /// for bad instance references.
+    /// exists or two ports share a name, [`NetlistError::UnknownModule`] /
+    /// [`NetlistError::PortMismatch`] for bad instance references.
     pub fn add_module(&mut self, module: Module) -> Result<ModuleId, NetlistError> {
         if self.by_name.contains_key(&module.name) {
             return Err(NetlistError::DuplicateName(module.name));
+        }
+        let mut port_names = HashSet::with_capacity(module.ports.len());
+        if let Some(port) = module.ports.iter().find(|p| !port_names.insert(&p.name)) {
+            return Err(NetlistError::DuplicateName(port.name.clone()));
         }
         for inst in &module.instances {
             let target = self
@@ -329,16 +479,6 @@ impl Design {
     pub fn modules(&self) -> &[Module] {
         &self.modules
     }
-
-    /// Rebuilds the name lookup table (needed after deserialization).
-    pub fn rebuild_lookup(&mut self) {
-        self.by_name = self
-            .modules
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.clone(), ModuleId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -390,6 +530,101 @@ mod tests {
         mb.cell("u0", CellKind::Inv, &[a], &[y]).unwrap();
         let err = mb.cell("u0", CellKind::Inv, &[a], &[z]).unwrap_err();
         assert_eq!(err, NetlistError::DuplicateName("u0".into()));
+    }
+
+    #[test]
+    fn cells_and_instances_share_one_namespace() {
+        let mut mb = ModuleBuilder::new("m");
+        let a = mb.net("a");
+        let y = mb.net("y");
+        mb.cell("u0", CellKind::Inv, &[a], &[y]).unwrap();
+        let err = mb.instance("u0", ModuleId(0), &[a]).unwrap_err();
+        assert_eq!(err, NetlistError::DuplicateName("u0".into()));
+        mb.instance("u1", ModuleId(0), &[a]).unwrap();
+        let err = mb.cell("u1", CellKind::Inv, &[a], &[y]).unwrap_err();
+        assert_eq!(err, NetlistError::DuplicateName("u1".into()));
+        let module = mb.finish();
+        assert_eq!(module.cells.len(), 1);
+        assert_eq!(module.instances.len(), 1);
+    }
+
+    #[test]
+    fn net_ids_survive_table_growth() {
+        let mut mb = ModuleBuilder::new("m");
+        let names: Vec<String> = (0..20_000).map(|i| format!("n_{i}")).collect();
+        let ids: Vec<LocalNetId> = names.iter().map(|n| mb.net(n.as_str())).collect();
+        for (i, (name, &id)) in names.iter().zip(&ids).enumerate() {
+            assert_eq!(id.index(), i);
+            assert_eq!(mb.net(name.as_str()), id, "{name}");
+        }
+        assert_eq!(mb.finish().nets, names);
+    }
+
+    #[test]
+    fn generated_names_skip_explicit_ones() {
+        let mut mb = ModuleBuilder::new("m");
+        let a = mb.net("a");
+        let t0 = mb.net("t_0");
+        let t1 = mb.net("t_1");
+        let fresh = mb.fresh_net("t");
+        assert!(![a, t0, t1].contains(&fresh));
+        // The counter is shared: the next candidates are u_3, u_4, u_5.
+        mb.cell("u_3", CellKind::Inv, &[a], &[t0]).unwrap();
+        mb.instance("u_4", ModuleId(0), &[a]).unwrap();
+        mb.auto_cell("u", CellKind::Inv, &[a], t1).unwrap();
+        // An arity error names the first free candidate, v_7.
+        mb.cell("v_6", CellKind::Inv, &[a], &[t0]).unwrap();
+        let err = mb.auto_cell("v", CellKind::Nand2, &[a], t1).unwrap_err();
+        assert!(
+            matches!(&err, NetlistError::PinArity { cell, .. } if cell == "v_7"),
+            "{err:?}"
+        );
+        let module = mb.finish();
+        assert_eq!(module.nets[fresh.index()], "t_2");
+        let cells: Vec<&str> = module.cells.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(cells, ["u_3", "u_5", "v_6"]);
+    }
+
+    #[test]
+    fn colliding_hashes_keep_names_apart() {
+        // Every name below is probed with one forced hash value, so the
+        // tables must tell them apart by comparing strings.
+        const HASH: u64 = 7;
+        let mut mb = ModuleBuilder::new("m");
+        let (a, created_a) = mb.intern_net("a".into(), HASH);
+        let (b, created_b) = mb.intern_net("b".into(), HASH);
+        let (c, created_c) = mb.intern_net("c".into(), HASH);
+        assert!(created_a && created_b && created_c);
+        assert_eq!((a.index(), b.index(), c.index()), (0, 1, 2));
+        assert_eq!(mb.intern_net("a".into(), HASH), (a, false));
+        assert_eq!(mb.intern_net("b".into(), HASH), (b, false));
+        assert_eq!(mb.intern_net("c".into(), HASH), (c, false));
+
+        mb.add_cell("u0".into(), HASH, CellKind::Inv, &[a], &[b])
+            .unwrap();
+        mb.add_cell("u1".into(), HASH, CellKind::Inv, &[a], &[c])
+            .unwrap();
+        for name in ["u0", "u1"] {
+            let err = mb
+                .add_cell(name.into(), HASH, CellKind::Inv, &[a], &[c])
+                .unwrap_err();
+            assert_eq!(err, NetlistError::DuplicateName(name.into()));
+        }
+        let module = mb.finish();
+        assert_eq!(module.nets, ["a", "b", "c"]);
+        assert_eq!(module.cells.len(), 2);
+    }
+
+    #[test]
+    fn design_rejects_duplicate_port_names() {
+        let mut mb = ModuleBuilder::new("m");
+        let a = mb.port("a", PortDir::Input);
+        let again = mb.port("a", PortDir::Input);
+        assert_eq!(a, again);
+        let y = mb.port("y", PortDir::Output);
+        mb.cell("u0", CellKind::Inv, &[a], &[y]).unwrap();
+        let err = Design::new().add_module(mb.finish()).unwrap_err();
+        assert_eq!(err, NetlistError::DuplicateName("a".into()));
     }
 
     #[test]

@@ -592,7 +592,7 @@ impl FlatNetlist {
         name: NameId,
         path: PathId,
         kind: CellKind,
-        inputs: &[NetId],
+        inputs: impl ExactSizeIterator<Item = NetId>,
         output: NetId,
     ) -> Result<CellId, NetlistError> {
         let id = checked_id(self.num_cells(), "cells")?;
@@ -606,7 +606,7 @@ impl FlatNetlist {
         self.cell_path.push(path);
         self.cell_kind.push(kind);
         self.cell_output.push(output);
-        self.pin_pool.extend_from_slice(inputs);
+        self.pin_pool.extend(inputs);
         self.cell_pin_start.push(self.pin_pool.len() as u32);
         self.invalidate_lookup();
         Ok(CellId(id))
@@ -761,31 +761,35 @@ impl FlatNetlist {
 }
 
 /// Per-module interned leaf names, shared across that module's instances.
-#[derive(Default)]
 struct ModuleNames {
     cells: Vec<NameId>,
     nets: Vec<NameId>,
 }
 
-fn module_names(
+/// The interned names of `module_id`, interning them on the module's first
+/// visit. `cache` is indexed by [`ModuleId`].
+fn module_names<'c>(
     design: &Design,
     module_id: ModuleId,
     flat: &mut FlatNetlist,
-    cache: &mut HashMap<ModuleId, ModuleNames>,
-) -> Result<(), NetlistError> {
-    if cache.contains_key(&module_id) {
-        return Ok(());
+    cache: &'c mut [Option<ModuleNames>],
+) -> Result<&'c ModuleNames, NetlistError> {
+    let slot = &mut cache[module_id.index()];
+    if slot.is_none() {
+        let module = design.module(module_id);
+        let mut names = ModuleNames {
+            cells: Vec::with_capacity(module.cells.len()),
+            nets: Vec::with_capacity(module.nets.len()),
+        };
+        for cell in &module.cells {
+            names.cells.push(flat.intern_name(&cell.name)?);
+        }
+        for net in &module.nets {
+            names.nets.push(flat.intern_name(net)?);
+        }
+        *slot = Some(names);
     }
-    let module = design.module(module_id);
-    let mut names = ModuleNames::default();
-    for cell in &module.cells {
-        names.cells.push(flat.intern_name(&cell.name)?);
-    }
-    for net in &module.nets {
-        names.nets.push(flat.intern_name(net)?);
-    }
-    cache.insert(module_id, names);
-    Ok(())
+    Ok(slot.as_ref().expect("interned above"))
 }
 
 impl Design {
@@ -811,14 +815,14 @@ impl Design {
         };
         let root = flat.paths.intern(HierPath::root());
         let mut stack = Vec::new();
-        let mut names = HashMap::new();
+        let mut names: Vec<Option<ModuleNames>> = Vec::new();
+        names.resize_with(self.modules().len(), || None);
 
         // Create nets for the top module and record primary ports.
         let top_module = self.module(top);
-        module_names(self, top, &mut flat, &mut names)?;
+        let top_names = module_names(self, top, &mut flat, &mut names)?;
         let mut net_map = Vec::with_capacity(top_module.nets.len());
-        for i in 0..top_module.nets.len() {
-            let leaf = names[&top].nets[i];
+        for &leaf in &top_names.nets {
             net_map.push(flat.push_net_parts(root, leaf)?);
         }
         for port in &top_module.ports {
@@ -847,11 +851,13 @@ impl Design {
 
         // Connectivity check: every net with loads (or marked as primary
         // output) must have exactly one driver.
-        for i in 0..flat.num_nets() {
-            let id = NetId(checked_id(i, "nets")?);
-            let observed = flat.primary_outputs.contains(&id);
+        let mut observed = vec![false; flat.num_nets()];
+        for &po in &flat.primary_outputs {
+            observed[po.index()] = true;
+        }
+        for (i, &observed) in observed.iter().enumerate() {
             if flat.net_driver[i] == NO_DRIVER && (flat.net_load_len[i] > 0 || observed) {
-                return Err(NetlistError::Undriven(flat.net_full_name(id)));
+                return Err(NetlistError::Undriven(flat.net_full_name(NetId(i as u32))));
             }
         }
 
@@ -868,7 +874,7 @@ fn expand(
     net_map: &[NetId],
     flat: &mut FlatNetlist,
     stack: &mut Vec<ModuleId>,
-    names: &mut HashMap<ModuleId, ModuleNames>,
+    names: &mut [Option<ModuleNames>],
 ) -> Result<(), NetlistError> {
     if stack.contains(&module_id) {
         return Err(NetlistError::RecursiveHierarchy(
@@ -877,16 +883,15 @@ fn expand(
     }
     stack.push(module_id);
     let module = design.module(module_id);
-    module_names(design, module_id, flat, names)?;
+    let leaves = &module_names(design, module_id, flat, names)?.cells;
 
-    for (c, cell) in module.cells.iter().enumerate() {
-        let leaf = names[&module_id].cells[c];
-        let inputs: Vec<NetId> = cell.inputs.iter().map(|n| net_map[n.index()]).collect();
+    for (cell, &leaf) in module.cells.iter().zip(leaves) {
+        let inputs = cell.inputs.iter().map(|n| net_map[n.index()]);
         let output = net_map[cell.output.index()];
         if flat.net_driver(output).is_some() {
             return Err(NetlistError::MultipleDrivers(flat.net_full_name(output)));
         }
-        let cell_id = flat.push_cell_parts(leaf, path_id, cell.kind, &inputs, output)?;
+        let cell_id = flat.push_cell_parts(leaf, path_id, cell.kind, inputs, output)?;
         flat.set_driver(output, Some(Driver::Cell(cell_id)));
     }
 
@@ -894,7 +899,7 @@ fn expand(
         let child = design.module(inst.module);
         let child_path = path.child(&inst.name);
         let child_path_id = flat.paths.intern(child_path.clone());
-        module_names(design, inst.module, flat, names)?;
+        let child_nets = &module_names(design, inst.module, flat, names)?.nets;
 
         // Bind port nets to parent nets; allocate new flat nets for the rest.
         let mut child_map: Vec<Option<NetId>> = vec![None; child.nets.len()];
@@ -905,10 +910,7 @@ fn expand(
         for (i, bound) in child_map.iter().enumerate() {
             let id = match bound {
                 Some(id) => *id,
-                None => {
-                    let leaf = names[&inst.module].nets[i];
-                    flat.push_net_parts(child_path_id, leaf)?
-                }
+                None => flat.push_net_parts(child_path_id, child_nets[i])?,
             };
             resolved.push(id);
         }

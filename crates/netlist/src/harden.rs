@@ -79,7 +79,7 @@ impl FlatNetlist {
             return Err(NetlistError::MultipleDrivers(self.net_full_name(output)));
         }
         let leaf = self.intern_name(&name)?;
-        let id = self.push_cell_parts(leaf, path, kind, inputs, output)?;
+        let id = self.push_cell_parts(leaf, path, kind, inputs.iter().copied(), output)?;
         for (pin, &net) in inputs.iter().enumerate() {
             self.append_load(net, (id, pin as u8));
         }

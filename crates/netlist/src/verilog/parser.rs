@@ -349,6 +349,15 @@ endmodule
     }
 
     #[test]
+    fn rejects_duplicate_port_names() {
+        let src = "module m (a, a, y); input a; output y; INV u0 (.A(a), .Y(y)); endmodule";
+        assert_eq!(
+            parse_verilog(src).unwrap_err(),
+            NetlistError::DuplicateName("a".into())
+        );
+    }
+
+    #[test]
     fn rejects_port_without_direction() {
         let src = "module m (a); endmodule";
         let err = parse_verilog(src).unwrap_err();

@@ -31,9 +31,12 @@ fn write_module(out: &mut String, design: &Design, module: &Module) {
         };
         let _ = writeln!(out, "  {dir} {};", port.name);
     }
-    for (i, net) in module.nets.iter().enumerate() {
-        // Port nets are implicitly declared by their direction statement.
-        let is_port = module.ports.iter().any(|p| p.net.index() == i);
+    // Port nets are implicitly declared by their direction statement.
+    let mut is_port = vec![false; module.nets.len()];
+    for port in &module.ports {
+        is_port[port.net.index()] = true;
+    }
+    for (net, is_port) in module.nets.iter().zip(is_port) {
         if !is_port {
             let _ = writeln!(out, "  wire {net};");
         }

@@ -2,7 +2,8 @@
 //! generated SoCs actually execute their workload identically on both
 //! simulation engines.
 
-use ssresf_netlist::{FlatNetlist, NetlistStats};
+use ssresf_netlist::verilog::write_verilog;
+use ssresf_netlist::{FlatNetlist, NetlistStats, StableHasher};
 use ssresf_sim::{CycleTrace, Engine, EventDrivenEngine, LevelizedEngine, Logic, Testbench};
 use ssresf_socgen::{build_soc, SocConfig};
 
@@ -64,6 +65,112 @@ fn all_table1_configs_build_and_flatten() {
         last_cells > 4 * small_cells,
         "{small_cells} vs {last_cells}"
     );
+}
+
+/// Pins what elaboration produces for every preset: the flat netlist's
+/// cell count and content hash (every cell, net, name and connection),
+/// and a digest of the design written as Verilog (every module, port, net
+/// and cell in declaration order). A change to the builder, `flatten` or
+/// the writer that renames, reorders or rewires anything fails here.
+#[test]
+fn elaboration_of_every_preset_is_pinned() {
+    let mut configs = SocConfig::table1();
+    configs.push(SocConfig::rad_hard());
+    // Debug builds run the tests, so the scale preset is pinned at a
+    // 256-row sub-array instead of its 32k rows.
+    let mut mega = SocConfig::mega();
+    mega.memory_rows_log2 = 8;
+    configs.push(mega);
+    // (name, cells, content hash, Verilog digest)
+    let expected = [
+        (
+            "PULP SoC_1",
+            1075,
+            "351199d9824afad29bc5339be93376ae",
+            "b94cb844800f8da7fe001cdf332bde86",
+        ),
+        (
+            "PULP SoC_2",
+            1823,
+            "b5956a33cb63dd0a0ff08a1a97700dde",
+            "90c475ec0ffb8efae76109cca70a51a4",
+        ),
+        (
+            "PULP SoC_3",
+            1509,
+            "733dc1405187ed3052691346701e6293",
+            "c192b082569e83834213990c86ddf949",
+        ),
+        (
+            "PULP SoC_4",
+            2678,
+            "6ff0cb1601d6b6bb6569535e9377cc91",
+            "086512841b71c2ed7d7ca2fa57bb7bee",
+        ),
+        (
+            "PULP SoC_5",
+            2284,
+            "bc436e93f68931fc4332b1bf26f1d7bf",
+            "95f9ffc7d90aeeef332802fef32e4fd4",
+        ),
+        (
+            "PULP SoC_6",
+            4215,
+            "7a7eb5f2af4d0be6443a76fc9a977ad7",
+            "2c58478b9b7a17fd0172bc63109df001",
+        ),
+        (
+            "PULP SoC_7",
+            2626,
+            "a10e50186be9a1426e001c2f949e2c40",
+            "655f43dba1144ff77960ec31f507d14f",
+        ),
+        (
+            "PULP SoC_8",
+            4925,
+            "68d81e538c353a76b833cefb6db6405d",
+            "ac458bb884508704c075df754dc5bfe5",
+        ),
+        (
+            "PULP SoC_9",
+            7953,
+            "b78c0fe561189939d530f09f000f8122",
+            "ff0517a325f7536976cef6f9bd4eb035",
+        ),
+        (
+            "PULP SoC_10",
+            15252,
+            "061289e6aa08b9583e77f2410e7f4cc4",
+            "a0b545c3bfe1a099a32c753af9cac1f8",
+        ),
+        (
+            "PULP SoC_RH",
+            1075,
+            "51a0681823665c6e5e68c0ce6d52a6ce",
+            "88a5604e41d067e25f2408f4e5094cbc",
+        ),
+        (
+            "PULP SoC_Mega",
+            11769,
+            "72a2855439f3f5b45a0fe5f775f46412",
+            "ee2afec4e5fcc12840f0d37d9da97b8f",
+        ),
+    ];
+    assert_eq!(configs.len(), expected.len());
+    for (config, (name, cells, content, verilog)) in configs.iter().zip(expected) {
+        assert_eq!(config.name, name);
+        let design = build_soc(config).unwrap().design;
+        let mut text = StableHasher::new();
+        text.update(write_verilog(&design).as_bytes());
+        assert_eq!(text.finish().to_hex(), verilog, "{name}: Verilog digest");
+        let flat = design.flatten().unwrap();
+        assert_eq!(flat.num_cells(), cells, "{name}: cell count");
+        assert_eq!(
+            flat.content_hash().to_hex(),
+            content,
+            "{name}: content hash"
+        );
+    }
 }
 
 #[test]
@@ -140,7 +247,7 @@ fn dual_core_soc_runs_both_cores() {
 fn soc_netlist_round_trips_through_verilog() {
     let config = SocConfig::table1()[0].clone();
     let built = build_soc(&config).unwrap();
-    let text = ssresf_netlist::verilog::write_verilog(&built.design);
+    let text = write_verilog(&built.design);
     let reparsed = ssresf_netlist::verilog::parse_verilog(&text).unwrap();
     let a = built.design.flatten().unwrap();
     let b = reparsed.flatten().unwrap();
