@@ -18,7 +18,8 @@
 //! 5. stop when whole-netlist predictions stabilize across rounds, the
 //!    round cap is hit, or the injection budget is exhausted.
 //!
-//! The final classifier is refit with the full [`train_sensitivity`]
+//! The final classifier is refit with the full
+//! [`train_sensitivity`](crate::sensitivity::train_sensitivity)
 //! pipeline (grid search, CV metrics, ROC) on everything labeled, so the
 //! returned [`Analysis`] is drop-in comparable with [`Ssresf::analyze`] —
 //! it just cost strictly fewer injections for the same accuracy. Results are
@@ -29,17 +30,16 @@
 use crate::campaign::{run_injection_jobs_with_golden, CampaignOutcome};
 use crate::clustering::cluster_cells;
 use crate::error::SsresfError;
-use crate::framework::{Analysis, LabelRule, Ssresf, Timing};
+use crate::framework::{Analysis, LabelRule, Labeled, Ssresf, Timing};
 use crate::progress::Instrument;
 use crate::sampling::{sample_clusters, ClusterSample, SamplingConfig};
-use crate::sensitivity::train_sensitivity;
 use crate::ser::evaluate_ser;
 use crate::shard::campaign_jobs;
 use crate::workload::Dut;
 use ssresf_mlcore::{
     parallel_map, Dataset, SmoContext, StandardScaler, SvmModel, SvmParams, TrainStats,
 };
-use ssresf_netlist::{CellId, FeatureExtractor, FlatNetlist};
+use ssresf_netlist::{CellId, FlatNetlist};
 use std::time::Instant;
 
 /// Configuration of the active-learning loop.
@@ -165,37 +165,28 @@ impl Ssresf {
         let config = self.config();
         let dut = Dut::from_conventions(netlist)?;
         let mut timing = Timing::default();
-        let stage = |name: &str, elapsed: std::time::Duration| {
-            if let Some(metrics) = hooks.metrics {
-                metrics.timing_add(name, elapsed);
-            }
-            elapsed
-        };
 
         // Clustering, then ONE golden run shared by every round.
         let started = Instant::now();
         let clustering = cluster_cells(netlist, &config.clustering)?;
-        timing.clustering = stage("stage.clustering", started.elapsed());
+        timing.clustering = hooks.stage("stage.clustering", started.elapsed());
         let started = Instant::now();
         let golden = dut.run_golden_with_checkpoints(
             config.campaign.engine,
             &config.campaign.workload,
             config.campaign.checkpoint_interval,
         )?;
-        timing.golden = stage("stage.golden", started.elapsed());
+        timing.golden = hooks.stage("stage.golden", started.elapsed());
 
         // Features once per netlist, standardized once over every cell so
         // margin scores are comparable across rounds.
         let started = Instant::now();
-        let extractor = FeatureExtractor::new(netlist)?;
+        let features = self.extract_features(netlist, &golden.outcome.activity_per_cycle)?;
         let cell_ids: Vec<CellId> = netlist.iter_cells().map(|(id, _)| id).collect();
-        let features = parallel_map(&cell_ids, config.sensitivity.threads, |_, &id| {
-            extractor.extract_cell(id, Some(&golden.outcome.activity_per_cycle))
-        });
         let raw: Vec<Vec<f64>> = features.iter().map(|f| f.values.clone()).collect();
         let scaler = StandardScaler::fit(&raw).map_err(SsresfError::Ml)?;
         let scaled = scaler.transform(&raw);
-        timing.features = stage("stage.features", started.elapsed());
+        timing.features = hooks.stage("stage.features", started.elapsed());
 
         // Stratified seed draw (a scaled-down one-shot sample).
         let started = Instant::now();
@@ -208,7 +199,7 @@ impl Ssresf {
                 budget: active.budget,
             },
         )?;
-        timing.sampling = stage("stage.sampling", started.elapsed());
+        timing.sampling = hooks.stage("stage.sampling", started.elapsed());
 
         // Injection-order bookkeeping. `injected_order` is append-only so
         // warm-started SMO sees stable row positions across rounds;
@@ -271,7 +262,7 @@ impl Ssresf {
             let campaign = merged.as_ref().expect("seed round injected");
             let started = Instant::now();
             ser = evaluate_ser(netlist, &clustering, &sample, campaign)?;
-            timing.ser += stage("stage.ser", started.elapsed());
+            timing.ser += hooks.stage("stage.ser", started.elapsed());
             labels = label_cells(
                 &injected_order,
                 campaign,
@@ -345,7 +336,7 @@ impl Ssresf {
             };
             let model = SvmModel::train_warm(&data, &params, &mut ctx).map_err(SsresfError::Ml)?;
             warm_stats.accumulate(*model.train_stats());
-            timing.svm_train += stage("stage.svm_train", started.elapsed());
+            timing.svm_train += hooks.stage("stage.svm_train", started.elapsed());
 
             // Margin scoring (O(d) fast-decision path) and whole-netlist
             // prediction churn, both order-preserving across threads.
@@ -426,76 +417,32 @@ impl Ssresf {
         let campaign = merged.expect("seed round injected");
 
         // Final fit with the full pipeline (CV metrics, ROC, optional
-        // selection/search) on everything labeled.
-        let started = Instant::now();
-        let (classifier, sensitivity_report) =
-            train_sensitivity(&features, &labels, &config.sensitivity)?;
-        timing.svm_train += stage("stage.svm_train", started.elapsed());
-
-        let started = Instant::now();
-        let predictions = classifier.classify_all_with(&features, config.sensitivity.threads);
-        timing.predict = stage("stage.predict", started.elapsed());
-
-        let class_counts = crate::framework::class_counts(&predictions, &features);
-        let chip_xsect = crate::framework::scaled_chip_xsect(
-            netlist,
-            config.campaign.environment.let_value,
-            config.memory_scale,
-        );
+        // selection/search) on everything labeled — the tail `analyze`
+        // runs too.
+        let labeled = Labeled {
+            clustering,
+            sample,
+            campaign,
+            ser,
+            features,
+            labels,
+            timing,
+        };
+        let analysis = self.finish(netlist, labeled, warm_stats, hooks)?;
 
         let injected_cells = injected_order.len();
-        let baseline_cells = sample_clusters(&clustering, &config.sampling)?.len();
-        let injections_saved = (baseline_cells * config.campaign.injections_per_cell)
-            .saturating_sub(campaign.records.len());
+        let baseline_cells = sample_clusters(&analysis.clustering, &config.sampling)?.len();
+        let injections = analysis.campaign.records.len();
+        let injections_saved =
+            (baseline_cells * config.campaign.injections_per_cell).saturating_sub(injections);
         if let Some(metrics) = hooks.metrics {
-            metrics.counter_add("pipeline.analyses", 1);
-            metrics.gauge_set("pipeline.cells", netlist.cells().len() as f64);
-            metrics.gauge_set("pipeline.clusters", clustering.clusters as f64);
-            metrics.gauge_set("pipeline.sampled_cells", sample.len() as f64);
-            metrics.gauge_set("pipeline.predictions", predictions.len() as f64);
             metrics.counter_add("active.rounds", rounds.len() as u64);
-            metrics.counter_add("active.injections.total", campaign.records.len() as u64);
+            metrics.counter_add("active.injections.total", injections as u64);
             metrics.counter_add("active.injections_saved", injections_saved as u64);
-            let solver = &sensitivity_report.solver;
-            metrics.counter_add(
-                "svm.kernel_cache.hits",
-                solver.kernel_cache_hits + warm_stats.kernel_cache_hits,
-            );
-            metrics.counter_add(
-                "svm.kernel_cache.misses",
-                solver.kernel_cache_misses + warm_stats.kernel_cache_misses,
-            );
-            metrics.gauge_set(
-                "svm.kernel_cache.hit_rate",
-                hit_rate(
-                    solver.kernel_cache_hits + warm_stats.kernel_cache_hits,
-                    solver.kernel_cache_misses + warm_stats.kernel_cache_misses,
-                ),
-            );
-            metrics.observe("svm.smo_iterations", solver.iterations as f64);
-            let predict_secs = timing.predict.as_secs_f64();
-            let throughput = if predict_secs > 0.0 {
-                predictions.len() as f64 / predict_secs
-            } else {
-                0.0
-            };
-            metrics.gauge_set("pipeline.predict_throughput_per_second", throughput);
         }
 
         Ok(ActiveAnalysis {
-            analysis: Analysis {
-                timing,
-                clustering,
-                sample,
-                campaign,
-                ser,
-                sensitivity_report,
-                classifier,
-                predictions,
-                class_counts,
-                chip_xsect,
-                features,
-            },
+            analysis,
             rounds,
             injected_cells,
             baseline_cells,
@@ -536,16 +483,6 @@ pub fn label_cells(
             (cell, sensitive)
         })
         .collect()
-}
-
-/// Cache hit rate in `[0, 1]` (0 when no lookups happened).
-pub(crate) fn hit_rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
 }
 
 fn validate_active_config(active: &ActiveLearningConfig) -> Result<(), SsresfError> {

@@ -23,8 +23,8 @@ use crate::workload::{Dut, EngineKind, GoldenRun, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssresf_netlist::{CellId, CellKind, FlatNetlist, NetId};
-use ssresf_radiation::{PulseWidthModel, RadiationEnvironment};
-use ssresf_sim::{CycleTrace, EngineTelemetry, Fault, SetFault, SeuFault};
+use ssresf_radiation::{strike_fault, Let, PulseWidthModel, RadiationEnvironment};
+use ssresf_sim::{CycleTrace, EngineTelemetry, Fault};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -252,34 +252,51 @@ impl CampaignOutcome {
     }
 }
 
-/// Generates the faults for one cell (deterministic per cell and seed).
-pub fn faults_for_cell(dut: &Dut<'_>, cell: CellId, config: &CampaignConfig) -> Vec<Fault> {
-    let mut rng = StdRng::seed_from_u64(
-        config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(cell.0) + 1)),
-    );
-    let info = dut.netlist().cell(cell);
-    (0..config.injections_per_cell)
-        .map(|_| {
+/// The injection job list for `cells`, in cell then injection order — the
+/// one place faults are drawn for a campaign over sampled cells.
+///
+/// Each cell draws from its own RNG stream, derived from
+/// [`CampaignConfig::seed`] and the cell id alone, so a cell's faults do
+/// not depend on which other cells are listed. Each injection draws its
+/// strike cycle uniformly over `config.workload.run_cycles`, then maps the
+/// strike through [`strike_fault`] at `let_at(cycle)`, the LET in force at
+/// that cycle. A static campaign ([`campaign_jobs`]) passes its one
+/// environment's LET for every cycle; a mission passes the LET of the
+/// segment the strike lands in. `strike_fault` draws one pulse width
+/// whatever the LET, so a static campaign and the one-segment mission in
+/// the same environment draw the same faults.
+///
+/// # Errors
+///
+/// [`SsresfError::Config`] when `injections_per_cell` is 0.
+pub(crate) fn fault_jobs(
+    dut: &Dut<'_>,
+    cells: &[CellId],
+    config: &CampaignConfig,
+    let_at: impl Fn(u64) -> Let,
+) -> Result<Vec<(CellId, Fault)>, SsresfError> {
+    if config.injections_per_cell == 0 {
+        return Err(SsresfError::Config("injections_per_cell is 0".into()));
+    }
+    let mut jobs = Vec::new();
+    for &cell in cells {
+        let mut rng = StdRng::seed_from_u64(
+            config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(cell.0) + 1)),
+        );
+        for _ in 0..config.injections_per_cell {
             let cycle = rng.gen_range(0..config.workload.run_cycles.max(1));
-            let offset = rng.gen::<f64>() * 0.999;
-            if info.kind.is_sequential() {
-                Fault::Seu(SeuFault {
-                    cell,
-                    cycle,
-                    offset,
-                })
-            } else {
-                Fault::Set(SetFault {
-                    net: info.output,
-                    cycle,
-                    offset,
-                    width: config
-                        .pulse
-                        .sample_width(config.environment.let_value, &mut rng),
-                })
-            }
-        })
-        .collect()
+            let fault = strike_fault(
+                dut.netlist(),
+                cell,
+                cycle,
+                let_at(cycle),
+                &config.pulse,
+                &mut rng,
+            );
+            jobs.push((cell, fault));
+        }
+    }
+    Ok(jobs)
 }
 
 /// Runs the full campaign over `cells`.
@@ -991,6 +1008,7 @@ fn record_campaign_metrics(
 mod tests {
     use super::*;
     use ssresf_netlist::{CellKind, Design, FlatNetlist, ModuleBuilder, PortDir};
+    use ssresf_sim::{SetFault, SeuFault};
 
     /// A 4-bit counter: every FF is observable, so SEUs cause soft errors.
     fn counter_netlist() -> FlatNetlist {
@@ -1837,7 +1855,7 @@ mod tests {
         let dut = Dut::from_conventions(&flat).unwrap();
         let config = CampaignConfig::default();
         for (id, cell) in flat.iter_cells() {
-            for fault in faults_for_cell(&dut, id, &config) {
+            for (_, fault) in campaign_jobs(&dut, &[id], &config).unwrap() {
                 match fault {
                     Fault::Seu(f) => {
                         assert!(cell.kind.is_sequential());

@@ -17,6 +17,7 @@ use crate::sensitivity::{
     train_sensitivity, SensitivityConfig, SensitivityReport, TrainedSensitivity,
 };
 use crate::ser::{evaluate_ser, SerEvaluation};
+use ssresf_mlcore::TrainStats;
 use ssresf_netlist::{CellFeatures, CellId, FeatureExtractor, FlatNetlist, ModuleClass};
 use ssresf_radiation::SoftErrorDatabase;
 use std::collections::BTreeMap;
@@ -252,20 +253,14 @@ impl Ssresf {
         self.validate_config()?;
         let dut = crate::workload::Dut::from_conventions(netlist)?;
         let mut timing = Timing::default();
-        let stage = |name: &str, elapsed: Duration| {
-            if let Some(metrics) = hooks.metrics {
-                metrics.timing_add(name, elapsed);
-            }
-            elapsed
-        };
 
         // 1–2. Clustering and equal-proportion sampling.
         let started = Instant::now();
         let clustering = cluster_cells(netlist, &self.config.clustering)?;
-        timing.clustering = stage("stage.clustering", started.elapsed());
+        timing.clustering = hooks.stage("stage.clustering", started.elapsed());
         let started = Instant::now();
         let sample = sample_clusters(&clustering, &self.config.sampling)?;
-        timing.sampling = stage("stage.sampling", started.elapsed());
+        timing.sampling = hooks.stage("stage.sampling", started.elapsed());
 
         // 3. Fault injection and simulation. The campaign records its own
         // golden/injection split (and the campaign.* metrics).
@@ -278,20 +273,11 @@ impl Ssresf {
         // 4. SER evaluation (Eq. 2).
         let started = Instant::now();
         let ser = evaluate_ser(netlist, &clustering, &sample, &campaign)?;
-        timing.ser = stage("stage.ser", started.elapsed());
+        timing.ser = hooks.stage("stage.ser", started.elapsed());
 
-        // 5–7. Feature engineering and SVM training on the sampled cells.
-        // Per-cell error statistics are built once and reused, instead of
-        // rescanning all records for every sampled cell. Per-cell feature
-        // extraction is independent, so it fans out across the configured
-        // worker threads with results kept in cell order.
+        // 5–6. Feature engineering and labeling of the sampled cells.
         let started = Instant::now();
-        let extractor = FeatureExtractor::new(netlist)?;
-        let cell_ids: Vec<CellId> = netlist.iter_cells().map(|(id, _)| id).collect();
-        let features =
-            ssresf_mlcore::parallel_map(&cell_ids, self.config.sensitivity.threads, |_, &id| {
-                extractor.extract_cell(id, Some(&campaign.golden_activity))
-            });
+        let features = self.extract_features(netlist, &campaign.golden_activity)?;
         let labels = label_cells(
             &sample.all_cells(),
             &campaign,
@@ -299,20 +285,73 @@ impl Ssresf {
             &ser,
             self.config.labeling,
         );
-        timing.features = stage("stage.features", started.elapsed());
+        timing.features = hooks.stage("stage.features", started.elapsed());
+
+        // 7–9. SVM training, whole-netlist prediction, chip cross-sections.
+        let labeled = Labeled {
+            clustering,
+            sample,
+            campaign,
+            ser,
+            features,
+            labels,
+            timing,
+        };
+        self.finish(netlist, labeled, TrainStats::default(), hooks)
+    }
+
+    /// The feature record of every cell, in cell-id order, with `activity`
+    /// (the golden run's per-net toggle rates) as the activity column.
+    /// Per-cell extraction is independent, so it fans out across the
+    /// configured worker threads with results kept in cell order.
+    pub(crate) fn extract_features(
+        &self,
+        netlist: &FlatNetlist,
+        activity: &[f64],
+    ) -> Result<Vec<CellFeatures>, SsresfError> {
+        let extractor = FeatureExtractor::new(netlist)?;
+        let cell_ids: Vec<CellId> = netlist.iter_cells().map(|(id, _)| id).collect();
+        Ok(ssresf_mlcore::parallel_map(
+            &cell_ids,
+            self.config.sensitivity.threads,
+            |_, &id| extractor.extract_cell(id, Some(activity)),
+        ))
+    }
+
+    /// The tail every analysis shares: the final [`train_sensitivity`] fit
+    /// on `labeled.labels`, whole-netlist prediction, per-class counts,
+    /// chip cross-sections at the campaign LET, and the `pipeline.*` /
+    /// `svm.*` metrics. `warm` holds the solver counters of any
+    /// warm-started rounds that preceded this fit (zero for a one-shot
+    /// analysis); they add to the final fit's kernel-cache counts. The fit
+    /// time adds to `labeled.timing.svm_train`.
+    pub(crate) fn finish(
+        &self,
+        netlist: &FlatNetlist,
+        labeled: Labeled,
+        warm: TrainStats,
+        hooks: &Instrument<'_>,
+    ) -> Result<Analysis, SsresfError> {
+        let Labeled {
+            clustering,
+            sample,
+            campaign,
+            ser,
+            features,
+            labels,
+            mut timing,
+        } = labeled;
         let started = Instant::now();
         let (classifier, sensitivity_report) =
             train_sensitivity(&features, &labels, &self.config.sensitivity)?;
-        timing.svm_train = stage("stage.svm_train", started.elapsed());
+        timing.svm_train += hooks.stage("stage.svm_train", started.elapsed());
 
-        // 8. Whole-netlist prediction (the fast path replacing simulation).
+        // Whole-netlist prediction (the fast path replacing simulation).
         let started = Instant::now();
         let predictions = classifier.classify_all_with(&features, self.config.sensitivity.threads);
-        timing.predict = stage("stage.predict", started.elapsed());
+        timing.predict = hooks.stage("stage.predict", started.elapsed());
 
         let class_counts = class_counts(&predictions, &features);
-
-        // 9. Chip cross-sections at the campaign LET.
         let chip_xsect = scaled_chip_xsect(
             netlist,
             self.config.campaign.environment.let_value,
@@ -326,12 +365,11 @@ impl Ssresf {
             metrics.gauge_set("pipeline.sampled_cells", sample.len() as f64);
             metrics.gauge_set("pipeline.predictions", predictions.len() as f64);
             let solver = &sensitivity_report.solver;
-            metrics.counter_add("svm.kernel_cache.hits", solver.kernel_cache_hits);
-            metrics.counter_add("svm.kernel_cache.misses", solver.kernel_cache_misses);
-            metrics.gauge_set(
-                "svm.kernel_cache.hit_rate",
-                crate::active::hit_rate(solver.kernel_cache_hits, solver.kernel_cache_misses),
-            );
+            let hits = solver.kernel_cache_hits + warm.kernel_cache_hits;
+            let misses = solver.kernel_cache_misses + warm.kernel_cache_misses;
+            metrics.counter_add("svm.kernel_cache.hits", hits);
+            metrics.counter_add("svm.kernel_cache.misses", misses);
+            metrics.gauge_set("svm.kernel_cache.hit_rate", hit_rate(hits, misses));
             metrics.observe("svm.smo_iterations", solver.iterations as f64);
             let predict_secs = timing.predict.as_secs_f64();
             let throughput = if predict_secs > 0.0 {
@@ -376,10 +414,34 @@ impl Ssresf {
     }
 }
 
+/// What an analysis has labeled before its final fit; consumed by
+/// [`Ssresf::finish`].
+pub(crate) struct Labeled {
+    pub(crate) clustering: Clustering,
+    pub(crate) sample: ClusterSample,
+    pub(crate) campaign: CampaignOutcome,
+    pub(crate) ser: SerEvaluation,
+    /// Every cell's feature record, in cell-id order.
+    pub(crate) features: Vec<CellFeatures>,
+    /// The training labels.
+    pub(crate) labels: Vec<(CellId, bool)>,
+    pub(crate) timing: Timing,
+}
+
+/// Cache hit rate in `[0, 1]` (0 when no lookups happened).
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let total = hits + misses;
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
+    }
+}
+
 /// `(high-sensitivity, total)` predicted counts per module class, keyed by
 /// class name, from the class cached in each cell's feature record. Only
 /// classes with at least one cell get an entry.
-pub(crate) fn class_counts(
+fn class_counts(
     predictions: &[(CellId, bool)],
     features: &[CellFeatures],
 ) -> BTreeMap<String, (usize, usize)> {

@@ -9,11 +9,9 @@
 use crate::campaign::{run_injection_jobs, CampaignConfig, InjectionRecord};
 use crate::error::SsresfError;
 use crate::framework::Analysis;
-use crate::mission::{
-    mission_faults_for_cell, run_mission_campaign_with, segment_stats, MissionOutcome,
-};
+use crate::mission::{mission_config, run_mission_campaign_with, segment_stats, MissionOutcome};
 use crate::progress::Instrument;
-use crate::workload::{Dut, Workload};
+use crate::workload::Dut;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -248,22 +246,14 @@ pub fn run_differential_campaign(
     // Baseline run: validates the mission/config and publishes the usual
     // mission.* counters through `hooks`.
     let baseline = run_mission_campaign_with(&dut, cells, config, mission, hooks)?;
-    let effective = CampaignConfig {
-        workload: Workload {
-            reset_cycles: config.workload.reset_cycles,
-            run_cycles: mission.total_cycles(),
-        },
-        ..*config
-    };
-    // The shared schedule: regenerated deterministically from the baseline
-    // netlist — byte-identical to the jobs the baseline run simulated.
-    let jobs: Vec<(CellId, Fault)> = cells
+    let effective = mission_config(config, mission)?;
+    // The shared schedule: the baseline's records are its jobs, in job
+    // order.
+    let jobs: Vec<(CellId, Fault)> = baseline
+        .campaign
+        .records
         .iter()
-        .flat_map(|&cell| {
-            mission_faults_for_cell(&dut, cell, config, mission)
-                .into_iter()
-                .map(move |f| (cell, f))
-        })
+        .map(|r| (r.cell, r.fault))
         .collect();
 
     let mut mitigations = Vec::with_capacity(plans.len());
@@ -286,10 +276,9 @@ pub fn run_differential_campaign(
             if plan.kind != MitigationKind::FfHardening || !hardened.contains(&cell) {
                 return false;
             }
-            let segment = &mission.segments[mission.segment_at(fault.cycle())];
             let class = transformed.cell(cell).kind.radiation_class();
             let curve = WeibullCurve::default_for(class);
-            curve.cross_section(segment.environment.let_value).value() <= 0.0
+            curve.cross_section(mission.let_at(fault.cycle())).value() <= 0.0
         };
         let mut active = Vec::with_capacity(jobs.len());
         let mut is_masked = vec![false; jobs.len()];

@@ -57,9 +57,8 @@ pub mod workload;
 
 pub use active::{label_cells, ActiveAnalysis, ActiveLearningConfig, ActiveRound};
 pub use campaign::{
-    faults_for_cell, run_campaign, run_campaign_with, run_injection_jobs,
-    run_injection_jobs_with_golden, CampaignConfig, CampaignOutcome, CampaignTelemetry,
-    CellErrorStats, InjectionRecord,
+    run_campaign, run_campaign_with, run_injection_jobs, run_injection_jobs_with_golden,
+    CampaignConfig, CampaignOutcome, CampaignTelemetry, CellErrorStats, InjectionRecord,
 };
 pub use clustering::{
     cluster_cells, cluster_cells_reference, hier_distance, Clustering, ClusteringConfig,
@@ -73,8 +72,7 @@ pub use hardening::{
     MitigationKind, MitigationOutcome, MitigationPlan, SelectiveHardening,
 };
 pub use mission::{
-    environment_of, mission_faults_for_cell, run_mission_campaign, run_mission_campaign_with,
-    MissionOutcome, SegmentStats,
+    environment_of, run_mission_campaign, run_mission_campaign_with, MissionOutcome, SegmentStats,
 };
 pub use progress::{CampaignProgress, Instrument, ProgressPhase, ProgressSink, WorkerUtilization};
 pub use report::AnalysisSummary;
@@ -84,8 +82,8 @@ pub use sensitivity::{
 };
 pub use ser::{evaluate_ser, ClusterSer, SerEvaluation};
 pub use shard::{
-    campaign_jobs, merge_shard_outcomes, plan_shards, run_campaign_shard, run_sharded_campaign,
-    ShardOutcome,
+    campaign_jobs, merge_shard_outcomes, plan_shards, run_campaign_shard, run_campaign_shard_with,
+    run_sharded_campaign, ShardOutcome,
 };
 // Re-exported so downstream users can attach metrics without depending on
 // the telemetry crate directly.

@@ -9,23 +9,21 @@
 //! SET pulse width is sampled at that segment's LET. The outcome carries a
 //! per-segment SER breakdown next to the ordinary campaign records.
 //!
-//! Determinism discipline: fault generation keeps the exact per-cell RNG
-//! stream and draw order of the static campaign
-//! ([`faults_for_cell`](crate::campaign::faults_for_cell)), so a
+//! Determinism discipline: a mission draws its jobs through the same
+//! function as the static campaign
+//! ([`campaign_jobs`](crate::shard::campaign_jobs) is its static case),
+//! passing the LET of the segment each strike lands in, so a
 //! single-segment mission whose environment matches
 //! [`CampaignConfig::environment`] is **bit-identical** to the static
 //! campaign — and mission records are byte-identical across thread counts
 //! and batch widths for the same reasons the static ones are.
 
-use crate::campaign::{run_injection_jobs, CampaignConfig, CampaignOutcome};
+use crate::campaign::{fault_jobs, run_injection_jobs, CampaignConfig, CampaignOutcome};
 use crate::error::SsresfError;
 use crate::progress::Instrument;
 use crate::workload::{Dut, Workload};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use ssresf_netlist::CellId;
 use ssresf_radiation::{MissionProfile, ParticleEnvironment};
-use ssresf_sim::{Fault, SetFault, SeuFault};
 
 /// Per-segment injection statistics of a mission campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,48 +99,28 @@ impl MissionOutcome {
     }
 }
 
-/// Generates the mission faults for one cell.
+/// `config` stretched over the whole mission: the workload keeps its reset
+/// cycles and runs for [`MissionProfile::total_cycles`]. The one place a
+/// mission overrides `run_cycles`.
 ///
-/// Identical per-cell RNG stream and draw order as
-/// [`faults_for_cell`](crate::campaign::faults_for_cell): strike cycle
-/// first (uniform over the whole mission), then the sub-cycle offset, then
-/// — for combinational cells — one pulse-width draw at the LET of the
-/// segment the strike landed in. `sample_width` consumes exactly one draw
-/// regardless of LET, so segment boundaries never shift later draws.
-pub fn mission_faults_for_cell(
-    dut: &Dut<'_>,
-    cell: CellId,
+/// # Errors
+///
+/// [`SsresfError::Config`] when the mission fails
+/// [`MissionProfile::validate`].
+pub(crate) fn mission_config(
     config: &CampaignConfig,
     mission: &MissionProfile,
-) -> Vec<Fault> {
-    let mut rng = StdRng::seed_from_u64(
-        config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(cell.0) + 1)),
-    );
-    let info = dut.netlist().cell(cell);
-    let total = mission.total_cycles();
-    (0..config.injections_per_cell)
-        .map(|_| {
-            let cycle = rng.gen_range(0..total.max(1));
-            let offset = rng.gen::<f64>() * 0.999;
-            if info.kind.is_sequential() {
-                Fault::Seu(SeuFault {
-                    cell,
-                    cycle,
-                    offset,
-                })
-            } else {
-                let segment = &mission.segments[mission.segment_at(cycle)];
-                Fault::Set(SetFault {
-                    net: info.output,
-                    cycle,
-                    offset,
-                    width: config
-                        .pulse
-                        .sample_width(segment.environment.let_value, &mut rng),
-                })
-            }
-        })
-        .collect()
+) -> Result<CampaignConfig, SsresfError> {
+    mission
+        .validate()
+        .map_err(|e| SsresfError::Config(e.to_string()))?;
+    Ok(CampaignConfig {
+        workload: Workload {
+            run_cycles: mission.total_cycles(),
+            ..config.workload
+        },
+        ..*config
+    })
 }
 
 /// Buckets finished records into per-segment statistics.
@@ -210,28 +188,9 @@ pub fn run_mission_campaign_with(
     mission: &MissionProfile,
     hooks: &Instrument<'_>,
 ) -> Result<MissionOutcome, SsresfError> {
-    mission
-        .validate()
-        .map_err(|e| SsresfError::Config(e.to_string()))?;
-    if config.injections_per_cell == 0 {
-        return Err(SsresfError::Config("injections_per_cell is 0".into()));
-    }
-    let effective = CampaignConfig {
-        workload: Workload {
-            reset_cycles: config.workload.reset_cycles,
-            run_cycles: mission.total_cycles(),
-        },
-        ..*config
-    };
-    let jobs: Vec<(CellId, Fault)> = cells
-        .iter()
-        .flat_map(|&cell| {
-            mission_faults_for_cell(dut, cell, config, mission)
-                .into_iter()
-                .map(move |f| (cell, f))
-        })
-        .collect();
-    let campaign = run_injection_jobs(dut, jobs, &effective, hooks)?;
+    let config = mission_config(config, mission)?;
+    let jobs = fault_jobs(dut, cells, &config, |cycle| mission.let_at(cycle))?;
+    let campaign = run_injection_jobs(dut, jobs, &config, hooks)?;
     let segments = segment_stats(mission, &campaign.records);
     if let Some(metrics) = hooks.metrics {
         record_mission_metrics(metrics, mission, &segments);
@@ -275,6 +234,7 @@ mod tests {
     use crate::workload::EngineKind;
     use ssresf_netlist::{CellKind, Design, FlatNetlist, ModuleBuilder, PortDir};
     use ssresf_radiation::MissionSegment;
+    use ssresf_sim::Fault;
 
     /// Counter + logic cloud: both sequential and combinational targets.
     fn mixed_netlist() -> FlatNetlist {
@@ -433,9 +393,10 @@ mod tests {
         ])
         .unwrap();
         let comb = flat.cell_by_name("u_and").unwrap();
-        let faults = mission_faults_for_cell(&dut, comb, &config, &mission);
+        let config = mission_config(&config, &mission).unwrap();
+        let jobs = fault_jobs(&dut, &[comb], &config, |c| mission.let_at(c)).unwrap();
         let mut widths: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        for fault in &faults {
+        for (_, fault) in &jobs {
             if let Fault::Set(f) = fault {
                 widths[usize::from(f.cycle >= 50)].push(f.width);
             }

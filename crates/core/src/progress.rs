@@ -128,6 +128,15 @@ impl<'a> Instrument<'a> {
         }
     }
 
+    /// Records `elapsed` as the `name` stage timing when metrics are
+    /// attached, and returns it.
+    pub(crate) fn stage(&self, name: &str, elapsed: Duration) -> Duration {
+        if let Some(metrics) = self.metrics {
+            metrics.timing_add(name, elapsed);
+        }
+        elapsed
+    }
+
     /// The effective heartbeat period.
     pub(crate) fn heartbeat(&self) -> usize {
         if self.heartbeat_every == 0 {

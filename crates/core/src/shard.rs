@@ -3,7 +3,7 @@
 //! machines), and deterministically merge the shard outcomes back into one
 //! [`CampaignOutcome`].
 //!
-//! Fault generation is per-cell seeded ([`faults_for_cell`] derives each
+//! Fault generation is per-cell seeded ([`campaign_jobs`] derives each
 //! cell's RNG stream from the campaign seed and the cell id alone), so the
 //! full job list is a pure function of `(cells, config)` and every shard
 //! can regenerate it locally — a shard assignment is just `(shard,
@@ -26,12 +26,11 @@
 //! `ssresf-serve` crate for the process-level coordinator built on top.
 
 use crate::campaign::{
-    faults_for_cell, run_injection_jobs_with_golden, CampaignConfig, CampaignOutcome,
-    CampaignTelemetry,
+    fault_jobs, run_injection_jobs_with_golden, CampaignConfig, CampaignOutcome, CampaignTelemetry,
 };
 use crate::error::SsresfError;
 use crate::progress::Instrument;
-use crate::workload::Dut;
+use crate::workload::{Dut, GoldenRun};
 use ssresf_netlist::CellId;
 use ssresf_sim::{EngineTelemetry, Fault};
 use std::ops::Range;
@@ -60,7 +59,8 @@ pub struct ShardOutcome {
 
 /// The full injection job list for `(cells, config)` — the list
 /// [`run_campaign_with`](crate::campaign::run_campaign_with) would
-/// execute, in the same order. Deterministic, so every shard can
+/// execute, in the same order: the one-segment mission at
+/// [`CampaignConfig::environment`]'s LET. Deterministic, so every shard can
 /// regenerate it locally.
 ///
 /// # Errors
@@ -71,17 +71,8 @@ pub fn campaign_jobs(
     cells: &[CellId],
     config: &CampaignConfig,
 ) -> Result<Vec<(CellId, Fault)>, SsresfError> {
-    if config.injections_per_cell == 0 {
-        return Err(SsresfError::Config("injections_per_cell is 0".into()));
-    }
-    Ok(cells
-        .iter()
-        .flat_map(|&cell| {
-            faults_for_cell(dut, cell, config)
-                .into_iter()
-                .map(move |f| (cell, f))
-        })
-        .collect())
+    let let_value = config.environment.let_value;
+    fault_jobs(dut, cells, config, |_| let_value)
 }
 
 /// Splits `0..total` into `shard_count` contiguous near-equal ranges
@@ -123,10 +114,34 @@ pub fn run_campaign_shard(
     shard_count: usize,
     hooks: &Instrument<'_>,
 ) -> Result<ShardOutcome, SsresfError> {
+    run_campaign_shard_with(dut, cells, config, shard, shard_count, hooks, || {
+        dut.run_golden_with_checkpoints(config.engine, &config.workload, config.checkpoint_interval)
+    })
+}
+
+/// [`run_campaign_shard`] with the golden reference supplied by `golden`,
+/// e.g. a run memoized in an artifact cache. `golden` is called once, after
+/// the shard index and job list are checked; its wall time is the shard's
+/// `golden_time`. It must return the run
+/// [`Dut::run_golden_with_checkpoints`] gives for `config`.
+///
+/// # Errors
+///
+/// As [`run_campaign_shard`], plus whatever `golden` returns.
+pub fn run_campaign_shard_with<E: From<SsresfError>>(
+    dut: &Dut<'_>,
+    cells: &[CellId],
+    config: &CampaignConfig,
+    shard: usize,
+    shard_count: usize,
+    hooks: &Instrument<'_>,
+    golden: impl FnOnce() -> Result<GoldenRun, E>,
+) -> Result<ShardOutcome, E> {
     if shard >= shard_count {
         return Err(SsresfError::Config(format!(
             "shard index {shard} out of range for {shard_count} shards"
-        )));
+        ))
+        .into());
     }
     let jobs = campaign_jobs(dut, cells, config)?;
     let range = plan_shards(jobs.len(), shard_count)
@@ -134,11 +149,7 @@ pub fn run_campaign_shard(
         .nth(shard)
         .expect("plan covers every shard index");
     let golden_started = Instant::now();
-    let golden = dut.run_golden_with_checkpoints(
-        config.engine,
-        &config.workload,
-        config.checkpoint_interval,
-    )?;
+    let golden = golden()?;
     let golden_time = golden_started.elapsed();
     let outcome =
         run_injection_jobs_with_golden(dut, jobs[range.clone()].to_vec(), config, &golden, hooks)?;

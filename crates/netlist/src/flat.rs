@@ -554,15 +554,10 @@ impl FlatNetlist {
         (0..self.num_cells() as u32).map(|i| (CellId(i), self.cell(CellId(i))))
     }
 
-    /// Rebuilds derived lookup state (needed after deserialization).
-    ///
-    /// The lazy name tables are dropped (they rebuild on next query); the
-    /// path interner's reverse map is rebuilt eagerly.
-    pub fn rebuild_lookup(&mut self) {
-        self.paths.rebuild_lookup();
-        self.invalidate_lookup();
-    }
-
+    /// Drops the lazy name tables so the next query rebuilds them. Called
+    /// by the mutation API ([`FlatNetlist::add_net`],
+    /// [`FlatNetlist::add_cell`]); elaboration pushes into a netlist whose
+    /// tables were never built.
     pub(crate) fn invalidate_lookup(&mut self) {
         self.cell_lookup = OnceLock::new();
         self.net_lookup = OnceLock::new();
@@ -581,7 +576,6 @@ impl FlatNetlist {
         self.net_driver.push(NO_DRIVER);
         self.net_load_start.push(self.load_pool.len() as u32);
         self.net_load_len.push(0);
-        self.invalidate_lookup();
         Ok(NetId(id))
     }
 
@@ -608,7 +602,6 @@ impl FlatNetlist {
         self.cell_output.push(output);
         self.pin_pool.extend(inputs);
         self.cell_pin_start.push(self.pin_pool.len() as u32);
-        self.invalidate_lookup();
         Ok(CellId(id))
     }
 

@@ -49,6 +49,7 @@ impl FlatNetlist {
     pub fn add_net(&mut self, name: String) -> NetId {
         let root = self.paths_mut().intern(HierPath::root());
         let leaf = self.intern_name(&name).expect("net name arena exhausted");
+        self.invalidate_lookup();
         self.push_net_parts(root, leaf)
             .expect("net id space exhausted")
     }
@@ -79,6 +80,7 @@ impl FlatNetlist {
             return Err(NetlistError::MultipleDrivers(self.net_full_name(output)));
         }
         let leaf = self.intern_name(&name)?;
+        self.invalidate_lookup();
         let id = self.push_cell_parts(leaf, path, kind, inputs.iter().copied(), output)?;
         for (pin, &net) in inputs.iter().enumerate() {
             self.append_load(net, (id, pin as u8));
@@ -122,8 +124,7 @@ impl FlatNetlist {
     ///
     /// # Errors
     ///
-    /// Propagates edit failures; on success the netlist's name lookup is
-    /// rebuilt.
+    /// Propagates edit failures.
     pub fn tmr_harden(&mut self, targets: &[CellId]) -> Result<HardeningReport, NetlistError> {
         let before: u64 = self
             .cells()
@@ -186,7 +187,6 @@ impl FlatNetlist {
             hardened.push(target);
         }
 
-        self.rebuild_lookup();
         let after: u64 = self
             .cells()
             .iter()
@@ -297,6 +297,66 @@ mod tests {
         assert_eq!(flat.cell(driver).kind, CellKind::Or3);
         // Still a valid, levelizable netlist.
         flat.levelize().unwrap();
+    }
+
+    #[test]
+    fn tmr_names_resolve_through_lookups_built_before_hardening() {
+        // The toggler one level down, so replicas land under a path.
+        let mut design = Design::new();
+        let mut mb = ModuleBuilder::new("t");
+        let clk = mb.port("clk", PortDir::Input);
+        let rst_n = mb.port("rst_n", PortDir::Input);
+        let q = mb.port("q", PortDir::Output);
+        let nq = mb.net("nq");
+        mb.cell("u_inv", CellKind::Inv, &[q], &[nq]).unwrap();
+        mb.cell("u_ff", CellKind::Dffr, &[clk, nq, rst_n], &[q])
+            .unwrap();
+        let inner = design.add_module(mb.finish()).unwrap();
+        let mut top = ModuleBuilder::new("top");
+        let ports = [
+            top.port("clk", PortDir::Input),
+            top.port("rst_n", PortDir::Input),
+            top.port("q", PortDir::Output),
+        ];
+        top.instance("u_core", inner, &ports).unwrap();
+        let id = design.add_module(top.finish()).unwrap();
+        design.set_top(id).unwrap();
+        let mut flat = design.flatten().unwrap();
+
+        // Build both lazy tables before the edit.
+        let ff = flat.cell_by_name("u_core.u_ff").unwrap();
+        let inv = flat.cell_by_name("u_core.u_inv").unwrap();
+        let q = flat.net_by_name("q").unwrap();
+        flat.tmr_harden(&[ff, inv]).unwrap();
+
+        for (target, base) in [(ff, "u_core_u_ff"), (inv, "u_core_u_inv")] {
+            let kind = flat.cell(target).kind;
+            let net = |suffix: &str| {
+                flat.net_by_name(&format!("{base}_tmr_{suffix}"))
+                    .unwrap_or_else(|| panic!("net {base}_tmr_{suffix} not found"))
+            };
+            let cell = |suffix: &str| {
+                let name = format!("u_core.{base}_tmr_{suffix}");
+                let id = flat
+                    .cell_by_name(&name)
+                    .unwrap_or_else(|| panic!("cell {name} not found"));
+                assert_eq!(flat.cell_full_name(id), name);
+                flat.cell(id)
+            };
+            assert_eq!(flat.cell(target).output, net("qa"));
+            for (replica, out) in [("b", "qb"), ("c", "qc")] {
+                assert_eq!(cell(replica).kind, kind);
+                assert_eq!(cell(replica).output, net(out));
+            }
+            for (and, out) in [("and_ab", "ab"), ("and_bc", "bc"), ("and_ca", "ca")] {
+                assert_eq!(cell(and).kind, CellKind::And2);
+                assert_eq!(cell(and).output, net(out));
+            }
+            assert_eq!(cell("vote").kind, CellKind::Or3);
+        }
+        // Names that existed before the edit still resolve.
+        assert_eq!(flat.cell_by_name("u_core.u_ff"), Some(ff));
+        assert_eq!(flat.net_by_name("q"), Some(q));
     }
 
     #[test]

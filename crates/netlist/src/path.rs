@@ -153,16 +153,6 @@ impl PathInterner {
             .map(|(i, p)| (PathId(i as u32), p))
     }
 
-    /// Rebuilds the reverse-lookup table (needed after deserialization).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), PathId(i as u32)))
-            .collect();
-    }
-
     /// Encodes every interned path as a fixed-width layer signature of
     /// interned segment ids (see [`LayerSignatures`]).
     ///
@@ -329,19 +319,5 @@ mod tests {
     #[should_panic(expected = "signature depth")]
     fn zero_depth_signatures_panic() {
         PathInterner::new().layer_signatures(0);
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_dedup_after_clone_without_map() {
-        let mut interner = PathInterner::new();
-        interner.intern(HierPath::from_segments(["cpu"]));
-        let mut copy = PathInterner {
-            paths: interner.paths.clone(),
-            lookup: HashMap::new(),
-        };
-        copy.rebuild_lookup();
-        let id = copy.intern(HierPath::from_segments(["cpu"]));
-        assert_eq!(copy.len(), 1);
-        assert_eq!(copy.resolve(id).dotted(), "cpu");
     }
 }

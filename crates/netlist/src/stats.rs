@@ -1,6 +1,6 @@
 //! Summary statistics over flat netlists.
 
-use crate::cell::{CellKind, RadiationClass, ALL_CELL_KINDS};
+use crate::cell::{CellKind, RadiationClass};
 use crate::features::ModuleClass;
 use crate::flat::FlatNetlist;
 use std::collections::BTreeMap;
@@ -132,11 +132,6 @@ impl fmt::Display for NetlistStats {
         }
         Ok(())
     }
-}
-
-/// Ensures the stable kind iteration order used by reports covers all kinds.
-pub fn kind_catalog() -> &'static [CellKind] {
-    ALL_CELL_KINDS
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::environment::RadiationEnvironment;
 use crate::error::RadiationError;
 use crate::mission::MissionProfile;
 use crate::pulse::PulseWidthModel;
+use crate::units::Let;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssresf_netlist::{CellId, FlatNetlist};
@@ -205,30 +206,53 @@ impl<'a> FluxCampaign<'a> {
             let idx = cumulative
                 .partition_point(|&c| c < pick)
                 .min(rates.len() - 1);
-            let cell_id = CellId(idx as u32);
-            let cell = netlist.cell(cell_id);
+            let cell = CellId(idx as u32);
             let cycle = start_cycle + rng.gen_range(0..window_cycles);
-            let offset = rng.gen::<f64>() * 0.999;
-            let fault = if cell.kind.is_sequential() {
-                Fault::Seu(SeuFault {
-                    cell: cell_id,
-                    cycle,
-                    offset,
-                })
-            } else {
-                Fault::Set(SetFault {
-                    net: cell.output,
-                    cycle,
-                    offset,
-                    width: self.config.pulse_model.sample_width(env.let_value, rng),
-                })
-            };
-            faults.push(GeneratedFault {
-                cell: cell_id,
-                fault,
-            });
+            let fault = strike_fault(
+                netlist,
+                cell,
+                cycle,
+                env.let_value,
+                &self.config.pulse_model,
+                rng,
+            );
+            faults.push(GeneratedFault { cell, fault });
         }
         faults
+    }
+}
+
+/// Maps one particle strike on `cell` at `cycle` to the fault it deposits:
+/// an SEU when the cell holds state, otherwise a SET on its output net.
+/// Draws the sub-cycle offset, then — for a SET only — one pulse width at
+/// `let_value`.
+///
+/// Every fault source maps strikes through this function: the flux-driven
+/// [`FluxCampaign`] and the per-cell campaign runner in the `ssresf` crate,
+/// so a strike's fault depends only on its cell, cycle, LET and RNG state.
+pub fn strike_fault<R: Rng + ?Sized>(
+    netlist: &FlatNetlist,
+    cell: CellId,
+    cycle: u64,
+    let_value: Let,
+    pulse: &PulseWidthModel,
+    rng: &mut R,
+) -> Fault {
+    let victim = netlist.cell(cell);
+    let offset = rng.gen::<f64>() * 0.999;
+    if victim.kind.is_sequential() {
+        Fault::Seu(SeuFault {
+            cell,
+            cycle,
+            offset,
+        })
+    } else {
+        Fault::Set(SetFault {
+            net: victim.output,
+            cycle,
+            offset,
+            width: pulse.sample_width(let_value, rng),
+        })
     }
 }
 
@@ -485,6 +509,71 @@ mod tests {
             segments: Vec::new(),
         };
         assert!(campaign.generate_mission(&netlist, &none, 1).is_err());
+    }
+
+    /// One line per fault: victim, kind, cycle, offset and (SET) net and
+    /// width. `f64` Display prints the shortest string that reads back to
+    /// the same bits, so equal lines mean bit-equal faults.
+    fn render(faults: &[GeneratedFault]) -> Vec<String> {
+        faults
+            .iter()
+            .map(|gf| match gf.fault {
+                Fault::Seu(f) => format!("seu c{} @{} +{}", gf.cell.0, f.cycle, f.offset),
+                Fault::Set(f) => format!(
+                    "set c{} n{} @{} +{} w{}",
+                    gf.cell.0, f.net.0, f.cycle, f.offset, f.width
+                ),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn generated_faults_are_pinned_for_a_fixed_seed() {
+        use crate::mission::{MissionProfile, MissionSegment};
+        use crate::particle::ParticleEnvironment;
+        let db = SoftErrorDatabase::standard();
+        let netlist = small_netlist();
+        // Cell 0 is the inverter (SET on net 3), cell 1 the flip-flop.
+        let campaign = FluxCampaign::new(&db, config(1e14)).unwrap();
+        let generated = campaign.generate(&netlist, &mut StdRng::seed_from_u64(1));
+        assert_eq!(
+            render(&generated),
+            [
+                "seu c1 @81 +0.681023268407208",
+                "seu c1 @6 +0.08133323934945735",
+                "seu c1 @12 +0.28662444346891536",
+                "seu c1 @51 +0.7130570320404206",
+                "set c0 n3 @99 +0.5972543208725418 w0.12818350866435757",
+                "seu c1 @43 +0.2530198745190228",
+                "seu c1 @54 +0.7474870934928332",
+                "seu c1 @66 +0.8609664563740482",
+                "seu c1 @23 +0.6555792937029588",
+                "seu c1 @83 +0.32410879688901223",
+                "seu c1 @89 +0.9117774735154007",
+                "seu c1 @13 +0.3253579670822184",
+                "seu c1 @39 +0.08764310322945006",
+                "seu c1 @15 +0.9573737712826141",
+                "seu c1 @52 +0.06830162814777146",
+            ]
+        );
+        let mut quiet = ParticleEnvironment::proton();
+        quiet.flux = Flux::new(5e16);
+        let mut storm = ParticleEnvironment::solar_flare();
+        storm.flux = Flux::new(2e16);
+        let mission = MissionProfile::new(vec![
+            MissionSegment::new("quiet", 60, quiet),
+            MissionSegment::new("storm", 40, storm),
+        ])
+        .unwrap();
+        let mission_faults = campaign.generate_mission(&netlist, &mission, 7).unwrap();
+        assert_eq!(
+            render(&mission_faults),
+            [
+                "seu c1 @19 +0.17350029340658904",
+                "set c0 n3 @89 +0.5244034937239801 w0.06829142549481564",
+                "set c0 n3 @93 +0.7126087706391622 w0.07312037661984651",
+            ]
+        );
     }
 
     #[test]

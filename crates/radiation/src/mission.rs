@@ -13,6 +13,7 @@
 
 use crate::error::RadiationError;
 use crate::particle::ParticleEnvironment;
+use crate::units::Let;
 use ssresf_json::{field, FromJson, ToJson, Value};
 
 /// One contiguous phase of a mission.
@@ -156,6 +157,16 @@ impl MissionProfile {
             }
         }
         self.segments.len().saturating_sub(1)
+    }
+
+    /// LET of the segment active at `cycle` (clamped like
+    /// [`segment_at`](MissionProfile::segment_at)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile has no segments.
+    pub fn let_at(&self, cycle: u64) -> Let {
+        self.segments[self.segment_at(cycle)].environment.let_value
     }
 }
 

@@ -145,13 +145,6 @@ pub fn eval_comb_with_mutant(
     eval_comb(kind, inputs)
 }
 
-/// Pin index of the clocking pin for a sequential cell (`CLK`, or `EN` for
-/// latches).
-pub fn clock_pin(kind: CellKind) -> usize {
-    debug_assert!(kind.is_sequential());
-    0
-}
-
 /// Asynchronous override of a sequential cell's state, evaluated continuously
 /// (not just at clock edges). Returns `Some(state)` while an async control is
 /// active — e.g. `RSTN == 0` forces the state to `0`.

@@ -90,22 +90,6 @@ impl<E: Engine> Testbench<E> {
         }
     }
 
-    /// Overrides the active-low reset net.
-    pub fn with_reset(mut self, net: NetId) -> Self {
-        self.reset = Some(net);
-        self
-    }
-
-    /// Overrides the observed outputs.
-    pub fn with_outputs(mut self, nets: &[NetId]) -> Self {
-        self.outputs = nets.to_vec();
-        self.output_names = nets
-            .iter()
-            .map(|&n| self.engine.netlist().net_full_name(n))
-            .collect();
-        self
-    }
-
     /// The wrapped engine.
     pub fn engine(&self) -> &E {
         &self.engine

@@ -154,11 +154,6 @@ pub fn build_bus(
     Ok(id)
 }
 
-/// Total one-way transport latency of the fabric, in cycles.
-pub fn bus_latency(kind: BusKind) -> usize {
-    kind.pipeline_stages()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
