@@ -25,7 +25,9 @@
 //! 8. **Batched-campaign differential** — a bit-parallel batched campaign
 //!    (scratch, checkpointed, and checkpointed+early-stop) produces records
 //!    byte-identical to a scratch scalar levelized campaign over the same
-//!    fault targets.
+//!    fault targets. Both sides run the one levelized kernel (the scalar
+//!    side is its one-word golden lane), so this checks lane packing and
+//!    width; checks 1 and 5 hold the kernel to the oracle.
 //! 9. **Mission-campaign differential** — a seed-derived multi-segment
 //!    mission profile over the same fault targets produces bit-identical
 //!    records and per-segment statistics from scratch, checkpointed, and

@@ -608,8 +608,9 @@ pub fn run_injection_jobs_with_golden(
     run_jobs_with_golden(dut, jobs, config, hooks, golden, Duration::ZERO, false)
 }
 
-/// Shared configuration validation for the job-level entry points.
-fn validate_job_config(config: &CampaignConfig) -> Result<(), SsresfError> {
+/// Shared configuration validation for the job-level entry points and
+/// `Ssresf::validate_config`.
+pub(crate) fn validate_job_config(config: &CampaignConfig) -> Result<(), SsresfError> {
     if config.workload.run_cycles == 0 {
         return Err(SsresfError::Config(
             "workload run_cycles is 0: nothing to observe or inject into".into(),

@@ -395,7 +395,9 @@ impl Ssresf {
         })
     }
 
-    /// Entry-point configuration validation shared by every analysis.
+    /// Entry-point configuration validation shared by every analysis. It
+    /// covers the sampling and campaign settings too, so a config that
+    /// cannot run fails before clustering or any simulation.
     pub(crate) fn validate_config(&self) -> Result<(), SsresfError> {
         if let LabelRule::PerCell { min_probability } = self.config.labeling {
             if !(min_probability > 0.0 && min_probability <= 1.0) {
@@ -410,7 +412,8 @@ impl Ssresf {
                 self.config.memory_scale
             )));
         }
-        Ok(())
+        crate::sampling::validate_config(&self.config.sampling)?;
+        crate::campaign::validate_job_config(&self.config.campaign)
     }
 }
 

@@ -64,6 +64,17 @@ impl ClusterSample {
     }
 }
 
+/// Rejects a sampling fraction outside `(0, 1]`.
+pub(crate) fn validate_config(config: &SamplingConfig) -> Result<(), SsresfError> {
+    if !(config.fraction > 0.0 && config.fraction <= 1.0) {
+        return Err(SsresfError::Config(format!(
+            "sampling fraction {} outside (0, 1]",
+            config.fraction
+        )));
+    }
+    Ok(())
+}
+
 /// Draws the equal-proportion sample from every cluster.
 ///
 /// # Errors
@@ -73,12 +84,7 @@ pub fn sample_clusters(
     clustering: &Clustering,
     config: &SamplingConfig,
 ) -> Result<ClusterSample, SsresfError> {
-    if !(config.fraction > 0.0 && config.fraction <= 1.0) {
-        return Err(SsresfError::Config(format!(
-            "sampling fraction {} outside (0, 1]",
-            config.fraction
-        )));
-    }
+    validate_config(config)?;
     let mut per_cluster = Vec::with_capacity(clustering.members.len());
     for (index, members) in clustering.members.iter().enumerate() {
         if members.is_empty() {

@@ -40,10 +40,13 @@
 //! ([`BitParallelEngine::lanes_differing_from_golden`]) — no per-lane
 //! traces are ever materialised.
 //!
-//! The engine mirrors [`LevelizedEngine`](crate::LevelizedEngine)
-//! cycle-for-cycle and lane-for-lane: a batched run at any width is
-//! bit-identical to the corresponding scalar levelized runs, which the
-//! conformance subsystem verifies differentially.
+//! This is the only implementation of the levelized cycle semantics:
+//! [`LevelizedEngine`](crate::LevelizedEngine) is the golden lane of a
+//! one-word (`W = 1`) engine. The kernel is judged against the independent
+//! [`OracleEngine`](crate::OracleEngine): the integration tests compare
+//! every lane of a batched run with oracle runs of its single fault in
+//! every net and cell state, and the conformance subsystem compares
+//! levelized traces with the oracle's.
 
 use crate::engine::{Engine, EngineState, EngineTelemetry};
 use crate::eval::{gather, Inputs};
@@ -66,8 +69,8 @@ pub const LANES: usize = WORD_LANES;
 /// Campaign-level width validation and dispatch use this list.
 pub const SUPPORTED_LANE_COUNTS: [usize; 3] = [64, 256, 512];
 
-/// Iteration bound for the asynchronous-control fixpoint (matches the
-/// levelized engine's bound).
+/// Iteration bound for the asynchronous-control fixpoint (the oracle uses
+/// the same bound).
 const ASYNC_FIXPOINT_LIMIT: usize = 16;
 
 /// A per-lane bitmask over `W * 64` lanes: fault targeting, divergence
@@ -502,7 +505,8 @@ pub struct BitParallelEngine<'a, const W: usize = 1> {
     /// Faults applied to a single lane each.
     lane_faults: Vec<(usize, Fault)>,
     cycle: u64,
-    /// Golden-lane toggle activity (matches the scalar engine's counter).
+    /// Golden-lane toggle activity: a net's count rises whenever lane 0's
+    /// value changes.
     activity: Vec<u64>,
     /// Word evaluations performed (one covers a cell for all lanes).
     word_evals: u64,
@@ -643,7 +647,6 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     }
 
     fn set_net(&mut self, net: NetId, w: LaneWord<W>) {
-        // Golden-lane activity mirrors the scalar engine's toggle counter.
         if self.nets[net.index()].diff(w).0[0] & 1 != 0 {
             self.activity[net.index()] += 1;
         }
@@ -673,8 +676,7 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
 
     /// Applies asynchronous controls (e.g. active-low reset) until stable,
     /// per lane. Only cells with an asynchronous reset can be forced, so
-    /// only those are visited (in id order, as the scalar engine visits
-    /// every sequential cell).
+    /// only those are visited, in id order.
     fn async_fixpoint(&mut self) {
         for _ in 0..ASYNC_FIXPOINT_LIMIT {
             let mut changed = false;
@@ -682,8 +684,10 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
                 let id = self.async_reset[k];
                 let forced =
                     async_override_zero_lanes(self.netlist.cell_kind(id), &self.input_words(id));
-                // Only lanes whose state actually changes update the Q net,
-                // matching the scalar `state != forced` guard.
+                // Only lanes whose state actually changes update the Q net
+                // and count as a change, as the oracle's `state != forced`
+                // guard does, so the fixpoint ends once every forced state
+                // holds.
                 let st = self.state[id.index()];
                 let nonzero = LaneMask(array::from_fn(|k| st.val[k] | st.unk[k]));
                 let diff = forced & nonzero;
@@ -730,7 +734,7 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
     fn poke(&mut self, net: NetId, value: Logic) {
         assert_ne!(net, self.clock, "the clock is driven by the engine");
         assert_eq!(
-            self.netlist.net(net).driver,
+            self.netlist.net_driver(net),
             Some(Driver::PrimaryInput),
             "poke target `{}` is not a primary input",
             self.netlist.net_full_name(net)
@@ -748,20 +752,7 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
     }
 
     fn set_cell_state(&mut self, cell: CellId, value: Logic) {
-        assert!(
-            self.netlist.cell(cell).kind.is_sequential(),
-            "cell `{}` holds no state",
-            self.netlist.cell_full_name(cell)
-        );
-        assert_ne!(
-            value,
-            Logic::Z,
-            "the bit-parallel engine cannot represent Z (set X instead)"
-        );
-        self.state[cell.index()] = LaneWord::splat(value);
-        let q = self.netlist.cell(cell).output;
-        self.set_net(q, LaneWord::splat(value));
-        self.propagate();
+        self.set_cell_states(&[cell], value);
     }
 
     fn set_cell_states(&mut self, cells: &[CellId], value: Logic) {
@@ -772,13 +763,12 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
         );
         for &cell in cells {
             assert!(
-                self.netlist.cell(cell).kind.is_sequential(),
+                self.netlist.cell_kind(cell).is_sequential(),
                 "cell `{}` holds no state",
                 self.netlist.cell_full_name(cell)
             );
             self.state[cell.index()] = LaneWord::splat(value);
-            let q = self.netlist.cell(cell).output;
-            self.set_net(q, LaneWord::splat(value));
+            self.set_net(self.netlist.cell_output(cell), LaneWord::splat(value));
         }
         self.propagate();
     }
@@ -813,8 +803,9 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
         ))
     }
 
-    /// Broadcasts a levelized snapshot (e.g. a golden-run checkpoint taken
-    /// by the scalar engine) into every lane.
+    /// Broadcasts a levelized snapshot (e.g. a golden-run checkpoint) into
+    /// every lane. The work counter resumes from the snapshot's, so a
+    /// restored run snapshots exactly as an uninterrupted one.
     fn restore(&mut self, state: &EngineState) {
         let EngineState::Levelized(s) = state else {
             panic!("bit-parallel engine cannot restore a non-levelized snapshot");
@@ -843,16 +834,18 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
         self.lane_faults.clear();
         self.cycle = s.cycle();
         self.activity = s.activity().to_vec();
+        self.word_evals = s.evals();
         self.restores += 1;
     }
 
     fn step_cycle(&mut self) {
-        // 1. Rising edge: every sequential cell captures from the settled
-        //    values, all lanes at once (see LevelizedEngine::step_cycle for
-        //    the phase rationale — the two must stay in lockstep). A capture
-        //    reads net values and the cell's own state, and the loop writes
-        //    neither net values nor other cells' state, so capturing in
-        //    place equals capturing into a buffer first.
+        // 1. Rising edge: every sequential cell captures from the currently
+        //    settled values, all lanes at once. Those values already include
+        //    this cycle's pokes, matching the event engine, where pokes land
+        //    before the edge. A capture reads net values and the cell's own
+        //    state, and the loop writes neither net values nor other cells'
+        //    state, so capturing in place equals capturing into a buffer
+        //    first.
         for k in 0..self.sequential.len() {
             let id = self.sequential[k];
             let kind = self.netlist.cell_kind(id);
@@ -902,7 +895,9 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
         self.propagate();
         self.async_fixpoint();
 
-        // 4. Release this cycle's SET disturbances.
+        // 4. Release this cycle's SET disturbances; the disturbed values
+        //    persist until the next cycle's sweep, so a pulse spans one full
+        //    cycle and is captured at the following edge.
         for net in self.disturbed.drain(..) {
             self.inverted[net.index()] = LaneMask::EMPTY;
         }

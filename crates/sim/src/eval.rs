@@ -1,4 +1,4 @@
-//! Cell evaluation semantics shared by both simulation engines.
+//! Cell evaluation semantics shared by the simulation engines.
 
 use crate::value::Logic;
 use ssresf_netlist::{CellKind, NetId};
@@ -23,8 +23,8 @@ impl<T> Deref for Inputs<T> {
 }
 
 /// Gathers the values of the nets `inputs` from the per-net `values`, so a
-/// gate evaluation allocates nothing. Shared by the scalar engines
-/// (`T = Logic`) and the bit-parallel engine (`T = LaneWord`).
+/// gate evaluation allocates nothing. Shared by the event-driven engine
+/// (`T = Logic`) and the bit-parallel kernel (`T = LaneWord`).
 pub(crate) fn gather<T: Copy + Default>(inputs: &[NetId], values: &[T]) -> Inputs<T> {
     let mut buf = [T::default(); MAX_INPUTS];
     for (b, n) in buf.iter_mut().zip(inputs) {
@@ -76,9 +76,10 @@ pub fn eval_comb(kind: CellKind, inputs: &[Logic]) -> Logic {
 /// strike deposits charge, so even an `X`/`Z` node ends up at a definite
 /// level).
 ///
-/// Shared by every engine: the levelized and oracle engines apply it to
-/// cycle-widened SET pulses and SEU state flips, the event-driven engine to
-/// `ForceInvert`/`Flip` events, and the bit-parallel engine in word form
+/// Shared by every engine: the oracle applies it to cycle-widened SET
+/// pulses and SEU state flips, the event-driven engine to
+/// `ForceInvert`/`Flip` events, and the bit-parallel kernel (with it the
+/// levelized engine) in word form
 /// ([`LaneWord::disturb`](crate::bitparallel::LaneWord::disturb)).
 pub fn disturb(v: Logic) -> Logic {
     match v {

@@ -6,12 +6,15 @@
 //!   gate delays and sub-cycle timing, standing in for the commercial
 //!   Synopsys VCS simulator the paper uses;
 //! - [`LevelizedEngine`] — a cycle-accurate, compiled-style oblivious
-//!   simulator, standing in for OSS-CVC.
+//!   simulator, standing in for OSS-CVC. It is the golden lane of a
+//!   one-word [`BitParallelEngine`], the one levelized kernel, which
+//!   batched fault campaigns run at 64, 256 or 512 lanes.
 //!
 //! Golden (fault-free) runs of the two engines agree cycle-for-cycle, which
 //! the integration tests verify; their differing treatment of sub-cycle SET
 //! pulses mirrors the accuracy/performance trade-off between the paper's two
-//! simulators.
+//! simulators. A third, deliberately naive implementation, [`OracleEngine`],
+//! is the reference both are judged against.
 //!
 //! Fault injection ([`Fault`], [`SetFault`], [`SeuFault`]) plays the role of
 //! the paper's VPI-driven force/release interface, and [`vcd`] implements the

@@ -1,6 +1,9 @@
 //! The reference oracle interpreter — deliberately naive, obviously correct.
 //!
-//! The conformance subsystem judges the two production engines against this
+//! The conformance subsystem judges the two production engines — the
+//! event-driven engine and the levelized kernel
+//! ([`BitParallelEngine`](crate::BitParallelEngine), whose one-word golden
+//! lane is the [`LevelizedEngine`](crate::LevelizedEngine)) — against this
 //! third, independent implementation of the cell semantics. It has **no
 //! event wheel and no levelization**: every cycle it simply re-evaluates the
 //! whole combinational netlist, in plain cell-declaration order, over and
@@ -14,7 +17,9 @@
 //! pulses widen to one full cycle), so golden runs and SEU/SET verdicts are
 //! comparable against both engines — with the caveat that the event-driven
 //! engine resolves sub-cycle SET pulses more precisely, which the
-//! differential runner accounts for.
+//! differential runner accounts for. The integration tests also compare
+//! every lane of a batched bit-parallel run with oracle runs of its single
+//! fault, net by net and cell by cell.
 //!
 //! The oracle optionally carries an [`EvalMutant`] — a deliberately wrong
 //! gate-evaluation rule — so the conformance harness can prove it would
@@ -29,7 +34,7 @@ use ssresf_netlist::flat::Driver;
 use ssresf_netlist::{CellId, FlatNetlist, NetId};
 
 /// Iteration bound for the asynchronous-control fixpoint (matches the
-/// levelized engine's bound).
+/// levelized kernel's bound).
 const ASYNC_FIXPOINT_LIMIT: usize = 16;
 
 /// Finds a cycle in the combinational cell graph, returning one net on it.

@@ -1,7 +1,10 @@
 //! Margin-driven active learning: budget savings, determinism across
 //! threads and repeat runs, and drop-in parity with the one-shot pipeline.
 
-use ssresf::{ActiveLearningConfig, Ssresf, SsresfConfig, Workload};
+use ssresf::{
+    ActiveLearningConfig, EngineKind, Instrument, MetricsRegistry, Ssresf, SsresfConfig,
+    SsresfError, Workload,
+};
 use ssresf_socgen::{build_soc, SocConfig};
 
 /// A reduced-budget configuration mirroring the end-to-end test's, so the
@@ -175,6 +178,44 @@ fn active_rejects_bad_configs() {
         assert!(
             framework.analyze_active(&netlist, &bad).is_err(),
             "{bad:?} not rejected"
+        );
+    }
+}
+
+/// A pipeline config the active loop cannot run is rejected before the
+/// golden run: the metrics registry holds no `stage.golden` timing and no
+/// `campaign.*` counter.
+#[test]
+fn active_rejects_bad_pipeline_configs_before_simulating() {
+    let soc = build_soc(&SocConfig::table1()[0]).unwrap();
+    let netlist = soc.design.flatten().unwrap();
+    let mut zero_fraction = quick_config(soc.info.memory_scale_factor, 1);
+    zero_fraction.sampling.fraction = 0.0;
+    let mut event_batching = quick_config(soc.info.memory_scale_factor, 1);
+    event_batching.campaign.engine = EngineKind::EventDriven;
+    event_batching.campaign.batching = true;
+    for config in [zero_fraction, event_batching] {
+        let registry = MetricsRegistry::new();
+        let hooks = Instrument {
+            metrics: Some(&registry),
+            ..Instrument::default()
+        };
+        let result = Ssresf::new(config).analyze_active_with(&netlist, &active_config(), &hooks);
+        assert!(
+            matches!(result, Err(SsresfError::Config(_))),
+            "{:?}",
+            result.err()
+        );
+        let export = registry.to_json_deterministic();
+        let keys = |section: &str| -> Vec<String> {
+            let entries = export.get(section).and_then(|v| v.as_object()).unwrap();
+            entries.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert!(!keys("timings_s").contains(&"stage.golden".to_string()));
+        assert!(
+            keys("counters").iter().all(|k| !k.starts_with("campaign.")),
+            "{:?}",
+            keys("counters")
         );
     }
 }
