@@ -22,6 +22,7 @@ use crate::shard::campaign_jobs;
 use crate::workload::{Dut, EngineKind, GoldenRun, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssresf_mlcore::{parallel_map, resolve_threads};
 use ssresf_netlist::{CellId, CellKind, FlatNetlist, NetId};
 use ssresf_radiation::{strike_fault, Let, PulseWidthModel, RadiationEnvironment};
 use ssresf_sim::{CycleTrace, EngineTelemetry, Fault};
@@ -201,42 +202,6 @@ impl CampaignOutcome {
         self.records.iter().filter(|r| r.soft_error).count()
     }
 
-    /// Cells that produced at least one soft error.
-    pub fn sensitive_cells(&self) -> Vec<CellId> {
-        let mut cells: Vec<CellId> = self
-            .records
-            .iter()
-            .filter(|r| r.soft_error)
-            .map(|r| r.cell)
-            .collect();
-        cells.sort();
-        cells.dedup();
-        cells
-    }
-
-    /// Observed soft-error probability of one cell (errors / injections),
-    /// or `None` if the cell was never injected.
-    ///
-    /// Scans all records; callers that need many cells should build
-    /// [`per_cell_stats`](CampaignOutcome::per_cell_stats) once instead.
-    pub fn cell_error_probability(&self, cell: CellId) -> Option<f64> {
-        let mut total = 0usize;
-        let mut errors = 0usize;
-        for r in &self.records {
-            if r.cell == cell {
-                total += 1;
-                if r.soft_error {
-                    errors += 1;
-                }
-            }
-        }
-        if total == 0 {
-            None
-        } else {
-            Some(errors as f64 / total as f64)
-        }
-    }
-
     /// Per-cell `(injections, errors)` statistics, built in one pass over
     /// the records.
     pub fn per_cell_stats(&self) -> BTreeMap<CellId, CellErrorStats> {
@@ -321,10 +286,17 @@ struct JobResult {
     early_stopped: bool,
 }
 
-/// Per-worker statistics the batched path reports beyond its job results.
-#[derive(Default, Clone, Copy)]
-struct BatchChunkStats {
+/// What one worker hands back for its chunk of jobs.
+#[derive(Default)]
+struct ChunkOutcome {
+    /// One slot per job, in job order; `None` where a cancellation stopped
+    /// the worker before the job's verdict.
+    results: Vec<Option<JobResult>>,
+    /// Faults loaded per bit-parallel batch (batched mode only).
+    occupancy: Vec<u64>,
+    /// Faults answered by a collapsed representative lane.
     collapsed: u64,
+    /// Retired lanes refilled mid-sweep.
     refills: u64,
 }
 
@@ -441,22 +413,18 @@ fn chunk_lanes(classes: usize, batch_lanes: usize) -> usize {
 
 /// Runs one worker's job chunk through the bit-parallel lane queue at the
 /// width [`chunk_lanes`] picks, with optional fault-list collapsing, lane
-/// retirement and refilling. Results scatter back into `mine`
-/// at each job's original slot, so record order — and the records
-/// themselves — stay identical to scalar mode.
-#[allow(clippy::too_many_arguments)]
+/// retirement and refilling. Verdicts scatter back to each job's slot in
+/// the chunk, so record order — and the records themselves — stay
+/// identical to scalar mode.
 fn run_batched_chunk(
     dut: &Dut<'_>,
     config: &CampaignConfig,
     golden_run: &GoldenRun,
     collapse: Option<&CollapseIndex>,
     job_chunk: &[(CellId, Fault)],
-    mine: &mut [Option<JobResult>],
     cancelled: &dyn Fn() -> bool,
     note_done: &dyn Fn(bool),
-    jobs_done: &mut usize,
-    occupancy: &mut Vec<u64>,
-) -> Result<BatchChunkStats, SsresfError> {
+) -> Result<ChunkOutcome, SsresfError> {
     // Sorting by fault cycle lets batch-mates share one fast-forward
     // checkpoint and makes equivalence classes contiguous.
     let mut by_cycle: Vec<usize> = (0..job_chunk.len()).collect();
@@ -482,7 +450,8 @@ fn run_batched_chunk(
         config.lane_refill,
         Some(cancelled),
     )?;
-    occupancy.extend(out.occupancy.iter().copied());
+    let mut results: Vec<Option<JobResult>> = Vec::with_capacity(job_chunk.len());
+    results.resize_with(job_chunk.len(), || None);
     // Each class verdict scatters to every member of its class. The
     // chunk's work splits evenly over its jobs via the (k, per, rem)
     // counter so per-injection work sums stay exact; the engine counters
@@ -497,7 +466,7 @@ fn run_batched_chunk(
         };
         for &i in &members[class] {
             let (cell, fault) = job_chunk[i];
-            mine[i] = Some(JobResult {
+            results[i] = Some(JobResult {
                 record: InjectionRecord {
                     cell,
                     fault,
@@ -514,13 +483,61 @@ fn run_batched_chunk(
                 early_stopped: fault_outcome.early_stopped,
             });
             k += 1;
-            *jobs_done += 1;
             note_done(fault_outcome.soft_error);
         }
     }
-    Ok(BatchChunkStats {
+    Ok(ChunkOutcome {
+        results,
+        occupancy: out.occupancy,
         collapsed: (job_chunk.len() - reps.len()) as u64,
         refills: out.refills,
+    })
+}
+
+/// Runs one worker's job chunk one scalar injection at a time, each
+/// resumed from the nearest golden checkpoint (or from reset when
+/// checkpointing is disabled), until the chunk ends or `cancelled` reads
+/// true.
+fn run_scalar_chunk(
+    dut: &Dut<'_>,
+    config: &CampaignConfig,
+    golden_run: &GoldenRun,
+    job_chunk: &[(CellId, Fault)],
+    cancelled: &dyn Fn() -> bool,
+    note_done: &dyn Fn(bool),
+) -> Result<ChunkOutcome, SsresfError> {
+    let mut results: Vec<Option<JobResult>> = Vec::with_capacity(job_chunk.len());
+    for &(cell, fault) in job_chunk {
+        if cancelled() {
+            break;
+        }
+        let outcome = dut.resume(
+            config.engine,
+            &config.workload,
+            std::slice::from_ref(&fault),
+            golden_run,
+            config.early_stop,
+        )?;
+        let divergences = golden_run.outcome.trace.diff(&outcome.trace).len();
+        let soft_error = divergences > 0;
+        results.push(Some(JobResult {
+            record: InjectionRecord {
+                cell,
+                fault,
+                soft_error,
+                divergences,
+            },
+            work: outcome.work,
+            engine: outcome.engine,
+            resumed_from: outcome.resumed_from,
+            early_stopped: outcome.early_stopped,
+        }));
+        note_done(soft_error);
+    }
+    results.resize_with(job_chunk.len(), || None);
+    Ok(ChunkOutcome {
+        results,
+        ..ChunkOutcome::default()
     })
 }
 
@@ -560,7 +577,11 @@ pub fn run_campaign_with(
 ///
 /// # Errors
 ///
-/// Propagates configuration and simulation failures.
+/// Propagates configuration and simulation failures. The first worker to
+/// fail stops the others; when several fail, the error of the first in
+/// worker (job) order is reported, whichever failed first in time. A
+/// failure takes precedence over an external cancellation
+/// ([`SsresfError::Cancelled`]).
 pub fn run_injection_jobs(
     dut: &Dut<'_>,
     jobs: Vec<(CellId, Fault)>,
@@ -653,26 +674,16 @@ fn run_jobs_with_golden(
     charge_golden: bool,
 ) -> Result<CampaignOutcome, SsresfError> {
     let started = Instant::now();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
-    let threads = threads.min(jobs.len().max(1));
-
-    let golden_run = golden;
-    let golden_trace = &golden.outcome.trace;
-    let mut results: Vec<Option<JobResult>> = Vec::with_capacity(jobs.len());
-    results.resize_with(jobs.len(), || None);
-    let error: std::sync::Mutex<Option<SsresfError>> = std::sync::Mutex::new(None);
+    let threads = resolve_threads(config.threads, jobs.len());
     // Raised on the first failure so sibling workers stop simulating
     // chunks whose results will be discarded anyway.
-    let cancel = AtomicBool::new(false);
+    let stop = AtomicBool::new(false);
     // The caller's cancellation flag (e.g. a serve coordinator relaying a
     // client cancel); polled alongside the internal one.
     let external_cancel = hooks.cancel;
+    let is_cancelled = || {
+        stop.load(Ordering::Relaxed) || external_cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+    };
 
     // Shared progress state (approximate during the run; the Finished
     // report re-derives exact totals from the records).
@@ -691,149 +702,69 @@ fn run_jobs_with_golden(
             workers: Vec::new(),
         });
     }
+    let note_done = |soft_error: bool| {
+        if soft_error {
+            soft_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(sink) = hooks.progress {
+            if done.is_multiple_of(heartbeat) && done < total {
+                sink.report(&CampaignProgress {
+                    phase: ProgressPhase::Heartbeat,
+                    completed: done,
+                    total,
+                    soft_errors: soft_errors.load(Ordering::Relaxed),
+                    elapsed: injections_started.elapsed(),
+                    workers: Vec::new(),
+                });
+            }
+        }
+    };
 
-    let mut worker_stats: Vec<WorkerUtilization> = Vec::new();
-    let mut batch_occupancy: Vec<u64> = Vec::new();
-    let mut collapsed_faults = 0u64;
-    let mut lane_refills = 0u64;
     // Shared by every worker; cheap to build (one pass over the netlist).
     let collapse_index = config
         .collapse_faults
         .then(|| CollapseIndex::build(dut.netlist()));
     let collapse = collapse_index.as_ref();
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [Option<JobResult>] = &mut results;
-        let chunk = jobs.len().div_ceil(threads).max(1);
-        let mut handles = Vec::new();
-        for (worker, job_chunk) in jobs.chunks(chunk).enumerate() {
-            let (mine, rest) = remaining.split_at_mut(job_chunk.len().min(remaining.len()));
-            remaining = rest;
-            let error = &error;
-            let cancel = &cancel;
-            let completed = &completed;
-            let soft_errors = &soft_errors;
-            let progress = hooks.progress;
-            handles.push(scope.spawn(move || {
-                let worker_started = Instant::now();
-                let mut jobs_done = 0usize;
-                let mut occupancy: Vec<u64> = Vec::new();
-                let note_done = |soft_error: bool| {
-                    if soft_error {
-                        soft_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(sink) = progress {
-                        if done.is_multiple_of(heartbeat) && done < total {
-                            sink.report(&CampaignProgress {
-                                phase: ProgressPhase::Heartbeat,
-                                completed: done,
-                                total,
-                                soft_errors: soft_errors.load(Ordering::Relaxed),
-                                elapsed: injections_started.elapsed(),
-                                workers: Vec::new(),
-                            });
-                        }
-                    }
-                };
-                let fail = |e: SsresfError| {
-                    cancel.store(true, Ordering::Relaxed);
-                    let mut guard = error.lock().expect("mutex poisoned");
-                    if guard.is_none() {
-                        *guard = Some(e);
-                    }
-                };
-                // A worker stops on the internal flag (a sibling failed) or
-                // the caller-provided external cancellation flag.
-                let is_cancelled = || {
-                    cancel.load(Ordering::Relaxed)
-                        || external_cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-                };
-                let mut stats = BatchChunkStats::default();
-                if config.batching {
-                    match run_batched_chunk(
-                        dut,
-                        config,
-                        golden_run,
-                        collapse,
-                        job_chunk,
-                        mine,
-                        &is_cancelled,
-                        &note_done,
-                        &mut jobs_done,
-                        &mut occupancy,
-                    ) {
-                        Ok(s) => stats = s,
-                        Err(e) => fail(e),
-                    }
-                } else {
-                    for ((cell, fault), slot) in job_chunk.iter().zip(mine.iter_mut()) {
-                        if is_cancelled() {
-                            break;
-                        }
-                        // `resume` falls back to a from-scratch run when
-                        // checkpointing is disabled.
-                        let run = dut.resume(
-                            config.engine,
-                            &config.workload,
-                            std::slice::from_ref(fault),
-                            golden_run,
-                            config.early_stop,
-                        );
-                        match run {
-                            Ok(outcome) => {
-                                let diffs = golden_trace.diff(&outcome.trace);
-                                let soft_error = !diffs.is_empty();
-                                *slot = Some(JobResult {
-                                    record: InjectionRecord {
-                                        cell: *cell,
-                                        fault: *fault,
-                                        soft_error,
-                                        divergences: diffs.len(),
-                                    },
-                                    work: outcome.work,
-                                    engine: outcome.engine,
-                                    resumed_from: outcome.resumed_from,
-                                    early_stopped: outcome.early_stopped,
-                                });
-                                jobs_done += 1;
-                                note_done(soft_error);
-                            }
-                            Err(e) => {
-                                fail(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-                (
-                    WorkerUtilization {
-                        worker,
-                        jobs: jobs_done,
-                        busy: worker_started.elapsed(),
-                    },
-                    occupancy,
-                    stats,
-                )
-            }));
+    // One contiguous chunk per worker, so records come back in job order.
+    let chunk = jobs.len().div_ceil(threads).max(1);
+    let chunks: Vec<&[(CellId, Fault)]> = jobs.chunks(chunk).collect();
+    let outcomes = parallel_map(&chunks, threads, |worker, &job_chunk| {
+        let worker_started = Instant::now();
+        let outcome = if config.batching {
+            run_batched_chunk(
+                dut,
+                config,
+                golden,
+                collapse,
+                job_chunk,
+                &is_cancelled,
+                &note_done,
+            )
+        } else {
+            run_scalar_chunk(dut, config, golden, job_chunk, &is_cancelled, &note_done)
+        };
+        if outcome.is_err() {
+            stop.store(true, Ordering::Relaxed);
         }
-        for handle in handles {
-            let (stats, occupancy, chunk_stats) = handle.join().expect("campaign worker panicked");
-            worker_stats.push(stats);
-            batch_occupancy.extend(occupancy);
-            collapsed_faults += chunk_stats.collapsed;
-            lane_refills += chunk_stats.refills;
-        }
+        outcome.map(|chunk| {
+            let utilization = WorkerUtilization {
+                worker,
+                jobs: chunk.results.iter().flatten().count(),
+                busy: worker_started.elapsed(),
+            };
+            (utilization, chunk)
+        })
     });
-
-    if let Some(e) = error.into_inner().expect("mutex poisoned") {
-        return Err(e);
-    }
+    // A failed worker's error wins over the cancellations it caused; among
+    // several failures, the first in worker order is reported.
+    let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
     // An external cancellation leaves partial results behind; report the
-    // cancellation instead of a partial outcome (simulation failures above
-    // take precedence).
+    // cancellation instead of a partial outcome.
     if external_cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
         return Err(SsresfError::Cancelled);
     }
+
     let mut records = Vec::with_capacity(jobs.len());
     let mut work_per_injection = Vec::with_capacity(jobs.len());
     let mut total_work = if charge_golden {
@@ -847,22 +778,27 @@ fn run_jobs_with_golden(
         } else {
             EngineTelemetry::default()
         },
-        checkpoint_restores: 0,
-        early_stop_truncations: 0,
-        collapsed_faults,
-        lane_refills,
+        ..CampaignTelemetry::default()
     };
-    for slot in results {
-        let result = slot.expect("worker completed without error");
-        records.push(result.record);
-        work_per_injection.push(result.work);
-        total_work += result.work;
-        telemetry.engine.accumulate(result.engine);
-        if result.resumed_from.is_some() {
-            telemetry.checkpoint_restores += 1;
-        }
-        if result.early_stopped {
-            telemetry.early_stop_truncations += 1;
+    let mut worker_stats: Vec<WorkerUtilization> = Vec::with_capacity(outcomes.len());
+    let mut batch_occupancy: Vec<u64> = Vec::new();
+    for (utilization, chunk) in outcomes {
+        worker_stats.push(utilization);
+        batch_occupancy.extend(chunk.occupancy);
+        telemetry.collapsed_faults += chunk.collapsed;
+        telemetry.lane_refills += chunk.refills;
+        for slot in chunk.results {
+            let result = slot.expect("an uncancelled worker fills every slot");
+            records.push(result.record);
+            work_per_injection.push(result.work);
+            total_work += result.work;
+            telemetry.engine.accumulate(result.engine);
+            if result.resumed_from.is_some() {
+                telemetry.checkpoint_restores += 1;
+            }
+            if result.early_stopped {
+                telemetry.early_stop_truncations += 1;
+            }
         }
     }
 
@@ -1070,9 +1006,10 @@ mod tests {
         assert_eq!(outcome.records.len(), 8);
         // Counter bits are directly observable: every flip is a soft error.
         assert_eq!(outcome.soft_errors(), 8);
-        assert_eq!(outcome.sensitive_cells().len(), 4);
+        let stats = outcome.per_cell_stats();
+        assert_eq!(stats.len(), 4);
         for &ff in &ffs {
-            assert_eq!(outcome.cell_error_probability(ff), Some(1.0));
+            assert_eq!(stats[&ff].probability(), 1.0);
         }
         assert!(outcome.total_work > 0);
     }
@@ -1354,7 +1291,12 @@ mod tests {
         assert_eq!(stats.len(), cells.len());
         for (&cell, s) in &stats {
             assert_eq!(s.injections, 3);
-            assert_eq!(Some(s.probability()), outcome.cell_error_probability(cell));
+            let errors = outcome
+                .records
+                .iter()
+                .filter(|r| r.cell == cell && r.soft_error)
+                .count();
+            assert_eq!(s.errors, errors);
         }
         assert_eq!(CellErrorStats::default().probability(), 0.0);
     }
@@ -1432,6 +1374,57 @@ mod tests {
         assert_eq!(metrics.counter("campaign.work.total"), plain.total_work);
         let hist = metrics.histogram("campaign.work_per_injection").unwrap();
         assert_eq!(hist.count, plain.records.len() as u64);
+    }
+
+    /// A shard whose range is empty (more shards than jobs) runs the
+    /// executor with no jobs: no worker starts, and the outcome is the
+    /// golden run alone.
+    #[test]
+    fn empty_job_list_yields_golden_only_outcome() {
+        let flat = counter_netlist();
+        let dut = Dut::from_conventions(&flat).unwrap();
+        let scalar = CampaignConfig {
+            workload: Workload {
+                reset_cycles: 2,
+                run_cycles: 15,
+            },
+            engine: EngineKind::Levelized,
+            ..CampaignConfig::default()
+        };
+        let batched = CampaignConfig {
+            batching: true,
+            ..scalar
+        };
+        for base in [scalar, batched] {
+            let golden = dut
+                .run_golden_with_checkpoints(base.engine, &base.workload, base.checkpoint_interval)
+                .unwrap();
+            for threads in [0usize, 1, 4] {
+                let config = CampaignConfig { threads, ..base };
+                let sink = CollectingSink(std::sync::Mutex::new(Vec::new()));
+                let metrics = ssresf_telemetry::MetricsRegistry::new();
+                let hooks = Instrument {
+                    metrics: Some(&metrics),
+                    progress: Some(&sink),
+                    ..Instrument::default()
+                };
+                let outcome = run_injection_jobs(&dut, Vec::new(), &config, &hooks).unwrap();
+                let context = format!("batching={} threads={threads}", config.batching);
+                assert!(outcome.records.is_empty(), "{context}");
+                assert_eq!(outcome.total_work, golden.outcome.work, "{context}");
+                assert_eq!(outcome.golden, golden.outcome.trace, "{context}");
+                let reports = sink.0.into_inner().unwrap();
+                let phases: Vec<ProgressPhase> = reports.iter().map(|r| r.phase).collect();
+                assert_eq!(
+                    phases,
+                    [ProgressPhase::Start, ProgressPhase::Finished],
+                    "{context}"
+                );
+                assert!(reports[1].workers.is_empty(), "{context}");
+                assert_eq!(metrics.gauge("campaign.threads"), Some(1.0), "{context}");
+                assert_eq!(metrics.counter("campaign.injections.total"), 0, "{context}");
+            }
+        }
     }
 
     #[test]

@@ -136,8 +136,13 @@ impl Timing {
             + self.predict
     }
 
-    /// Simulation time over prediction time — the paper's speed-up metric,
-    /// clamped to [`MAX_SPEEDUP`] so the result is always finite.
+    /// Simulation time (golden plus injections) over whole-netlist
+    /// prediction time — the ratio the paper's Table III reports, clamped
+    /// to [`MAX_SPEEDUP`] so the result is always finite.
+    ///
+    /// It is not an end-to-end speed-up: clustering, sampling, SER
+    /// evaluation, feature extraction and SVM training count on neither
+    /// side.
     pub fn speedup(&self) -> f64 {
         let s = self.simulation().as_secs_f64();
         let p = self.prediction().as_secs_f64();

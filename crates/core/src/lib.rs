@@ -48,7 +48,6 @@ pub mod framework;
 pub mod hardening;
 pub mod mission;
 pub mod progress;
-pub mod report;
 pub mod sampling;
 pub mod sensitivity;
 pub mod ser;
@@ -75,7 +74,6 @@ pub use mission::{
     environment_of, run_mission_campaign, run_mission_campaign_with, MissionOutcome, SegmentStats,
 };
 pub use progress::{CampaignProgress, Instrument, ProgressPhase, ProgressSink, WorkerUtilization};
-pub use report::AnalysisSummary;
 pub use sampling::{sample_clusters, ClusterSample, SamplingConfig};
 pub use sensitivity::{
     train_sensitivity, SensitivityConfig, SensitivityReport, TrainedSensitivity,

@@ -68,15 +68,6 @@ impl CampaignProgress {
             0.0
         }
     }
-
-    /// Completed fraction in `[0, 1]` (1 when the campaign is empty).
-    pub fn fraction_done(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.completed as f64 / self.total as f64
-        }
-    }
 }
 
 /// Receives progress reports from a running campaign.
@@ -162,7 +153,6 @@ mod tests {
             workers: Vec::new(),
         };
         assert_eq!(p.throughput_per_second(), 0.0);
-        assert_eq!(p.fraction_done(), 1.0);
 
         let p = CampaignProgress {
             phase: ProgressPhase::Heartbeat,
@@ -173,7 +163,6 @@ mod tests {
             workers: Vec::new(),
         };
         assert_eq!(p.throughput_per_second(), 25.0);
-        assert_eq!(p.fraction_done(), 0.25);
     }
 
     #[test]

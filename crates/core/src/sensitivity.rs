@@ -77,15 +77,9 @@ impl TrainedSensitivity {
         self.decision(raw_features) >= 0.0
     }
 
-    /// Classifies every cell's feature record (single-threaded; see
-    /// [`TrainedSensitivity::classify_all_with`]).
-    pub fn classify_all(&self, features: &[CellFeatures]) -> Vec<(CellId, bool)> {
-        self.classify_all_with(features, 1)
-    }
-
-    /// [`TrainedSensitivity::classify_all`] chunked across up to `threads`
-    /// worker threads (0 = all cores); results keep input order, so the
-    /// output is identical for every thread count.
+    /// Classifies every cell's feature record, chunked across up to
+    /// `threads` worker threads (0 = all cores); results keep input order,
+    /// so the output is identical for every thread count.
     pub fn classify_all_with(
         &self,
         features: &[CellFeatures],
@@ -320,7 +314,7 @@ mod tests {
         // Unseen nodes classified by fanout.
         assert!(model.classify(&[9.0, 1.0, 1.0]));
         assert!(!model.classify(&[1.0, 1.0, 1.0]));
-        let all = model.classify_all(&features);
+        let all = model.classify_all_with(&features, 1);
         let correct = all
             .iter()
             .zip(&labels)
@@ -336,7 +330,7 @@ mod tests {
             train_sensitivity(&features, &labels, &SensitivityConfig::default()).unwrap();
         assert!(report.solver.iterations > 0);
         assert_eq!(report.solver, *model.train_stats());
-        let serial = model.classify_all(&features);
+        let serial = model.classify_all_with(&features, 1);
         for threads in [2usize, 8] {
             assert_eq!(serial, model.classify_all_with(&features, threads));
         }

@@ -46,21 +46,6 @@ pub struct SerEvaluation {
     pub per_module_class: BTreeMap<String, f64>,
 }
 
-impl SerEvaluation {
-    /// Cluster indices sorted by descending SER (the paper's sensitive-
-    /// cluster ranking).
-    pub fn ranked_clusters(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.per_cluster.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.per_cluster[b]
-                .ser()
-                .partial_cmp(&self.per_cluster[a].ser())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        order
-    }
-}
-
 /// Evaluates SER from a campaign outcome.
 ///
 /// # Errors
@@ -211,7 +196,6 @@ mod tests {
         assert_eq!(eval.per_cluster[1].ser(), 0.0);
         // Equal cluster sizes -> chip SER = 0.5.
         assert!((eval.chip_ser - 0.5).abs() < 1e-12);
-        assert_eq!(eval.ranked_clusters(), vec![0, 1]);
     }
 
     #[test]
@@ -312,7 +296,6 @@ mod tests {
         let eval = evaluate_ser(&netlist, &clustering, &sample, &out).unwrap();
         assert!((eval.chip_ser - eval.per_cluster[0].ser()).abs() < 1e-12);
         assert!((eval.chip_ser - 0.5).abs() < 1e-12);
-        assert_eq!(eval.ranked_clusters(), vec![0]);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! [`FromJson`] in the crate that defines them; decoders read object
 //! members through [`field`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed JSON document.
@@ -286,26 +285,6 @@ impl<T: FromJson> FromJson for Option<T> {
             Value::Null => Ok(None),
             other => T::from_json(other).map(Some),
         }
-    }
-}
-
-impl<T: ToJson> ToJson for BTreeMap<String, T> {
-    fn to_json(&self) -> Value {
-        Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for BTreeMap<String, T> {
-    fn from_json(value: &Value) -> Result<Self, String> {
-        value
-            .as_object()
-            .ok_or("expected an object")?
-            .iter()
-            .map(|(k, v)| match T::from_json(v) {
-                Ok(v) => Ok((k.clone(), v)),
-                Err(e) => Err(format!("key {k:?}: {e}")),
-            })
-            .collect()
     }
 }
 
@@ -806,7 +785,7 @@ mod tests {
 
     #[test]
     fn field_decodes_members_and_names_the_failing_key() {
-        let v = parse(r#"{"n": 7, "xs": [1, 2.5], "m": {"a": true}, "s": "hi"}"#).unwrap();
+        let v = parse(r#"{"n": 7, "xs": [1, 2.5], "s": "hi"}"#).unwrap();
         assert_eq!(field::<u16>(&v, "n"), Ok(7));
         assert_eq!(field::<String>(&v, "s"), Ok("hi".to_owned()));
         assert_eq!(field::<Option<u32>>(&v, "n"), Ok(Some(7)));
@@ -814,10 +793,6 @@ mod tests {
         assert_eq!(
             field::<u32>(&v, "absent"),
             Err("missing key \"absent\"".into())
-        );
-        assert_eq!(
-            field::<BTreeMap<String, bool>>(&v, "m"),
-            Ok(BTreeMap::from([("a".to_owned(), true)]))
         );
         assert_eq!(field::<Vec<f64>>(&v, "xs"), Ok(vec![1.0, 2.5]));
         let err = field::<Vec<u64>>(&v, "xs").unwrap_err();

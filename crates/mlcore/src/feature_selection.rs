@@ -39,30 +39,16 @@ impl SelectionCurve {
 }
 
 /// Runs greedy forward selection up to `max_features` (clamped to the
-/// dataset width). Single-threaded; see [`forward_selection_with`].
-///
-/// # Errors
-///
-/// Returns [`MlError::Degenerate`] for datasets without two classes and
-/// propagates CV errors.
-pub fn forward_selection(
-    data: &Dataset,
-    params: &SvmParams,
-    folds: &KFold,
-    max_features: usize,
-) -> Result<SelectionCurve, MlError> {
-    forward_selection_with(data, params, folds, max_features, 1)
-}
-
-/// [`forward_selection`] with each round's candidate evaluations fanned
-/// out across up to `threads` worker threads (0 = all cores).
+/// dataset width), with each round's candidate evaluations fanned out
+/// across up to `threads` worker threads (0 = all cores).
 ///
 /// Candidate scores are reduced in column order with strict improvement,
 /// matching the serial scan bit-for-bit on every thread count.
 ///
 /// # Errors
 ///
-/// Same as [`forward_selection`].
+/// Returns [`MlError::Degenerate`] for datasets without two classes and
+/// propagates CV errors.
 pub fn forward_selection_with(
     data: &Dataset,
     params: &SvmParams,
@@ -140,7 +126,7 @@ mod tests {
     fn informative_features_are_selected_first() {
         let data = noisy_dataset();
         let folds = KFold::new(4, 0).unwrap();
-        let curve = forward_selection(&data, &SvmParams::default(), &folds, 5).unwrap();
+        let curve = forward_selection_with(&data, &SvmParams::default(), &folds, 5, 1).unwrap();
         assert_eq!(curve.scores.len(), 5);
         assert_eq!(curve.order.len(), 5);
         // The first pick is an informative column (0 or 2); once one is in,
@@ -167,7 +153,7 @@ mod tests {
     fn max_features_is_clamped_to_width() {
         let data = noisy_dataset();
         let folds = KFold::new(3, 0).unwrap();
-        let curve = forward_selection(&data, &SvmParams::default(), &folds, 99).unwrap();
+        let curve = forward_selection_with(&data, &SvmParams::default(), &folds, 99, 1).unwrap();
         assert_eq!(curve.scores.len(), data.width());
     }
 
@@ -175,6 +161,6 @@ mod tests {
     fn rejects_single_class() {
         let data = Dataset::new(vec![vec![1.0], vec![2.0]], vec![1, 1]).unwrap();
         let folds = KFold::new(2, 0).unwrap();
-        assert!(forward_selection(&data, &SvmParams::default(), &folds, 1).is_err());
+        assert!(forward_selection_with(&data, &SvmParams::default(), &folds, 1, 1).is_err());
     }
 }

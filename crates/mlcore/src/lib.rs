@@ -6,7 +6,7 @@
 //! uses:
 //!
 //! - [`Dataset`] — dense feature matrix with ±1 labels,
-//! - [`preprocess`] — cleaning, standardization, min–max scaling,
+//! - [`preprocess`] — standardization and min–max scaling,
 //! - [`Kernel`] — linear / RBF / polynomial kernels,
 //! - [`SvmModel`] — a C-SVC trained by the SMO algorithm,
 //! - [`crossval`] — deterministic stratified k-fold cross-validation,
@@ -52,10 +52,10 @@ pub use baseline::{KnnClassifier, LogisticParams, LogisticRegression};
 pub use crossval::{cross_val_score, cross_val_score_with, FoldIndices, KFold};
 pub use dataset::Dataset;
 pub use error::MlError;
-pub use feature_selection::{forward_selection, forward_selection_with, SelectionCurve};
+pub use feature_selection::{forward_selection_with, SelectionCurve};
 pub use gridsearch::{grid_search, grid_search_with, GridSearchResult};
 pub use kernel::Kernel;
 pub use metrics::{roc_curve, BinaryMetrics, RocCurve};
 pub use parallel::{max_threads, parallel_map, resolve_threads};
-pub use preprocess::{clean_rows, MinMaxScaler, StandardScaler};
+pub use preprocess::{MinMaxScaler, StandardScaler};
 pub use svm::{SmoContext, SmoSolver, SvmModel, SvmParams, TrainStats};

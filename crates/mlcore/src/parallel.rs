@@ -1,12 +1,15 @@
-//! Deterministic scoped-thread fan-out shared by the ML fast path.
+//! Deterministic scoped-thread fan-out shared by every parallel stage.
 //!
-//! Every parallel stage in the pipeline (clustering assignment, grid
-//! search, whole-netlist prediction) maps an index-addressed work list
-//! through a pure function and writes each result into its input slot, so
-//! the output is a plain `Vec` in input order regardless of how the work
-//! was chunked across threads. That makes thread-count equivalence a
-//! structural property rather than something each call site must argue
-//! about: results are bit-identical for 1, 2 or N workers.
+//! Every parallel stage in the pipeline (clustering assignment, feature
+//! extraction, cross-validation, grid search and feature selection,
+//! whole-netlist prediction, active-learning margins, and the
+//! fault-injection campaign's workers, one job chunk each) maps an
+//! index-addressed work list through a pure function and writes each
+//! result into its input slot, so the output is a plain `Vec` in input
+//! order regardless of how the work was chunked across threads. That makes
+//! thread-count equivalence a structural property rather than something
+//! each call site must argue about: results are bit-identical for 1, 2 or
+//! N workers.
 
 /// Number of worker threads the machine supports (at least 1).
 pub fn max_threads() -> usize {

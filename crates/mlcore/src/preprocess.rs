@@ -1,20 +1,6 @@
-//! Feature-engineering preprocessing: cleaning and scaling.
+//! Feature-engineering preprocessing: scaling.
 
 use crate::error::MlError;
-
-/// Drops rows containing non-finite values; returns the surviving rows and
-/// their original indices.
-pub fn clean_rows(rows: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<usize>) {
-    let mut kept = Vec::new();
-    let mut indices = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        if row.iter().all(|v| v.is_finite()) {
-            kept.push(row.clone());
-            indices.push(i);
-        }
-    }
-    (kept, indices)
-}
 
 /// Z-score standardization fitted on training data.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,19 +151,6 @@ fn column_moments(rows: &[Vec<f64>]) -> Result<(Vec<f64>, Vec<f64>), MlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clean_drops_nonfinite_rows() {
-        let rows = vec![
-            vec![1.0, 2.0],
-            vec![f64::NAN, 1.0],
-            vec![3.0, f64::INFINITY],
-            vec![4.0, 5.0],
-        ];
-        let (kept, idx) = clean_rows(&rows);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(idx, vec![0, 3]);
-    }
 
     #[test]
     fn standard_scaler_centers_and_scales() {

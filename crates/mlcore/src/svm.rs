@@ -278,16 +278,6 @@ impl SvmModel {
         parallel_map(rows, threads, |_, row| self.predict(row))
     }
 
-    /// Number of support vectors retained.
-    pub fn num_support_vectors(&self) -> usize {
-        self.support_x.len()
-    }
-
-    /// The support vectors and their `α_i y_i` coefficients.
-    pub fn support_vectors(&self) -> (&[Vec<f64>], &[f64]) {
-        (&self.support_x, &self.support_coeff)
-    }
-
     /// The kernel the model was trained with.
     pub fn kernel(&self) -> Kernel {
         self.kernel
@@ -329,7 +319,7 @@ mod tests {
         for (row, &label) in data.features().iter().zip(data.labels()) {
             assert_eq!(model.predict(row), label);
         }
-        assert!(model.num_support_vectors() < data.len());
+        assert!(model.support_x.len() < data.len());
     }
 
     #[test]
@@ -535,7 +525,8 @@ mod tests {
         )
         .unwrap();
         // Cache size changes only hit/miss counters, never the solution.
-        assert_eq!(full.support_vectors(), tiny.support_vectors());
+        assert_eq!(full.support_x, tiny.support_x);
+        assert_eq!(full.support_coeff, tiny.support_coeff);
         assert_eq!(full.bias, tiny.bias);
         assert!(tiny.train_stats().kernel_cache_misses > full.train_stats().kernel_cache_misses);
     }

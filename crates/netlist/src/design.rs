@@ -154,15 +154,6 @@ impl<V: Copy> NameTable<V> {
             },
         }
     }
-
-    /// The carrier of `name` (hash `hash`), if any.
-    fn get(&self, hash: u64, name: &str, is_named: impl Fn(V) -> bool) -> Option<V> {
-        match self.by_hash.get(&hash) {
-            None => None,
-            Some(&v) if is_named(v) => Some(v),
-            Some(_) => self.spill.get(name).copied(),
-        }
-    }
 }
 
 /// A cell or an instance, by index: the two share one namespace.
@@ -320,36 +311,6 @@ impl ModuleBuilder {
             output: outputs[0],
         });
         Ok(())
-    }
-
-    /// Adds a primitive cell with an auto-generated unique name.
-    pub fn auto_cell(
-        &mut self,
-        prefix: &str,
-        kind: CellKind,
-        inputs: &[LocalNetId],
-        output: LocalNetId,
-    ) -> Result<(), NetlistError> {
-        loop {
-            let candidate = format!("{prefix}_{}", self.anon_counter);
-            self.anon_counter += 1;
-            let hash = self.hasher.hash_one(&candidate);
-            // An arity error names the first free candidate, so skip the
-            // taken ones before `add_cell` reports it.
-            if inputs.len() != kind.num_inputs() {
-                let module = &self.module;
-                let taken = self
-                    .item_names
-                    .get(hash, &candidate, |held| module.item_name(held) == candidate);
-                if taken.is_some() {
-                    continue;
-                }
-            }
-            match self.add_cell(candidate, hash, kind, inputs, &[output]) {
-                Err(NetlistError::DuplicateName(_)) => {}
-                result => return result,
-            }
-        }
     }
 
     /// Adds an instance of `module`, whose port list the caller must match
@@ -568,21 +529,8 @@ mod tests {
         let t1 = mb.net("t_1");
         let fresh = mb.fresh_net("t");
         assert!(![a, t0, t1].contains(&fresh));
-        // The counter is shared: the next candidates are u_3, u_4, u_5.
-        mb.cell("u_3", CellKind::Inv, &[a], &[t0]).unwrap();
-        mb.instance("u_4", ModuleId(0), &[a]).unwrap();
-        mb.auto_cell("u", CellKind::Inv, &[a], t1).unwrap();
-        // An arity error names the first free candidate, v_7.
-        mb.cell("v_6", CellKind::Inv, &[a], &[t0]).unwrap();
-        let err = mb.auto_cell("v", CellKind::Nand2, &[a], t1).unwrap_err();
-        assert!(
-            matches!(&err, NetlistError::PinArity { cell, .. } if cell == "v_7"),
-            "{err:?}"
-        );
         let module = mb.finish();
         assert_eq!(module.nets[fresh.index()], "t_2");
-        let cells: Vec<&str> = module.cells.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(cells, ["u_3", "u_5", "v_6"]);
     }
 
     #[test]

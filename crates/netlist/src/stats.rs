@@ -1,6 +1,6 @@
 //! Summary statistics over flat netlists.
 
-use crate::cell::{CellKind, RadiationClass};
+use crate::cell::RadiationClass;
 use crate::features::ModuleClass;
 use crate::flat::FlatNetlist;
 use std::collections::BTreeMap;
@@ -97,11 +97,6 @@ impl NetlistStats {
             max_fanout,
         }
     }
-
-    /// Count of cells of one specific kind.
-    pub fn kind_count(&self, kind: CellKind) -> usize {
-        self.by_kind.get(kind.name()).copied().unwrap_or(0)
-    }
 }
 
 fn radiation_class_name(class: RadiationClass) -> &'static str {
@@ -137,6 +132,7 @@ impl fmt::Display for NetlistStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::CellKind;
     use crate::design::{Design, ModuleBuilder, PortDir};
 
     fn small_netlist() -> FlatNetlist {
@@ -160,9 +156,9 @@ mod tests {
         assert_eq!(stats.combinational, 1);
         assert_eq!(stats.sequential, 1);
         assert_eq!(stats.memory_bits, 0);
-        assert_eq!(stats.kind_count(CellKind::Inv), 1);
-        assert_eq!(stats.kind_count(CellKind::Dff), 1);
-        assert_eq!(stats.kind_count(CellKind::Nand2), 0);
+        assert_eq!(stats.by_kind.get(CellKind::Inv.name()), Some(&1));
+        assert_eq!(stats.by_kind.get(CellKind::Dff.name()), Some(&1));
+        assert_eq!(stats.by_kind.get(CellKind::Nand2.name()), None);
         assert_eq!(stats.by_radiation_class.get("flipflop"), Some(&1));
     }
 

@@ -10,11 +10,9 @@
 use crate::database::SoftErrorDatabase;
 use crate::environment::RadiationEnvironment;
 use crate::error::RadiationError;
-use crate::mission::MissionProfile;
 use crate::pulse::PulseWidthModel;
 use crate::units::Let;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use ssresf_netlist::{CellId, FlatNetlist};
 use ssresf_sim::{Fault, SetFault, SeuFault};
 
@@ -94,11 +92,7 @@ impl<'a> FluxCampaign<'a> {
 
     /// Per-cell upset rates (events/second) at this campaign's LET and flux.
     pub fn cell_rates(&self, netlist: &FlatNetlist) -> Vec<f64> {
-        self.cell_rates_in(netlist, self.config.environment)
-    }
-
-    /// Per-cell upset rates (events/second) in an arbitrary environment.
-    pub fn cell_rates_in(&self, netlist: &FlatNetlist, env: RadiationEnvironment) -> Vec<f64> {
+        let env = self.config.environment;
         let flux = env.flux.value();
         netlist
             .iter_cells()
@@ -129,67 +123,15 @@ impl<'a> FluxCampaign<'a> {
         netlist: &FlatNetlist,
         rng: &mut R,
     ) -> Vec<GeneratedFault> {
-        self.generate_window(
-            netlist,
-            self.config.environment,
-            0,
-            self.config.exposure_cycles,
-            rng,
-        )
-    }
-
-    /// Generates faults for a mission: each segment draws its Poisson
-    /// arrivals in its own environment from its own seeded RNG stream
-    /// (derived from `base_seed` and the segment index), so adding,
-    /// removing or re-ordering segments never perturbs the draws of the
-    /// others. Faults are returned in segment order with absolute cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadiationError::Config`] when the mission fails
-    /// [`MissionProfile::validate`] — in particular, zero-duration segments
-    /// are rejected here rather than producing an empty-window panic in the
-    /// per-segment cycle draw.
-    pub fn generate_mission(
-        &self,
-        netlist: &FlatNetlist,
-        mission: &MissionProfile,
-        base_seed: u64,
-    ) -> Result<Vec<GeneratedFault>, RadiationError> {
-        mission.validate()?;
-        let mut faults = Vec::new();
-        let mut start = 0u64;
-        for (index, segment) in mission.segments.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, index as u64));
-            faults.extend(self.generate_window(
-                netlist,
-                segment.environment.beam(),
-                start,
-                segment.duration_cycles,
-                &mut rng,
-            ));
-            start += segment.duration_cycles;
-        }
-        Ok(faults)
-    }
-
-    /// Poisson fault generation over one window `[start_cycle,
-    /// start_cycle + window_cycles)` in a fixed environment.
-    fn generate_window<R: Rng + ?Sized>(
-        &self,
-        netlist: &FlatNetlist,
-        env: RadiationEnvironment,
-        start_cycle: u64,
-        window_cycles: u64,
-        rng: &mut R,
-    ) -> Vec<GeneratedFault> {
-        debug_assert!(window_cycles > 0, "empty generation window");
-        let rates = self.cell_rates_in(netlist, env);
+        let rates = self.cell_rates(netlist);
         let total: f64 = rates.iter().sum();
         if total <= 0.0 {
             return Vec::new();
         }
-        let lambda = total * window_cycles as f64 * self.config.cycle_time_s;
+        let exposure_cycles = self.config.exposure_cycles;
+        // Not `total * exposure_seconds()`: reassociating the product can
+        // move lambda by an ulp and with it the Poisson draws.
+        let lambda = total * exposure_cycles as f64 * self.config.cycle_time_s;
         let count = sample_poisson(lambda, rng);
 
         // Cumulative weights for victim selection.
@@ -207,12 +149,12 @@ impl<'a> FluxCampaign<'a> {
                 .partition_point(|&c| c < pick)
                 .min(rates.len() - 1);
             let cell = CellId(idx as u32);
-            let cycle = start_cycle + rng.gen_range(0..window_cycles);
+            let cycle = rng.gen_range(0..exposure_cycles);
             let fault = strike_fault(
                 netlist,
                 cell,
                 cycle,
-                env.let_value,
+                self.config.environment.let_value,
                 &self.config.pulse_model,
                 rng,
             );
@@ -254,16 +196,6 @@ pub fn strike_fault<R: Rng + ?Sized>(
             width: pulse.sample_width(let_value, rng),
         })
     }
-}
-
-/// Derives the seed of per-segment RNG stream `index` from a base seed
-/// (splitmix64-style golden-ratio mixing, matching the per-cell stream
-/// derivation in the core campaign runner).
-pub fn stream_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index.wrapping_add(1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Samples a Poisson-distributed count.
@@ -395,122 +327,6 @@ mod tests {
         assert_eq!(sample_poisson(0.0, &mut rng), 0);
     }
 
-    #[test]
-    fn mission_generation_respects_segment_windows() {
-        use crate::mission::{MissionProfile, MissionSegment};
-        use crate::particle::ParticleEnvironment;
-        let db = SoftErrorDatabase::standard();
-        let netlist = small_netlist();
-        let campaign = FluxCampaign::new(&db, config(1e8)).unwrap();
-        let mut quiet = ParticleEnvironment::proton();
-        quiet.flux = Flux::new(1e16);
-        let mut storm = ParticleEnvironment::solar_flare();
-        storm.flux = Flux::new(5e17);
-        let mission = MissionProfile::new(vec![
-            MissionSegment::new("quiet", 60, quiet),
-            MissionSegment::new("storm", 40, storm),
-        ])
-        .unwrap();
-        let faults = campaign.generate_mission(&netlist, &mission, 7).unwrap();
-        assert!(!faults.is_empty());
-        let (mut in_quiet, mut in_storm) = (0usize, 0usize);
-        for gf in &faults {
-            let cycle = match gf.fault {
-                Fault::Seu(f) => f.cycle,
-                Fault::Set(f) => f.cycle,
-            };
-            assert!(cycle < 100, "cycle {cycle} outside the mission window");
-            if cycle < 60 {
-                in_quiet += 1;
-            } else {
-                in_storm += 1;
-            }
-        }
-        // The storm flux dwarfs the quiet flux despite the shorter window.
-        assert!(in_storm > in_quiet, "storm {in_storm} quiet {in_quiet}");
-    }
-
-    #[test]
-    fn mission_segment_streams_are_independent() {
-        use crate::mission::{MissionProfile, MissionSegment};
-        use crate::particle::ParticleEnvironment;
-        let db = SoftErrorDatabase::standard();
-        let netlist = small_netlist();
-        let campaign = FluxCampaign::new(&db, config(1e8)).unwrap();
-        let mut storm = ParticleEnvironment::solar_flare();
-        storm.flux = Flux::new(5e17);
-        let with_prefix = MissionProfile::new(vec![
-            MissionSegment::new("quiet", 60, ParticleEnvironment::proton()),
-            MissionSegment::new("storm", 40, storm),
-        ])
-        .unwrap();
-        let full = campaign
-            .generate_mission(&netlist, &with_prefix, 7)
-            .unwrap();
-        // Dropping the quiet prefix must not change the storm segment's
-        // draws (up to the 60-cycle shift): segment streams are seeded by
-        // index, not threaded through a shared RNG... so re-seeding segment
-        // 1 under the same base seed reproduces identical relative draws.
-        let storm_only =
-            MissionProfile::new(vec![MissionSegment::new("storm", 40, storm)]).unwrap();
-        let alone = campaign.generate_mission(&netlist, &storm_only, 7).unwrap();
-        let full_storm: Vec<_> = full
-            .iter()
-            .filter(|gf| match gf.fault {
-                Fault::Seu(f) => f.cycle >= 60,
-                Fault::Set(f) => f.cycle >= 60,
-            })
-            .collect();
-        // Segment index differs (1 vs 0), so streams differ — but the
-        // quiet segment's own draws are identical whether or not the storm
-        // follows it.
-        let quiet_only = MissionProfile::new(vec![MissionSegment::new(
-            "quiet",
-            60,
-            ParticleEnvironment::proton(),
-        )])
-        .unwrap();
-        let quiet_alone = campaign.generate_mission(&netlist, &quiet_only, 7).unwrap();
-        let full_quiet: Vec<_> = full
-            .iter()
-            .filter(|gf| match gf.fault {
-                Fault::Seu(f) => f.cycle < 60,
-                Fault::Set(f) => f.cycle < 60,
-            })
-            .cloned()
-            .collect();
-        assert_eq!(full_quiet, quiet_alone);
-        // Sanity: the storm segment produced something in both shapes.
-        assert!(!alone.is_empty());
-        assert!(!full_storm.is_empty());
-    }
-
-    #[test]
-    fn mission_generation_rejects_invalid_profiles() {
-        use crate::mission::{MissionProfile, MissionSegment};
-        use crate::particle::ParticleEnvironment;
-        let db = SoftErrorDatabase::standard();
-        let netlist = small_netlist();
-        let campaign = FluxCampaign::new(&db, config(1e8)).unwrap();
-        // Zero-duration segment: rejected as a Config error instead of
-        // panicking in the empty-window cycle draw.
-        let bad = MissionProfile {
-            segments: vec![MissionSegment::new(
-                "empty",
-                0,
-                ParticleEnvironment::proton(),
-            )],
-        };
-        assert!(matches!(
-            campaign.generate_mission(&netlist, &bad, 1),
-            Err(RadiationError::Config(_))
-        ));
-        let none = MissionProfile {
-            segments: Vec::new(),
-        };
-        assert!(campaign.generate_mission(&netlist, &none, 1).is_err());
-    }
-
     /// One line per fault: victim, kind, cycle, offset and (SET) net and
     /// width. `f64` Display prints the shortest string that reads back to
     /// the same bits, so equal lines mean bit-equal faults.
@@ -529,8 +345,6 @@ mod tests {
 
     #[test]
     fn generated_faults_are_pinned_for_a_fixed_seed() {
-        use crate::mission::{MissionProfile, MissionSegment};
-        use crate::particle::ParticleEnvironment;
         let db = SoftErrorDatabase::standard();
         let netlist = small_netlist();
         // Cell 0 is the inverter (SET on net 3), cell 1 the flip-flop.
@@ -554,24 +368,6 @@ mod tests {
                 "seu c1 @39 +0.08764310322945006",
                 "seu c1 @15 +0.9573737712826141",
                 "seu c1 @52 +0.06830162814777146",
-            ]
-        );
-        let mut quiet = ParticleEnvironment::proton();
-        quiet.flux = Flux::new(5e16);
-        let mut storm = ParticleEnvironment::solar_flare();
-        storm.flux = Flux::new(2e16);
-        let mission = MissionProfile::new(vec![
-            MissionSegment::new("quiet", 60, quiet),
-            MissionSegment::new("storm", 40, storm),
-        ])
-        .unwrap();
-        let mission_faults = campaign.generate_mission(&netlist, &mission, 7).unwrap();
-        assert_eq!(
-            render(&mission_faults),
-            [
-                "seu c1 @19 +0.17350029340658904",
-                "set c0 n3 @89 +0.5244034937239801 w0.06829142549481564",
-                "set c0 n3 @93 +0.7126087706391622 w0.07312037661984651",
             ]
         );
     }

@@ -1,4 +1,4 @@
-//! Radiation environments: LET spectrum point + flux.
+//! Radiation environments: one LET point plus a flux.
 
 use crate::units::{Flux, Let};
 use ssresf_json::{field, FromJson, ToJson, Value};
@@ -17,12 +17,6 @@ impl RadiationEnvironment {
     /// Creates an environment.
     pub fn new(let_value: Let, flux: Flux) -> Self {
         RadiationEnvironment { let_value, flux }
-    }
-
-    /// Low-LET proton-like environment (LET 1, flux 4e8) — the lowest flux
-    /// point of the paper's Table III sweep.
-    pub fn low_orbit() -> Self {
-        RadiationEnvironment::new(Let::new(1.0), Flux::new(4e8))
     }
 
     /// Moderate heavy-ion environment at the paper's central calibration
@@ -78,12 +72,10 @@ mod tests {
 
     #[test]
     fn presets_are_ordered_by_severity() {
-        let low = RadiationEnvironment::low_orbit();
         let mid = RadiationEnvironment::geo_transfer();
         let high = RadiationEnvironment::heavy_ion_beam();
-        assert!(low.let_value.value() < mid.let_value.value());
         assert!(mid.let_value.value() < high.let_value.value());
-        assert!(low.flux.value() < high.flux.value());
+        assert!(mid.flux.value() < high.flux.value());
     }
 
     #[test]

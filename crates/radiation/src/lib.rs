@@ -31,17 +31,15 @@ pub mod error;
 pub mod mission;
 pub mod particle;
 pub mod pulse;
-pub mod spectrum;
 pub mod units;
 pub mod weibull;
 
-pub use campaign::{stream_seed, strike_fault, FluxCampaign, FluxCampaignConfig, GeneratedFault};
+pub use campaign::{strike_fault, FluxCampaign, FluxCampaignConfig, GeneratedFault};
 pub use database::{DatabaseEntry, LetPoint, SoftErrorDatabase, CALIBRATION_LETS};
 pub use environment::RadiationEnvironment;
 pub use error::RadiationError;
 pub use mission::{MissionProfile, MissionSegment};
 pub use particle::{ParticleEnvironment, ParticleKind};
 pub use pulse::PulseWidthModel;
-pub use spectrum::{LetSpectrum, SpectrumBin};
 pub use units::{Area, Flux, Let};
 pub use weibull::WeibullCurve;

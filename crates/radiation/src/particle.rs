@@ -6,9 +6,10 @@
 //! can mix proton, heavy-ion and neutron phases and compare their
 //! device-average strike rates. The per-cell-kind cross-sections used for
 //! fault generation still come from the [`SoftErrorDatabase`]
-//! (evaluated at the environment's LET); the species response curve feeds
-//! the environment-level [`strike_rate`](ParticleEnvironment::strike_rate)
-//! used to weight mission segments.
+//! (evaluated at the environment's LET). The species response curve feeds
+//! only the environment-level
+//! [`strike_rate`](ParticleEnvironment::strike_rate), a device-average rate
+//! for comparing environments; no fault source reads it.
 //!
 //! [`SoftErrorDatabase`]: crate::database::SoftErrorDatabase
 

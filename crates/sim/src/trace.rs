@@ -165,15 +165,6 @@ impl WaveTrace {
         self.signals.iter().find(|s| s.name == name)
     }
 
-    /// Latest change time across all signals (0 when empty).
-    pub fn end_time(&self) -> u64 {
-        self.signals
-            .iter()
-            .filter_map(|s| s.changes.last().map(|&(t, _)| t))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Compares two waveforms sampled at the given times, on signals common
     /// to both; returns `(time, name, a, b)` mismatches.
     pub fn diff_sampled(
@@ -289,7 +280,6 @@ mod tests {
         let wave = t.to_wave(10);
         let a = wave.signal("a").unwrap();
         assert_eq!(a.changes, vec![(0, Logic::Zero), (20, Logic::One)]);
-        assert_eq!(wave.end_time(), 20);
     }
 
     #[test]

@@ -228,26 +228,6 @@ pub fn reduce_tree(
     Ok(layer[0])
 }
 
-/// Equality-with-constant comparator: AND-tree over per-bit XNOR/INV checks.
-pub fn equals_const(
-    mb: &mut ModuleBuilder,
-    prefix: &str,
-    word: &[LocalNetId],
-    value: u64,
-) -> Result<LocalNetId, NetlistError> {
-    let mut checks = Vec::with_capacity(word.len());
-    for (i, &bit) in word.iter().enumerate() {
-        let y = mb.net(format!("{prefix}_eq_{i}"));
-        if (value >> i) & 1 == 1 {
-            mb.cell(format!("{prefix}_buf_{i}"), CellKind::Buf, &[bit], &[y])?;
-        } else {
-            mb.cell(format!("{prefix}_inv_{i}"), CellKind::Inv, &[bit], &[y])?;
-        }
-        checks.push(y);
-    }
-    reduce_tree(mb, &format!("{prefix}_and"), CellKind::And2, &checks)
-}
-
 /// Binary decoder: `addr` (LSB first) to a one-hot vector of `2^addr.len()`.
 pub fn decoder(
     mb: &mut ModuleBuilder,
@@ -466,24 +446,6 @@ mod tests {
             poke_word(&mut engine, &flat, "addr", a);
             settle(&mut engine);
             assert_eq!(read_word(&engine, &flat, "y"), expect);
-        }
-    }
-
-    #[test]
-    fn equals_const_matches_only_its_value() {
-        let flat = harness(|mb| {
-            let w = input_bus(mb, "w", 4);
-            let eq = equals_const(mb, "u_eq", &w, 0b1010).unwrap();
-            let y = mb.port("y", PortDir::Output);
-            mb.cell("u_buf", CellKind::Buf, &[eq], &[y]).unwrap();
-        });
-        let clk = flat.net_by_name("clk").unwrap();
-        let mut engine = EventDrivenEngine::new(&flat, clk).unwrap();
-        for v in 0..16u64 {
-            poke_word(&mut engine, &flat, "w", v);
-            settle(&mut engine);
-            let y = engine.peek(flat.net_by_name("y").unwrap());
-            assert_eq!(y == Logic::One, v == 0b1010, "v = {v}");
         }
     }
 
