@@ -5,7 +5,8 @@
 //!
 //! Besides the wall-clock benchmark, this suite asserts the headline
 //! invariants once per process: the combined cluster + train + predict
-//! fast path is at least 3x faster than the pre-PR implementation, and the
+//! fast path is at least 3x faster than the old implementation (each
+//! path timed as the fastest of several alternating runs), and the
 //! end-to-end `analyze` accuracy is unchanged within one percent when
 //! swapping solvers. The measured numbers are written to
 //! `BENCH_mlpath.json` at the workspace root.
@@ -140,11 +141,22 @@ fn analyze_accuracy_delta() -> (f64, f64) {
     )
 }
 
+/// Timed repeats per path. A single run of a 5–30 ms path is at the mercy
+/// of scheduler noise; the fastest of several alternating runs is not.
+const TIMED_REPEATS: usize = 7;
+
 fn ml_fast_path(c: &mut Criterion) {
     let task = build_task(4);
 
-    let (old_clustering, old_predictions, old_wall) = run_old(&task);
-    let (new_clustering, new_predictions, new_wall) = run_new(&task);
+    // The first, untimed call of each path supplies the outputs the
+    // accuracy checks compare.
+    let (old_clustering, old_predictions, _) = run_old(&task);
+    let (new_clustering, new_predictions, _) = run_new(&task);
+    let (mut old_wall, mut new_wall) = (Duration::MAX, Duration::MAX);
+    for _ in 0..TIMED_REPEATS {
+        old_wall = old_wall.min(run_old(&task).2);
+        new_wall = new_wall.min(run_new(&task).2);
+    }
 
     assert_eq!(
         old_clustering.clusters, new_clustering.clusters,

@@ -20,9 +20,10 @@ fn main() {
     for (i, env) in sweep.iter().enumerate() {
         let mut config = analysis_config(&built, flat.cells().len());
         config.campaign.environment = *env;
-        // Only the beam changes between rows; the sample stays fixed (the
-        // paper varies flux, not the fault list), and a slightly larger
-        // sample keeps per-module fractions stable.
+        // Rows differ in the beam and the campaign seed. No campaign stage
+        // reads the flux, so the seed is what moves a row. The sample stays
+        // fixed, and a slightly larger one keeps per-module fractions
+        // stable.
         config.campaign.seed = 40 + i as u64;
         config.sampling.fraction = (config.sampling.fraction * 1.5).min(0.3);
         config.sampling.min_per_cluster = 8;

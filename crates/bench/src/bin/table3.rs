@@ -49,7 +49,9 @@ fn main() {
     let sweep = RadiationEnvironment::flux_sweep();
     for (i, env) in sweep.iter().enumerate() {
         // Each flux point probes a different subset of the unknown nodes
-        // (as beam runs hit different victims), scaled to the full count.
+        // (as beam runs hit different victims), scaled to the full count,
+        // with its own seed. No campaign stage reads the flux, so the
+        // subset and the seed are what differ between rows.
         let probe: Vec<CellId> = unknown.iter().copied().skip(i).step_by(step).collect();
         let scale = unknown.len() as f64 / probe.len().max(1) as f64;
         let campaign = CampaignConfig {

@@ -51,7 +51,7 @@ use ssresf::{
     Dut, EngineKind, Instrument, MetricsRegistry, Workload,
 };
 use ssresf_netlist::{CellId, FlatNetlist, NetId};
-use ssresf_radiation::{MissionProfile, MissionSegment, ParticleEnvironment};
+use ssresf_radiation::{MissionProfile, MissionSegment, RadiationEnvironment};
 use ssresf_sim::vcd::{parse_vcd, write_vcd};
 use ssresf_sim::{
     CycleTrace, Divergence, Engine, EvalMutant, EventDrivenEngine, Fault, LevelizedEngine, Logic,
@@ -616,9 +616,9 @@ fn check_mission_campaign(scenario: &Scenario, flat: &FlatNetlist) -> Result<(),
         parts[i] += 1;
     }
     let presets = [
-        ParticleEnvironment::proton(),
-        ParticleEnvironment::heavy_ion(),
-        ParticleEnvironment::neutron(),
+        RadiationEnvironment::proton(),
+        RadiationEnvironment::geo_transfer(),
+        RadiationEnvironment::neutron(),
     ];
     let mission = MissionProfile::new(
         parts

@@ -33,12 +33,11 @@ use crate::error::SsresfError;
 use crate::framework::{Analysis, LabelRule, Labeled, Ssresf, Timing};
 use crate::progress::Instrument;
 use crate::sampling::{sample_clusters, ClusterSample, SamplingConfig};
+use crate::sensitivity::class_weighted;
 use crate::ser::evaluate_ser;
 use crate::shard::campaign_jobs;
 use crate::workload::Dut;
-use ssresf_mlcore::{
-    parallel_map, Dataset, SmoContext, StandardScaler, SvmModel, SvmParams, TrainStats,
-};
+use ssresf_mlcore::{parallel_map, Dataset, SmoContext, StandardScaler, SvmModel, TrainStats};
 use ssresf_netlist::{CellId, FlatNetlist};
 use std::time::Instant;
 
@@ -324,16 +323,7 @@ impl Ssresf {
                 .map(|&(_, s)| if s { 1 } else { -1 })
                 .collect();
             let data = Dataset::new(rows, y).map_err(SsresfError::Ml)?;
-            let params = if config.sensitivity.balance_classes {
-                let pos = positives.max(1) as f64;
-                let neg = (labels.len() - positives).max(1) as f64;
-                SvmParams {
-                    positive_weight: (neg / pos).clamp(1.0 / 16.0, 16.0),
-                    ..config.sensitivity.svm
-                }
-            } else {
-                config.sensitivity.svm
-            };
+            let params = class_weighted(config.sensitivity.svm, positives, labels.len());
             let model = SvmModel::train_warm(&data, &params, &mut ctx).map_err(SsresfError::Ml)?;
             warm_stats.accumulate(*model.train_stats());
             timing.svm_train += hooks.stage("stage.svm_train", started.elapsed());

@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 pub struct CampaignConfig {
     /// Workload length.
     pub workload: Workload,
-    /// Particle environment (LET drives the SET pulse-width model).
+    /// Radiation environment. Its LET sets the SET pulse widths; its flux
+    /// is encoded with the config (so it keys cached results) but no
+    /// campaign stage reads it.
     pub environment: RadiationEnvironment,
     /// Faults injected per sampled cell.
     pub injections_per_cell: usize,
@@ -1029,6 +1031,58 @@ mod tests {
         let one = run_campaign(&dut, &cells, &CampaignConfig { threads: 1, ..base }).unwrap();
         let four = run_campaign(&dut, &cells, &CampaignConfig { threads: 4, ..base }).unwrap();
         assert_eq!(one.records, four.records);
+    }
+
+    /// No campaign stage reads `environment.flux`: the injection count is
+    /// set per cell and each fault is drawn from the LET alone, so
+    /// campaigns that differ only in flux give the same records and work.
+    #[test]
+    fn flux_changes_neither_records_nor_work() {
+        let flat = counter_netlist();
+        let dut = Dut::from_conventions(&flat).unwrap();
+        let cells: Vec<CellId> = flat.iter_cells().map(|(id, _)| id).collect();
+        let base = CampaignConfig {
+            workload: Workload {
+                reset_cycles: 2,
+                run_cycles: 20,
+            },
+            injections_per_cell: 3,
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let scalar_event_driven = CampaignConfig {
+            engine: EngineKind::EventDriven,
+            ..base
+        };
+        let batched_levelized = CampaignConfig {
+            engine: EngineKind::Levelized,
+            batching: true,
+            ..base
+        };
+        for config in [scalar_event_driven, batched_levelized] {
+            let reference = run_campaign(&dut, &cells, &config).unwrap();
+            for flux in [4e8, 8e8, 1e14] {
+                let environment = RadiationEnvironment::new(
+                    config.environment.let_value,
+                    ssresf_radiation::Flux::new(flux),
+                );
+                let other = run_campaign(
+                    &dut,
+                    &cells,
+                    &CampaignConfig {
+                        environment,
+                        ..config
+                    },
+                )
+                .unwrap();
+                let context = format!(
+                    "{:?}, batching {}, flux {flux}",
+                    config.engine, config.batching
+                );
+                assert_eq!(reference.records, other.records, "{context}");
+                assert_eq!(reference.total_work, other.total_work, "{context}");
+            }
+        }
     }
 
     #[test]

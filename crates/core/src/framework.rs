@@ -477,25 +477,15 @@ fn class_counts(
         .collect()
 }
 
-/// Chip `(SEU, SET)` cross-sections with memory bits scaled by `mem_scale`.
+/// Chip `(SEU, SET)` cross-sections with memory bits scaled by `mem_scale`,
+/// from the standard database
+/// ([`SoftErrorDatabase::chip_cross_sections`]).
 pub fn scaled_chip_xsect(
     netlist: &FlatNetlist,
     let_value: ssresf_radiation::Let,
     mem_scale: f64,
 ) -> (f64, f64) {
-    let db = SoftErrorDatabase::standard();
-    let mut seu = 0.0;
-    let mut set = 0.0;
-    for (_, cell) in netlist.iter_cells() {
-        let scale = if cell.kind.is_memory_bit() {
-            mem_scale
-        } else {
-            1.0
-        };
-        seu += db.seu_cross_section(cell.kind, let_value) * scale;
-        set += db.set_cross_section(cell.kind, let_value) * scale;
-    }
-    (seu, set)
+    SoftErrorDatabase::standard().chip_cross_sections(netlist, let_value, mem_scale)
 }
 
 #[cfg(test)]

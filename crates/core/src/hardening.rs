@@ -342,6 +342,7 @@ pub fn run_differential_campaign(
 mod tests {
     use super::*;
     use crate::{Ssresf, SsresfConfig, Workload};
+    use ssresf_radiation::RadiationEnvironment;
     use ssresf_socgen::{build_soc, SocConfig};
 
     fn quick_analysis() -> (FlatNetlist, Analysis) {
@@ -522,12 +523,8 @@ mod tests {
         // Heavy ions (LET 37) clear the RadHardCell threshold: nothing may
         // be masked and the hardened run must match the baseline exactly
         // (the hardened kinds are behavior-identical).
-        let mission = MissionProfile::single(
-            "beam",
-            40,
-            ssresf_radiation::ParticleEnvironment::heavy_ion(),
-        )
-        .unwrap();
+        let mission =
+            MissionProfile::single("beam", 40, RadiationEnvironment::geo_transfer()).unwrap();
         let plans = vec![MitigationPlan {
             kind: MitigationKind::FfHardening,
             targets: flops,

@@ -70,9 +70,7 @@ pub use hardening::{
     run_differential_campaign, selective_harden, DifferentialOutcome, HardeningStrategy,
     MitigationKind, MitigationOutcome, MitigationPlan, SelectiveHardening,
 };
-pub use mission::{
-    environment_of, run_mission_campaign, run_mission_campaign_with, MissionOutcome, SegmentStats,
-};
+pub use mission::{run_mission_campaign, run_mission_campaign_with, MissionOutcome, SegmentStats};
 pub use progress::{CampaignProgress, Instrument, ProgressPhase, ProgressSink, WorkerUtilization};
 pub use sampling::{sample_clusters, ClusterSample, SamplingConfig};
 pub use sensitivity::{

@@ -2,7 +2,8 @@
 //! time-varying radiation environment.
 //!
 //! A [`MissionProfile`] partitions the exposure window into ordered
-//! segments, each with its own [`ParticleEnvironment`]
+//! segments, each with its own
+//! [`RadiationEnvironment`](ssresf_radiation::RadiationEnvironment)
 //! (see `ssresf_radiation::mission`). [`run_mission_campaign_with`] drives
 //! the shared injection engine ([`run_injection_jobs`]) over the whole
 //! mission: each injection's strike cycle places it in a segment, and the
@@ -23,7 +24,7 @@ use crate::error::SsresfError;
 use crate::progress::Instrument;
 use crate::workload::{Dut, Workload};
 use ssresf_netlist::CellId;
-use ssresf_radiation::{MissionProfile, ParticleEnvironment};
+use ssresf_radiation::MissionProfile;
 
 /// Per-segment injection statistics of a mission campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,20 +221,13 @@ fn record_mission_metrics(
     }
 }
 
-/// Builds the [`ParticleEnvironment`] equivalent of a static campaign
-/// config's environment, for expressing existing configs as single-segment
-/// missions.
-pub fn environment_of(config: &CampaignConfig) -> ParticleEnvironment {
-    ParticleEnvironment::from_beam(config.environment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
     use crate::workload::EngineKind;
     use ssresf_netlist::{CellKind, Design, FlatNetlist, ModuleBuilder, PortDir};
-    use ssresf_radiation::MissionSegment;
+    use ssresf_radiation::{MissionSegment, RadiationEnvironment};
     use ssresf_sim::Fault;
 
     /// Counter + logic cloud: both sequential and combinational targets.
@@ -277,7 +271,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let static_outcome = run_campaign(&dut, &cells, &config).unwrap();
-        let mission = MissionProfile::single("static", 30, environment_of(&config)).unwrap();
+        let mission = MissionProfile::single("static", 30, config.environment).unwrap();
         let mission_outcome = run_mission_campaign(&dut, &cells, &config, &mission).unwrap();
         assert_eq!(static_outcome.records, mission_outcome.campaign.records);
         assert_eq!(mission_outcome.segments.len(), 1);
@@ -369,7 +363,7 @@ mod tests {
             Err(SsresfError::Config(_))
         ));
         let zero = MissionProfile {
-            segments: vec![MissionSegment::new("z", 0, ParticleEnvironment::proton())],
+            segments: vec![MissionSegment::new("z", 0, RadiationEnvironment::proton())],
         };
         assert!(matches!(
             run_mission_campaign(&dut, &cells, &config, &zero),
@@ -388,8 +382,8 @@ mod tests {
             ..CampaignConfig::default()
         };
         let mission = MissionProfile::new(vec![
-            MissionSegment::new("low", 50, ParticleEnvironment::proton()),
-            MissionSegment::new("high", 50, ParticleEnvironment::heavy_ion()),
+            MissionSegment::new("low", 50, RadiationEnvironment::proton()),
+            MissionSegment::new("high", 50, RadiationEnvironment::geo_transfer()),
         ])
         .unwrap();
         let comb = flat.cell_by_name("u_and").unwrap();

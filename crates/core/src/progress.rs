@@ -57,19 +57,6 @@ pub struct CampaignProgress {
     pub workers: Vec<WorkerUtilization>,
 }
 
-impl CampaignProgress {
-    /// Completed injections per second of elapsed time (0 when no time has
-    /// passed).
-    pub fn throughput_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.completed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Receives progress reports from a running campaign.
 ///
 /// Implementations must be `Sync`: heartbeats are delivered concurrently
@@ -141,29 +128,6 @@ impl<'a> Instrument<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_and_fraction_handle_zero() {
-        let p = CampaignProgress {
-            phase: ProgressPhase::Start,
-            completed: 0,
-            total: 0,
-            soft_errors: 0,
-            elapsed: Duration::ZERO,
-            workers: Vec::new(),
-        };
-        assert_eq!(p.throughput_per_second(), 0.0);
-
-        let p = CampaignProgress {
-            phase: ProgressPhase::Heartbeat,
-            completed: 50,
-            total: 200,
-            soft_errors: 5,
-            elapsed: Duration::from_secs(2),
-            workers: Vec::new(),
-        };
-        assert_eq!(p.throughput_per_second(), 25.0);
-    }
 
     #[test]
     fn default_instrument_is_inert() {

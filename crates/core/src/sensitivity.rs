@@ -29,9 +29,6 @@ pub struct SensitivityConfig {
     pub feature_selection: bool,
     /// Cap on features considered by forward selection.
     pub max_features: usize,
-    /// Automatically weight the minority class (sets the SVM's
-    /// `positive_weight` to the negative/positive ratio, capped at 16).
-    pub balance_classes: bool,
     /// Seed for fold shuffling.
     pub seed: u64,
     /// Worker threads for cross-validation, grid search, feature selection
@@ -48,7 +45,6 @@ impl Default for SensitivityConfig {
             grid_search: false,
             feature_selection: false,
             max_features: 6,
-            balance_classes: true,
             seed: 4,
             threads: 0,
         }
@@ -119,6 +115,19 @@ pub struct SensitivityReport {
     pub solver: TrainStats,
 }
 
+/// `svm` with `positive_weight` set to the negative/positive label ratio of
+/// `positives` sensitive labels out of `total`, clamped to [1/16, 16]:
+/// class weighting against label imbalance (fault campaigns typically label
+/// far fewer sensitive than insensitive nodes).
+pub(crate) fn class_weighted(svm: SvmParams, positives: usize, total: usize) -> SvmParams {
+    let pos = positives.max(1) as f64;
+    let neg = (total - positives).max(1) as f64;
+    SvmParams {
+        positive_weight: (neg / pos).clamp(1.0 / 16.0, 16.0),
+        ..svm
+    }
+}
+
 /// Trains the sensitivity classifier from labeled sampled cells.
 ///
 /// `features` must cover every labeled cell (indexed by `CellId`); labels
@@ -165,18 +174,7 @@ pub fn train_sensitivity(
 
     let folds = effective_folds(config.folds, &full)?;
 
-    // Class weighting against label imbalance (fault campaigns typically
-    // label far fewer sensitive than insensitive nodes).
-    let base_svm = if config.balance_classes {
-        let pos = full.positives().max(1) as f64;
-        let neg = (full.len() - full.positives()).max(1) as f64;
-        SvmParams {
-            positive_weight: (neg / pos).clamp(1.0 / 16.0, 16.0),
-            ..config.svm
-        }
-    } else {
-        config.svm
-    };
+    let base_svm = class_weighted(config.svm, full.positives(), full.len());
 
     // Optional forward feature selection (Fig. 5).
     let (columns, selection) = if config.feature_selection {

@@ -6,7 +6,7 @@
 //! uses:
 //!
 //! - [`Dataset`] — dense feature matrix with ±1 labels,
-//! - [`preprocess`] — standardization and min–max scaling,
+//! - [`preprocess`] — z-score standardization,
 //! - [`Kernel`] — linear / RBF / polynomial kernels,
 //! - [`SvmModel`] — a C-SVC trained by the SMO algorithm,
 //! - [`crossval`] — deterministic stratified k-fold cross-validation,
@@ -57,5 +57,5 @@ pub use gridsearch::{grid_search, grid_search_with, GridSearchResult};
 pub use kernel::Kernel;
 pub use metrics::{roc_curve, BinaryMetrics, RocCurve};
 pub use parallel::{max_threads, parallel_map, resolve_threads};
-pub use preprocess::{MinMaxScaler, StandardScaler};
+pub use preprocess::StandardScaler;
 pub use svm::{SmoContext, SmoSolver, SvmModel, SvmParams, TrainStats};

@@ -1,4 +1,4 @@
-//! Feature-engineering preprocessing: scaling.
+//! Feature-engineering preprocessing: z-score standardization.
 
 use crate::error::MlError;
 
@@ -44,70 +44,6 @@ impl StandardScaler {
         row.iter()
             .zip(self.mean.iter().zip(&self.std))
             .map(|(v, (m, s))| (v - m) / s)
-            .collect()
-    }
-
-    /// Transforms many rows.
-    pub fn transform(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rows.iter().map(|r| self.transform_row(r)).collect()
-    }
-}
-
-/// Min–max scaling to `[0, 1]` fitted on training data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinMaxScaler {
-    min: Vec<f64>,
-    range: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Fits the scaler; constant columns map to 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::Degenerate`] on empty input and
-    /// [`MlError::Shape`] on ragged rows.
-    pub fn fit(rows: &[Vec<f64>]) -> Result<Self, MlError> {
-        if rows.is_empty() {
-            return Err(MlError::Degenerate("no rows to fit".into()));
-        }
-        let width = rows[0].len();
-        let mut min = vec![f64::INFINITY; width];
-        let mut max = vec![f64::NEG_INFINITY; width];
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != width {
-                return Err(MlError::Shape(format!("row {i} width {}", row.len())));
-            }
-            for (c, &v) in row.iter().enumerate() {
-                min[c] = min[c].min(v);
-                max[c] = max[c].max(v);
-            }
-        }
-        let range = min
-            .iter()
-            .zip(&max)
-            .map(|(lo, hi)| {
-                let r = hi - lo;
-                if r > 1e-12 {
-                    r
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        Ok(MinMaxScaler { min, range })
-    }
-
-    /// Transforms one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width differs from the fitted width.
-    pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.min.len(), "width mismatch");
-        row.iter()
-            .zip(self.min.iter().zip(&self.range))
-            .map(|(v, (lo, r))| (v - lo) / r)
             .collect()
     }
 
@@ -174,29 +110,10 @@ mod tests {
     }
 
     #[test]
-    fn minmax_maps_to_unit_interval() {
-        let rows = vec![vec![2.0], vec![4.0], vec![6.0]];
-        let scaler = MinMaxScaler::fit(&rows).unwrap();
-        let t = scaler.transform(&rows);
-        assert_eq!(t[0][0], 0.0);
-        assert_eq!(t[1][0], 0.5);
-        assert_eq!(t[2][0], 1.0);
-    }
-
-    #[test]
-    fn minmax_constant_column_maps_to_zero() {
-        let rows = vec![vec![3.0], vec![3.0]];
-        let scaler = MinMaxScaler::fit(&rows).unwrap();
-        assert_eq!(scaler.transform_row(&[3.0]), vec![0.0]);
-    }
-
-    #[test]
     fn fit_rejects_empty_and_ragged() {
         assert!(StandardScaler::fit(&[]).is_err());
-        assert!(MinMaxScaler::fit(&[]).is_err());
         let ragged = vec![vec![1.0], vec![1.0, 2.0]];
         assert!(StandardScaler::fit(&ragged).is_err());
-        assert!(MinMaxScaler::fit(&ragged).is_err());
     }
 
     #[test]

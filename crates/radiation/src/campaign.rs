@@ -55,15 +55,6 @@ impl FluxCampaignConfig {
     }
 }
 
-/// A fault produced by a campaign, tagged with its victim cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeneratedFault {
-    /// The struck cell.
-    pub cell: CellId,
-    /// The simulator fault to inject.
-    pub fault: Fault,
-}
-
 /// Poisson-arrival fault generator for one netlist and environment.
 #[derive(Debug)]
 pub struct FluxCampaign<'a> {
@@ -112,7 +103,8 @@ impl<'a> FluxCampaign<'a> {
         self.cell_rates(netlist).iter().sum::<f64>() * self.config.exposure_seconds()
     }
 
-    /// Generates the concrete fault list for one exposure.
+    /// Generates the concrete fault list for one exposure, as
+    /// `(victim cell, fault)` pairs like every other fault source.
     ///
     /// The number of faults is Poisson-distributed around
     /// [`expected_events`](FluxCampaign::expected_events); victims are drawn
@@ -122,7 +114,7 @@ impl<'a> FluxCampaign<'a> {
         &self,
         netlist: &FlatNetlist,
         rng: &mut R,
-    ) -> Vec<GeneratedFault> {
+    ) -> Vec<(CellId, Fault)> {
         let rates = self.cell_rates(netlist);
         let total: f64 = rates.iter().sum();
         if total <= 0.0 {
@@ -158,7 +150,7 @@ impl<'a> FluxCampaign<'a> {
                 &self.config.pulse_model,
                 rng,
             );
-            faults.push(GeneratedFault { cell, fault });
+            faults.push((cell, fault));
         }
         faults
     }
@@ -289,21 +281,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let faults = campaign.generate(&netlist, &mut rng);
         assert!(!faults.is_empty());
-        for gf in &faults {
-            let kind = netlist.cell(gf.cell).kind;
-            match gf.fault {
+        for &(cell, fault) in &faults {
+            let kind = netlist.cell(cell).kind;
+            match fault {
                 Fault::Seu(f) => {
                     assert!(kind.is_sequential());
-                    assert_eq!(f.cell, gf.cell);
+                    assert_eq!(f.cell, cell);
                     assert!(f.cycle < 100);
                 }
                 Fault::Set(f) => {
                     assert!(kind.is_combinational());
-                    assert_eq!(f.net, netlist.cell(gf.cell).output);
+                    assert_eq!(f.net, netlist.cell(cell).output);
                     assert!(f.width > 0.0 && f.width <= 0.5);
                 }
             }
-            assert!(gf.fault.validate().is_ok());
+            assert!(fault.validate().is_ok());
         }
     }
 
@@ -330,14 +322,14 @@ mod tests {
     /// One line per fault: victim, kind, cycle, offset and (SET) net and
     /// width. `f64` Display prints the shortest string that reads back to
     /// the same bits, so equal lines mean bit-equal faults.
-    fn render(faults: &[GeneratedFault]) -> Vec<String> {
+    fn render(faults: &[(CellId, Fault)]) -> Vec<String> {
         faults
             .iter()
-            .map(|gf| match gf.fault {
-                Fault::Seu(f) => format!("seu c{} @{} +{}", gf.cell.0, f.cycle, f.offset),
+            .map(|(cell, fault)| match fault {
+                Fault::Seu(f) => format!("seu c{} @{} +{}", cell.0, f.cycle, f.offset),
                 Fault::Set(f) => format!(
                     "set c{} n{} @{} +{} w{}",
-                    gf.cell.0, f.net.0, f.cycle, f.offset, f.width
+                    cell.0, f.net.0, f.cycle, f.offset, f.width
                 ),
             })
             .collect()
@@ -379,9 +371,6 @@ mod tests {
         let campaign = FluxCampaign::new(&db, config(1e16)).unwrap();
         let a = campaign.generate(&netlist, &mut StdRng::seed_from_u64(42));
         let b = campaign.generate(&netlist, &mut StdRng::seed_from_u64(42));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cell, y.cell);
-        }
+        assert_eq!(a, b);
     }
 }

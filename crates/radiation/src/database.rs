@@ -7,7 +7,7 @@
 //! The database round-trips through JSON so campaigns are reproducible and
 //! auditable.
 
-use crate::units::{Area, Let};
+use crate::units::Let;
 use crate::weibull::WeibullCurve;
 use ssresf_json::{field, FromJson, ToJson, Value};
 use ssresf_netlist::cell::ALL_CELL_KINDS;
@@ -152,20 +152,29 @@ impl SoftErrorDatabase {
         0.0
     }
 
-    /// Chip-level SEU and SET cross-sections of a netlist at `let_value`:
-    /// the sums of the per-cell cross-sections (paper Table I "Xsect Info").
+    /// Chip-level SEU and SET cross-sections of a netlist at `let_value`, in
+    /// cm²: the sums of the per-cell cross-sections (paper Table I "Xsect
+    /// Info"), with each memory bit's σ multiplied by `memory_scale`, the
+    /// statistical extrapolation from the modelled bits to the nominal
+    /// memory capacity (1.0 = none).
     pub fn chip_cross_sections(
         &self,
         netlist: &ssresf_netlist::FlatNetlist,
         let_value: Let,
-    ) -> (Area, Area) {
+        memory_scale: f64,
+    ) -> (f64, f64) {
         let mut seu = 0.0;
         let mut set = 0.0;
         for (_, cell) in netlist.iter_cells() {
-            seu += self.seu_cross_section(cell.kind, let_value);
-            set += self.set_cross_section(cell.kind, let_value);
+            let scale = if cell.kind.is_memory_bit() {
+                memory_scale
+            } else {
+                1.0
+            };
+            seu += self.seu_cross_section(cell.kind, let_value) * scale;
+            set += self.set_cross_section(cell.kind, let_value) * scale;
         }
-        (Area::new(seu), Area::new(set))
+        (seu, set)
     }
 }
 

@@ -29,17 +29,15 @@ pub mod database;
 pub mod environment;
 pub mod error;
 pub mod mission;
-pub mod particle;
 pub mod pulse;
 pub mod units;
 pub mod weibull;
 
-pub use campaign::{strike_fault, FluxCampaign, FluxCampaignConfig, GeneratedFault};
+pub use campaign::{strike_fault, FluxCampaign, FluxCampaignConfig};
 pub use database::{DatabaseEntry, LetPoint, SoftErrorDatabase, CALIBRATION_LETS};
 pub use environment::RadiationEnvironment;
 pub use error::RadiationError;
 pub use mission::{MissionProfile, MissionSegment};
-pub use particle::{ParticleEnvironment, ParticleKind};
 pub use pulse::PulseWidthModel;
 pub use units::{Area, Flux, Let};
 pub use weibull::WeibullCurve;

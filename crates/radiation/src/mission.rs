@@ -2,17 +2,19 @@
 //!
 //! A [`MissionProfile`] partitions an exposure window into ordered
 //! [`MissionSegment`]s — orbit phases, a solar-flare spike, a beam-test
-//! dwell — each with its own [`ParticleEnvironment`]. Fault generation
+//! dwell — each with its own [`RadiationEnvironment`]. Fault generation
 //! looks the active segment up by cycle ([`MissionProfile::segment_at`]),
-//! so strike LET and flux follow the profile over simulated time.
+//! so the strike LET follows the profile over simulated time. A segment's
+//! flux is carried and validated, but no campaign stage reads it: the
+//! injection count is set per cell, not drawn from the flux.
 //!
 //! Profiles are user-provided configuration (often parsed from JSON, which
 //! bypasses the unit newtype constructors), so every entry point validates:
 //! a profile must have at least one segment, every segment a positive
-//! duration, and every environment finite parameters.
+//! duration, and every environment a finite, non-negative LET and flux.
 
+use crate::environment::RadiationEnvironment;
 use crate::error::RadiationError;
-use crate::particle::ParticleEnvironment;
 use crate::units::Let;
 use ssresf_json::{field, FromJson, ToJson, Value};
 
@@ -24,7 +26,7 @@ pub struct MissionSegment {
     /// Length of the phase in simulated clock cycles.
     pub duration_cycles: u64,
     /// Radiation environment active during the phase.
-    pub environment: ParticleEnvironment,
+    pub environment: RadiationEnvironment,
 }
 
 impl MissionSegment {
@@ -32,7 +34,7 @@ impl MissionSegment {
     pub fn new(
         label: impl Into<String>,
         duration_cycles: u64,
-        environment: ParticleEnvironment,
+        environment: RadiationEnvironment,
     ) -> Self {
         MissionSegment {
             label: label.into(),
@@ -71,7 +73,7 @@ impl MissionProfile {
     pub fn single(
         label: impl Into<String>,
         duration_cycles: u64,
-        environment: ParticleEnvironment,
+        environment: RadiationEnvironment,
     ) -> Result<Self, RadiationError> {
         MissionProfile::new(vec![MissionSegment::new(
             label,
@@ -89,11 +91,11 @@ impl MissionProfile {
     /// Propagates [`MissionProfile::validate`] failures (zero durations).
     pub fn orbit_with_flare(quiet_cycles: u64, flare_cycles: u64) -> Result<Self, RadiationError> {
         MissionProfile::new(vec![
-            MissionSegment::new("quiet orbit", quiet_cycles, ParticleEnvironment::proton()),
+            MissionSegment::new("quiet orbit", quiet_cycles, RadiationEnvironment::proton()),
             MissionSegment::new(
                 "solar flare",
                 flare_cycles,
-                ParticleEnvironment::solar_flare(),
+                RadiationEnvironment::solar_flare(),
             ),
         ])
     }
@@ -207,7 +209,6 @@ impl FromJson for MissionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::particle::ParticleKind;
     use crate::units::{Flux, Let};
 
     fn two_segment() -> MissionProfile {
@@ -223,8 +224,8 @@ mod tests {
     #[test]
     fn rejects_zero_duration_segment() {
         let err = MissionProfile::new(vec![
-            MissionSegment::new("ok", 10, ParticleEnvironment::proton()),
-            MissionSegment::new("empty", 0, ParticleEnvironment::solar_flare()),
+            MissionSegment::new("ok", 10, RadiationEnvironment::proton()),
+            MissionSegment::new("empty", 0, RadiationEnvironment::solar_flare()),
         ])
         .unwrap_err();
         assert!(err.to_string().contains("zero duration"), "{err}");
@@ -234,8 +235,8 @@ mod tests {
     #[test]
     fn rejects_overflowing_total() {
         let err = MissionProfile::new(vec![
-            MissionSegment::new("a", u64::MAX, ParticleEnvironment::proton()),
-            MissionSegment::new("b", 1, ParticleEnvironment::proton()),
+            MissionSegment::new("a", u64::MAX, RadiationEnvironment::proton()),
+            MissionSegment::new("b", 1, RadiationEnvironment::proton()),
         ])
         .unwrap_err();
         assert!(err.to_string().contains("overflows"), "{err}");
@@ -243,7 +244,7 @@ mod tests {
 
     #[test]
     fn rejects_non_finite_environment() {
-        let mut env = ParticleEnvironment::proton();
+        let mut env = RadiationEnvironment::proton();
         env.flux = Flux::unchecked(f64::INFINITY);
         let err = MissionProfile::single("bad", 10, env).unwrap_err();
         assert!(err.to_string().contains("flux"), "{err}");
@@ -270,7 +271,38 @@ mod tests {
         let text = mission.to_json().to_string_pretty();
         let parsed = MissionProfile::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, mission);
-        assert_eq!(parsed.segments[0].environment.kind, ParticleKind::Proton);
+    }
+
+    #[test]
+    fn older_mission_files_with_species_members_still_parse() {
+        // Mission files once carried a species tag and a Weibull response
+        // per environment; the decoder reads only `let` and `flux`.
+        let text = r#"{
+          "segments": [
+            {
+              "label": "quiet orbit",
+              "duration_cycles": 60,
+              "environment": {
+                "kind": "proton",
+                "let": 1,
+                "flux": 400000000,
+                "response": { "sigma_sat": 1.2e-9, "threshold": 0.3, "width": 12, "shape": 1.5 }
+              }
+            },
+            {
+              "label": "solar flare",
+              "duration_cycles": 40,
+              "environment": {
+                "kind": "proton",
+                "let": 3,
+                "flux": 20000000000,
+                "response": { "sigma_sat": 1.2e-9, "threshold": 0.3, "width": 12, "shape": 1.5 }
+              }
+            }
+          ]
+        }"#;
+        let parsed = MissionProfile::from_json(&ssresf_json::parse(text).unwrap()).unwrap();
+        assert_eq!(parsed, two_segment());
     }
 
     #[test]
@@ -306,11 +338,12 @@ mod tests {
 
     #[test]
     fn single_segment_profile_validates() {
-        let mission = MissionProfile::single("beam", 50, ParticleEnvironment::heavy_ion()).unwrap();
+        let mission =
+            MissionProfile::single("beam", 50, RadiationEnvironment::geo_transfer()).unwrap();
         assert_eq!(mission.segments.len(), 1);
         assert_eq!(mission.total_cycles(), 50);
         assert_eq!(mission.segment_at(49), 0);
-        let mut env = ParticleEnvironment::heavy_ion();
+        let mut env = RadiationEnvironment::geo_transfer();
         env.let_value = Let::unchecked(-1.0);
         assert!(MissionProfile::single("bad", 50, env).is_err());
     }

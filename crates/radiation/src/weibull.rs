@@ -11,7 +11,6 @@
 //! shape `s`. Each [`RadiationClass`] carries a calibrated default curve.
 
 use crate::units::{Area, Let};
-use ssresf_json::{field, FromJson, ToJson, Value};
 use ssresf_netlist::RadiationClass;
 
 /// A four-parameter Weibull cross-section curve.
@@ -78,30 +77,6 @@ impl WeibullCurve {
             // Radiation-hardened (interlocked DICE) storage.
             RadiationClass::RadHardCell => WeibullCurve::new(8.0e-12, 15.0, 45.0, 2.2),
         }
-    }
-}
-
-impl ToJson for WeibullCurve {
-    fn to_json(&self) -> Value {
-        ssresf_json::object([
-            ("sigma_sat", self.sigma_sat.to_json()),
-            ("threshold", self.threshold.to_json()),
-            ("width", self.width.to_json()),
-            ("shape", self.shape.to_json()),
-        ])
-    }
-}
-
-/// Structural only: range checks belong to the containing config's
-/// `validate()`.
-impl FromJson for WeibullCurve {
-    fn from_json(value: &Value) -> Result<Self, String> {
-        Ok(WeibullCurve {
-            sigma_sat: field(value, "sigma_sat")?,
-            threshold: field(value, "threshold")?,
-            width: field(value, "width")?,
-            shape: field(value, "shape")?,
-        })
     }
 }
 

@@ -6,7 +6,6 @@
 //! evaluates once per cycle, widens a SET to the whole cycle (the standard
 //! cycle-accurate approximation).
 
-use crate::value::Logic;
 use ssresf_netlist::{CellId, NetId};
 
 /// A single-event transient: the target net is forced to the inverse of its
@@ -76,17 +75,6 @@ impl Fault {
             }
         }
     }
-}
-
-/// A forced value on a net, used by engines to implement SET pulses
-/// (equivalent to the VPI `force`/`release` pair the paper drives through
-/// the simulator interface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Force {
-    /// Forced net.
-    pub net: NetId,
-    /// Value held while the force is active.
-    pub value: Logic,
 }
 
 #[cfg(test)]

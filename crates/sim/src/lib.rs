@@ -72,7 +72,7 @@ pub use engine::{Engine, EngineState, EngineTelemetry};
 pub use error::SimError;
 pub use eval::{disturb, eval_comb, eval_comb_with_mutant, EvalMutant};
 pub use event::{EventDrivenEngine, EventDrivenState};
-pub use inject::{Fault, Force, SetFault, SeuFault};
+pub use inject::{Fault, SetFault, SeuFault};
 pub use levelized::{LevelizedEngine, LevelizedState};
 pub use oracle::{OracleEngine, OracleState};
 pub use testbench::{drive_random_inputs, Lfsr, Testbench};

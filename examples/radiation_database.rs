@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let faults = hot.generate(&netlist, &mut rng);
     let seu = faults
         .iter()
-        .filter(|f| matches!(f.fault, ssresf_sim::Fault::Seu(_)))
+        .filter(|(_, fault)| matches!(fault, ssresf_sim::Fault::Seu(_)))
         .count();
     println!(
         "amplified beam: {} strikes generated ({} SEU, {} SET)",

@@ -9,14 +9,13 @@
 //! within f64 tolerance. Case counts honor the `PROPTEST_CASES`
 //! environment variable.
 
-use ssresf::mission::environment_of;
 use ssresf::{
     run_campaign, run_mission_campaign, CampaignConfig, Dut, EngineKind, SsresfError, Workload,
 };
 use ssresf_conformance::{cases, Scenario};
 use ssresf_json::FromJson;
 use ssresf_netlist::CellId;
-use ssresf_radiation::{MissionProfile, MissionSegment, ParticleEnvironment};
+use ssresf_radiation::{MissionProfile, MissionSegment, RadiationEnvironment};
 
 /// The scenario's fault-target cells, deduplicated.
 fn target_cells(scenario: &Scenario, cell_count: usize) -> Vec<CellId> {
@@ -123,7 +122,7 @@ fn single_segment_mission_is_bit_identical_to_static_campaign() {
         let static_outcome = run_campaign(&dut, &cells, &config)
             .unwrap_or_else(|e| panic!("seed {seed}: static campaign failed: {e}"));
         let mission =
-            MissionProfile::single("static", scenario.run_cycles, environment_of(&config)).unwrap();
+            MissionProfile::single("static", scenario.run_cycles, config.environment).unwrap();
         let mission_outcome = run_mission_campaign(&dut, &cells, &config, &mission)
             .unwrap_or_else(|e| panic!("seed {seed}: mission campaign failed: {e}"));
         assert_eq!(
@@ -184,8 +183,8 @@ fn invalid_mission_profiles_are_rejected_per_field() {
     assert!(err.to_string().contains("no segments"), "{err}");
     // Zero-duration segment (names the offender).
     let err = MissionProfile::new(vec![
-        MissionSegment::new("ok", 5, ParticleEnvironment::proton()),
-        MissionSegment::new("empty", 0, ParticleEnvironment::neutron()),
+        MissionSegment::new("ok", 5, RadiationEnvironment::proton()),
+        MissionSegment::new("empty", 0, RadiationEnvironment::neutron()),
     ])
     .unwrap_err();
     assert!(err.to_string().contains("empty"), "{err}");
@@ -220,7 +219,7 @@ fn invalid_mission_profiles_are_rejected_per_field() {
         segments: vec![MissionSegment::new(
             "zero",
             0,
-            ParticleEnvironment::proton(),
+            RadiationEnvironment::proton(),
         )],
     };
     let err = run_mission_campaign(&dut, &cells, &CampaignConfig::default(), &profile).unwrap_err();
