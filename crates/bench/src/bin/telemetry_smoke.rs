@@ -230,9 +230,10 @@ fn check_active(config: &SsresfConfig, netlist: &ssresf_netlist::FlatNetlist) {
 /// The campaign service publishes its own key set: the artifact-cache
 /// counters (`cache.hits` / `cache.misses` / `cache.evictions` — present
 /// even at zero), the `cache.bytes` gauge and the `shard.count` /
-/// `shard.records_merged` gauges. The serve layer records no wall-clock
-/// metrics of its own, so two warm repeats of the same job must export
-/// byte-identically.
+/// `shard.records_merged` gauges. The deterministic export zeroes
+/// `cache.bytes` (a cold artifact prints wall-clock seconds), so two cold
+/// runs into fresh caches, and two warm repeats of the same job, must each
+/// export byte-identically.
 fn check_serve() {
     use ssresf_serve::key::smoke_circuit;
     use ssresf_serve::{serve_campaign, CacheConfig, JobSpec, NetlistSpec, ServeOptions};
@@ -256,14 +257,21 @@ fn check_serve() {
             ..CampaignConfig::default()
         },
     };
-    let cache_root =
-        std::env::temp_dir().join(format!("ssresf-telemetry-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_root);
-    let serve_once = || {
+    let cache_dir = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!(
+            "ssresf-telemetry-serve-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let cache_root = cache_dir("a");
+    let second_root = cache_dir("b");
+    let serve_into = |root: &std::path::Path| {
         let metrics = MetricsRegistry::new();
         let options = ServeOptions {
             cache: Some(CacheConfig {
-                root: cache_root.clone(),
+                root: root.to_path_buf(),
                 max_bytes: None,
             }),
             metrics: Some(&metrics),
@@ -276,12 +284,22 @@ fn check_serve() {
         }
         (outcome, metrics)
     };
+    let serve_once = || serve_into(&cache_root);
 
     let (cold_outcome, cold_metrics) = serve_once();
     if cold_metrics.counter("cache.misses") == 0 {
         fail("serve: cold run reported no cache misses");
     }
-    let doc = ssresf_json::parse(&cold_metrics.to_json_deterministic().to_string_pretty())
+    let cold_export = cold_metrics.to_json_deterministic().to_string_pretty();
+    let (second_outcome, second_metrics) = serve_into(&second_root);
+    if second_outcome.records != cold_outcome.records {
+        fail("serve: a second cold run changed the records");
+    }
+    if cold_export != second_metrics.to_json_deterministic().to_string_pretty() {
+        fail("serve: deterministic metrics export differs across cold runs into fresh caches");
+    }
+    let _ = std::fs::remove_dir_all(&second_root);
+    let doc = ssresf_json::parse(&cold_export)
         .unwrap_or_else(|e| fail(&format!("serve: export is not valid JSON: {e}")));
     check_keys(
         &doc,

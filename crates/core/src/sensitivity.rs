@@ -13,6 +13,8 @@ use ssresf_mlcore::{
     SvmModel, SvmParams, TrainStats,
 };
 use ssresf_netlist::{CellFeatures, CellId};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::{Duration, Instant};
 
 /// Configuration of the sensitivity-classification stage.
@@ -73,15 +75,39 @@ impl TrainedSensitivity {
         self.decision(raw_features) >= 0.0
     }
 
-    /// Classifies every cell's feature record, chunked across up to
-    /// `threads` worker threads (0 = all cores); results keep input order,
-    /// so the output is identical for every thread count.
+    /// Classifies every cell's feature record, in record order.
+    ///
+    /// Records whose values have the same bit patterns share one decision:
+    /// a netlist repeats a few hundred distinct rows across up to millions
+    /// of cells. The distinct rows are classified across up to `threads`
+    /// worker threads (0 = all cores) and the verdicts scattered back.
+    /// Equal bits run the same `f64` arithmetic, so each verdict equals
+    /// [`classify`](TrainedSensitivity::classify) of its own record, for
+    /// every thread count.
     pub fn classify_all_with(
         &self,
         features: &[CellFeatures],
         threads: usize,
     ) -> Vec<(CellId, bool)> {
-        parallel_map(features, threads, |_, f| (f.cell, self.classify(&f.values)))
+        let mut groups: HashMap<RowBits<'_>, u32, BuildHasherDefault<WordHasher>> =
+            HashMap::default();
+        let mut distinct: Vec<&[f64]> = Vec::new();
+        let group_of: Vec<u32> = features
+            .iter()
+            .map(|f| {
+                let next = distinct.len() as u32;
+                *groups.entry(RowBits(&f.values)).or_insert_with(|| {
+                    distinct.push(&f.values);
+                    next
+                })
+            })
+            .collect();
+        let verdicts = parallel_map(&distinct, threads, |_, row| self.classify(row));
+        features
+            .iter()
+            .zip(group_of)
+            .map(|(f, group)| (f.cell, verdicts[group as usize]))
+            .collect()
     }
 
     /// Solver diagnostics of the final fitted SVM.
@@ -92,6 +118,53 @@ impl TrainedSensitivity {
     /// The feature columns the model consumes (post-standardization).
     pub fn columns(&self) -> &[usize] {
         &self.columns
+    }
+}
+
+/// A feature row compared and hashed by the bit patterns of its values, so
+/// `-0.0` and `0.0` (and distinct NaN payloads) are different rows.
+struct RowBits<'a>(&'a [f64]);
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self
+                .0
+                .iter()
+                .zip(other.0)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl Hash for RowBits<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for value in self.0 {
+            state.write_u64(value.to_bits());
+        }
+    }
+}
+
+/// Multiply-rotate hasher over whole words, cheaper than SipHash for the
+/// 19 words of a feature row, which every cell hashes once. The keys are
+/// values the feature extractor computed, not bytes read from outside.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        // The table picks buckets by the low bits; the multiply mixes best
+        // into the high ones.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("feature rows hash as whole words")
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
@@ -130,13 +203,15 @@ pub(crate) fn class_weighted(svm: SvmParams, positives: usize, total: usize) -> 
 
 /// Trains the sensitivity classifier from labeled sampled cells.
 ///
-/// `features` must cover every labeled cell (indexed by `CellId`); labels
-/// are `true` for highly sensitive nodes.
+/// `features` must cover every labeled cell (indexed by `CellId`: the
+/// record of cell `c` sits at `features[c.index()]`); labels are `true` for
+/// highly sensitive nodes.
 ///
 /// # Errors
 ///
-/// Returns [`SsresfError::Config`] when fewer than four cells are labeled
-/// or only one class is present, plus ML errors from training.
+/// Returns [`SsresfError::Config`] when fewer than four cells are labeled,
+/// a labeled cell has no record at its index, or only one class is
+/// present, plus ML errors from training.
 pub fn train_sensitivity(
     features: &[CellFeatures],
     labels: &[(CellId, bool)],
@@ -155,8 +230,8 @@ pub fn train_sensitivity(
     let mut y = Vec::with_capacity(labels.len());
     for &(cell, sensitive) in labels {
         let record = features
-            .iter()
-            .find(|f| f.cell == cell)
+            .get(cell.index())
+            .filter(|f| f.cell == cell)
             .ok_or_else(|| SsresfError::Config(format!("no features for cell {}", cell.0)))?;
         rows.push(record.values.clone());
         y.push(if sensitive { 1i8 } else { -1 });
@@ -383,5 +458,61 @@ mod tests {
         let (features, mut labels) = synthetic(10);
         labels.push((CellId(999), true));
         assert!(train_sensitivity(&features, &labels, &SensitivityConfig::default()).is_err());
+    }
+
+    #[test]
+    fn absent_or_misplaced_records_are_config_errors() {
+        let config = SensitivityConfig::default();
+        let message = |result: Result<_, SsresfError>| match result {
+            Err(SsresfError::Config(msg)) => msg,
+            other => panic!("expected a config error, got {other:?}"),
+        };
+        // Absent: the table ends before the labeled cell's index.
+        let (features, labels) = synthetic(10);
+        let absent = train_sensitivity(&features[..3], &labels, &config);
+        assert_eq!(message(absent), "no features for cell 3");
+        // Misplaced: cell 3's record sits at index 4 and cell 4's at 3.
+        let (mut features, labels) = synthetic(10);
+        features.swap(3, 4);
+        let misplaced = train_sensitivity(&features, &labels, &config);
+        assert_eq!(message(misplaced), "no features for cell 3");
+    }
+
+    #[test]
+    fn grouped_classification_matches_per_record_classify() {
+        let (train, labels) = synthetic(40);
+        let (model, _) = train_sensitivity(&train, &labels, &SensitivityConfig::default()).unwrap();
+        // Seven distinct rows, among them a 0.0 / -0.0 pair and a NaN row.
+        let rows: [[f64; 3]; 7] = [
+            [8.0, 0.0, 1.0],
+            [8.0, -0.0, 1.0],
+            [1.0, 2.0, 1.0],
+            [f64::NAN, 1.0, 1.0],
+            [8.3, 1.0, 1.0],
+            [1.2, 0.0, 1.0],
+            [4.5, 2.0, 1.0],
+        ];
+        assert!(RowBits(&rows[0]) != RowBits(&rows[1]));
+        assert!(RowBits(&rows[3]) == RowBits(&rows[3]));
+        let features: Vec<CellFeatures> = (0..10_000u32)
+            .map(|i| CellFeatures {
+                cell: CellId(i),
+                module_class: ModuleClass::Other,
+                values: rows[(i as usize * 5 + i as usize / 13) % rows.len()].to_vec(),
+            })
+            .collect();
+        let expected: Vec<(CellId, bool)> = features
+            .iter()
+            .map(|f| (f.cell, model.classify(&f.values)))
+            .collect();
+        assert!(expected.iter().any(|&(_, high)| high));
+        assert!(expected.iter().any(|&(_, high)| !high));
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                model.classify_all_with(&features, threads),
+                expected,
+                "threads = {threads}"
+            );
+        }
     }
 }

@@ -90,8 +90,9 @@ pub enum RadiationClass {
     RadHardCell,
 }
 
-/// All cell kinds, in a stable order (useful for exhaustive iteration in
-/// tests and table generation).
+/// All cell kinds, in declaration order (`ALL_CELL_KINDS[kind as usize]`
+/// is `kind`), for exhaustive iteration in tests and for per-kind tables
+/// indexed by `kind as usize`.
 pub const ALL_CELL_KINDS: &[CellKind] = &[
     CellKind::Tie0,
     CellKind::Tie1,
@@ -282,6 +283,13 @@ mod tests {
     fn name_round_trips_for_all_kinds() {
         for &kind in ALL_CELL_KINDS {
             assert_eq!(CellKind::from_name(kind.name()), Some(kind));
+        }
+    }
+
+    #[test]
+    fn all_kinds_are_listed_in_declaration_order() {
+        for (i, &kind) in ALL_CELL_KINDS.iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
         }
     }
 

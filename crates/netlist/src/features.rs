@@ -202,9 +202,17 @@ impl<'a> FeatureExtractor<'a> {
     /// from levelization.
     pub fn new(netlist: &'a FlatNetlist) -> Result<Self, crate::NetlistError> {
         let lv = netlist.levelize()?;
-        let depth_obs = observation_distances(netlist);
         let depth_po = po_distances(netlist);
         let depth_ff = ff_distances(netlist);
+        // An observation point is a primary output (hop 0 from the cell
+        // driving it) or a sequential cell's data input (hop 1 from the
+        // cell feeding it), so the nearest one is the nearer of the two
+        // BFS distances; `saturating_add` keeps the sentinel a sentinel.
+        let depth_obs = depth_po
+            .iter()
+            .zip(&depth_ff)
+            .map(|(&po, &ff)| po.min(ff.saturating_add(1)))
+            .collect();
         let cop_ctrl = cop_signal_probability(netlist, &lv.order);
         let cop_obs = cop_observability(netlist, &lv.order, &cop_ctrl);
         let path_class = netlist
@@ -331,53 +339,6 @@ fn neighborhood_size(netlist: &FlatNetlist, id: CellId) -> usize {
     neighbors.sort_unstable();
     neighbors.dedup();
     neighbors.len()
-}
-
-/// Per-cell hop distance to the nearest observation point: a primary output
-/// net (distance 0) or a sequential cell's data input (distance 1).
-fn observation_distances(netlist: &FlatNetlist) -> Vec<u32> {
-    let mut dist = vec![UNOBSERVABLE; netlist.cells().len()];
-    let mut queue = VecDeque::new();
-
-    // Seeds at distance 0: cells driving a primary output.
-    for &out in netlist.primary_outputs() {
-        if let Some(Driver::Cell(cell)) = netlist.net(out).driver {
-            if dist[cell.index()] > 0 {
-                dist[cell.index()] = 0;
-                queue.push_back(cell);
-            }
-        }
-    }
-    // Seeds at distance 1: cells feeding any sequential cell.
-    for (_, cell) in netlist.iter_cells() {
-        if !cell.kind.is_sequential() {
-            continue;
-        }
-        for &input in cell.inputs {
-            if let Some(Driver::Cell(driver)) = netlist.net(input).driver {
-                if dist[driver.index()] > 1 {
-                    dist[driver.index()] = 1;
-                    queue.push_back(driver);
-                }
-            }
-        }
-    }
-
-    // BFS backward through input drivers. The queue was seeded in
-    // nondecreasing distance order (all 0s pushed before any 1s only if we
-    // pushed them that way — they were), so plain BFS yields shortest hops.
-    while let Some(cell) = queue.pop_front() {
-        let d = dist[cell.index()];
-        for &input in netlist.cell(cell).inputs {
-            if let Some(Driver::Cell(driver)) = netlist.net(input).driver {
-                if dist[driver.index()] > d + 1 {
-                    dist[driver.index()] = d + 1;
-                    queue.push_back(driver);
-                }
-            }
-        }
-    }
-    dist
 }
 
 /// Backward BFS from a seed set toward input drivers, yielding per-cell hop
@@ -712,6 +673,54 @@ mod tests {
         assert_eq!(fx.depth_obs[idx("u_and")], 1);
         // u_inv is one hop further.
         assert_eq!(fx.depth_obs[idx("u_inv")], 2);
+    }
+
+    #[test]
+    fn observation_distance_takes_the_nearer_of_output_and_flip_flop() {
+        // u_x feeds both u_p, which drives the primary output z, and a
+        // three-buffer chain into a flip-flop whose output reaches y.
+        let mut design = Design::new();
+        let mut mb = ModuleBuilder::new("fork");
+        let clk = mb.port("clk", PortDir::Input);
+        let a = mb.port("a", PortDir::Input);
+        let y = mb.port("y", PortDir::Output);
+        let z = mb.port("z", PortDir::Output);
+        let w = mb.net("w");
+        let c0 = mb.net("c0");
+        let c1 = mb.net("c1");
+        let c2 = mb.net("c2");
+        let q = mb.net("q");
+        mb.cell("u_x", CellKind::Buf, &[a], &[w]).unwrap();
+        mb.cell("u_p", CellKind::Buf, &[w], &[z]).unwrap();
+        mb.cell("u_c0", CellKind::Buf, &[w], &[c0]).unwrap();
+        mb.cell("u_c1", CellKind::Buf, &[c0], &[c1]).unwrap();
+        mb.cell("u_c2", CellKind::Buf, &[c1], &[c2]).unwrap();
+        mb.cell("u_ff", CellKind::Dff, &[clk, c2], &[q]).unwrap();
+        mb.cell("u_o", CellKind::Buf, &[q], &[y]).unwrap();
+        let id = design.add_module(mb.finish()).unwrap();
+        design.set_top(id).unwrap();
+        let flat = design.flatten().unwrap();
+        let fx = FeatureExtractor::new(&flat).unwrap();
+        let idx = |name: &str| flat.cell_by_name(name).unwrap().index();
+        // (cell, depth_po, depth_ff, depth_obs)
+        let expected = [
+            // Nearer the output: one hop to z, four to the flip-flop input.
+            ("u_x", 1, 3, 1),
+            // Nearer the flip-flop: three hops to its input, four to y.
+            ("u_c0", 4, 2, 3),
+            ("u_c2", 2, 0, 1),
+            ("u_p", 0, UNOBSERVABLE, 0),
+            ("u_o", 0, UNOBSERVABLE, 0),
+        ];
+        for (name, po, ff, obs) in expected {
+            assert_eq!(fx.depth_po[idx(name)], po, "depth_po of {name}");
+            assert_eq!(fx.depth_ff[idx(name)], ff, "depth_ff of {name}");
+            assert_eq!(fx.depth_obs[idx(name)], obs, "depth_obs of {name}");
+            let values = fx
+                .extract_cell(flat.cell_by_name(name).unwrap(), None)
+                .values;
+            assert_eq!(values[3], f64::from(obs), "depth_obs feature of {name}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::units::Let;
 use crate::weibull::WeibullCurve;
 use ssresf_json::{field, FromJson, ToJson, Value};
 use ssresf_netlist::cell::ALL_CELL_KINDS;
-use ssresf_netlist::{CellKind, RadiationClass};
+use ssresf_netlist::{CellId, CellKind, RadiationClass};
 
 /// The paper's calibration LET values, MeV·cm²/mg.
 pub const CALIBRATION_LETS: [f64; 3] = [1.0, 37.0, 100.0];
@@ -157,22 +157,37 @@ impl SoftErrorDatabase {
     /// Info"), with each memory bit's σ multiplied by `memory_scale`, the
     /// statistical extrapolation from the modelled bits to the nominal
     /// memory capacity (1.0 = none).
+    ///
+    /// Each cell kind's scaled pair is looked up once; the sums then add
+    /// one table entry per cell, in cell order.
     pub fn chip_cross_sections(
         &self,
         netlist: &ssresf_netlist::FlatNetlist,
         let_value: Let,
         memory_scale: f64,
     ) -> (f64, f64) {
+        // Indexed by `kind as usize`: `ALL_CELL_KINDS` is in declaration
+        // order.
+        let per_kind: Vec<(f64, f64)> = ALL_CELL_KINDS
+            .iter()
+            .map(|&kind| {
+                let scale = if kind.is_memory_bit() {
+                    memory_scale
+                } else {
+                    1.0
+                };
+                (
+                    self.seu_cross_section(kind, let_value) * scale,
+                    self.set_cross_section(kind, let_value) * scale,
+                )
+            })
+            .collect();
         let mut seu = 0.0;
         let mut set = 0.0;
-        for (_, cell) in netlist.iter_cells() {
-            let scale = if cell.kind.is_memory_bit() {
-                memory_scale
-            } else {
-                1.0
-            };
-            seu += self.seu_cross_section(cell.kind, let_value) * scale;
-            set += self.set_cross_section(cell.kind, let_value) * scale;
+        for i in 0..netlist.num_cells() {
+            let (cell_seu, cell_set) = per_kind[netlist.cell_kind(CellId(i as u32)) as usize];
+            seu += cell_seu;
+            set += cell_set;
         }
         (seu, set)
     }

@@ -11,7 +11,9 @@
 //!
 //! Lookups and insertions feed the `cache.hits` / `cache.misses` /
 //! `cache.evictions` counters and the `cache.bytes` gauge of an attached
-//! [`MetricsRegistry`]; eviction is size-capped and oldest-first.
+//! [`MetricsRegistry`] (the deterministic export zeroes the gauge: a cold
+//! campaign artifact prints wall-clock seconds); eviction is size-capped
+//! and oldest-first.
 
 use ssresf_json::Value;
 use ssresf_telemetry::MetricsRegistry;

@@ -50,8 +50,10 @@ pub struct ServeOptions<'a> {
     pub progress: Option<&'a dyn ProgressSink>,
     /// Append-only job log path, if any.
     pub job_log: Option<PathBuf>,
-    /// Cancellation flag: stops in-process shards at their next poll point
-    /// and sends cancel frames to worker processes.
+    /// Cancellation flag. Set before the shards start (after the cache
+    /// lookup), it stops the job before any shard runs; set later, it
+    /// stops in-process shards at their next poll point and sends cancel
+    /// frames to worker processes.
     pub cancel: Option<&'a AtomicBool>,
 }
 
@@ -150,6 +152,15 @@ pub fn serve_campaign(
         return Ok(outcome);
     }
 
+    // A flag set before any shard runs stops the job here in both modes:
+    // worker processes would only see it through the relay's next poll,
+    // after a small shard may already have finished.
+    if options
+        .cancel
+        .is_some_and(|flag| flag.load(Ordering::Relaxed))
+    {
+        return Err("campaign cancelled".into());
+    }
     let shards = match &options.worker_binary {
         Some(binary) => run_process_shards(spec, options, binary)?,
         None => run_local_shards(spec, options, cache.as_ref())?,

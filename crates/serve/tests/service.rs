@@ -176,6 +176,26 @@ fn pre_cancelled_campaign_reports_cancellation() {
 }
 
 #[test]
+fn pre_cancelled_fleet_campaigns_never_finish() {
+    // A pre-set flag must win every time, not only when it beats a small
+    // job's workers to the finish.
+    let spec = smoke_spec(false);
+    let flag = AtomicBool::new(true);
+    for attempt in 0..50 {
+        let metrics = MetricsRegistry::new();
+        let options = ServeOptions {
+            worker_binary: Some(worker_binary()),
+            metrics: Some(&metrics),
+            cancel: Some(&flag),
+            ..ServeOptions::new(2)
+        };
+        let err = serve_campaign(&spec, &options).unwrap_err();
+        assert_eq!(err, "campaign cancelled", "attempt {attempt}");
+        assert_eq!(metrics.gauge("shard.count"), None, "attempt {attempt}");
+    }
+}
+
+#[test]
 fn malformed_first_frame_yields_an_error_frame() {
     use ssresf_serve::{read_frame, write_frame, Message};
     use std::process::{Command, Stdio};

@@ -12,9 +12,11 @@
 //! deterministic quantities (event counts, work units), while wall-clock
 //! quantities are confined to two places — the `timings_s` section and
 //! gauges whose names end in a wall-clock suffix (`seconds`,
-//! `per_second`, `utilization`). [`MetricsRegistry::to_json_deterministic`]
-//! zeroes exactly those values while keeping the full key set, so two runs
-//! of the same seed produce byte-identical deterministic exports.
+//! `per_second`, `utilization`) or are listed by name (`cache.bytes`, the
+//! size of cached artifacts that embed wall-clock seconds).
+//! [`MetricsRegistry::to_json_deterministic`] zeroes exactly those values
+//! while keeping the full key set, so two runs of the same seed produce
+//! byte-identical deterministic exports.
 
 use ssresf_json::{object, Value};
 use std::collections::BTreeMap;
@@ -121,11 +123,18 @@ pub struct MetricsRegistry {
 /// `worker.0.utilization` qualify.
 const WALL_CLOCK_SUFFIXES: [&str; 3] = ["seconds", "per_second", "utilization"];
 
+/// Gauges zeroed by [`MetricsRegistry::to_json_deterministic`] whose names
+/// carry no wall-clock suffix. `cache.bytes` sums the cached artifacts'
+/// sizes, and a campaign artifact prints its wall-clock simulation times,
+/// so two cold runs of one job can differ by a digit.
+const WALL_CLOCK_GAUGES: [&str; 1] = ["cache.bytes"];
+
 fn is_wall_clock_gauge(name: &str) -> bool {
-    WALL_CLOCK_SUFFIXES.iter().any(|suffix| {
-        name.strip_suffix(suffix)
-            .is_some_and(|head| head.ends_with(['_', '.']))
-    })
+    WALL_CLOCK_GAUGES.contains(&name)
+        || WALL_CLOCK_SUFFIXES.iter().any(|suffix| {
+            name.strip_suffix(suffix)
+                .is_some_and(|head| head.ends_with(['_', '.']))
+        })
 }
 
 impl MetricsRegistry {
@@ -151,8 +160,8 @@ impl MetricsRegistry {
     /// Sets the named gauge to `value`.
     ///
     /// Gauges holding wall-clock-derived quantities must end in a
-    /// `seconds`, `per_second` or `utilization` segment so the
-    /// deterministic export can zero them.
+    /// `seconds`, `per_second` or `utilization` segment, or be listed by
+    /// name, so the deterministic export can zero them.
     pub fn gauge_set(&self, name: &str, value: f64) {
         self.lock().gauges.insert(name.to_owned(), value);
     }
@@ -215,8 +224,9 @@ impl MetricsRegistry {
     }
 
     /// Exports like [`to_json`](MetricsRegistry::to_json) but with every
-    /// wall-clock-derived value zeroed (all `timings_s` entries and gauges
-    /// with a wall-clock suffix), keeping the full key set.
+    /// wall-clock-derived value zeroed (all `timings_s` entries, gauges
+    /// with a wall-clock suffix and the `cache.bytes` gauge), keeping the
+    /// full key set.
     ///
     /// Two runs of the same seeded workload produce byte-identical
     /// deterministic exports.
@@ -455,5 +465,17 @@ mod tests {
             det.to_string_pretty(),
             m.to_json_deterministic().to_string_pretty()
         );
+    }
+
+    #[test]
+    fn deterministic_export_zeroes_cache_bytes_by_name_only() {
+        let m = MetricsRegistry::new();
+        m.gauge_set("cache.bytes", 4606.0);
+        m.gauge_set("trace.bytes", 128.0);
+        let gauges = m.to_json_deterministic().get("gauges").unwrap().clone();
+        assert_eq!(gauges.get("cache.bytes").unwrap().as_f64(), Some(0.0));
+        // No `bytes` suffix rule: other byte gauges keep their values.
+        assert_eq!(gauges.get("trace.bytes").unwrap().as_f64(), Some(128.0));
+        assert_eq!(m.gauge("cache.bytes"), Some(4606.0));
     }
 }

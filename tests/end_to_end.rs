@@ -149,6 +149,60 @@ fn rad_hard_memory_reduces_seu_cross_section() {
 }
 
 #[test]
+fn whole_netlist_prediction_matches_per_record_classify_on_soc1() {
+    let soc = build_soc(&SocConfig::table1()[0]).unwrap();
+    let netlist = soc.design.flatten().unwrap();
+    let framework = Ssresf::new(quick_config(soc.info.memory_scale_factor));
+    let analysis = framework.analyze(&netlist).unwrap();
+    let expected: Vec<_> = analysis
+        .features
+        .iter()
+        .map(|f| (f.cell, analysis.classifier.classify(&f.values)))
+        .collect();
+    assert_eq!(analysis.predictions, expected);
+    for threads in [1usize, 2, 8] {
+        assert_eq!(
+            analysis
+                .classifier
+                .classify_all_with(&analysis.features, threads),
+            expected,
+            "threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn chip_cross_sections_match_a_per_cell_sum() {
+    let db = ssresf_radiation::SoftErrorDatabase::standard();
+    let configs = SocConfig::table1();
+    for config in [&configs[0], &configs[9]] {
+        let netlist = build_soc(config).unwrap().design.flatten().unwrap();
+        for let_value in [0.5, 20.0, 100.0] {
+            let let_value = ssresf_radiation::Let::new(let_value);
+            for memory_scale in [1.0, 1024.0] {
+                let (mut seu, mut set) = (0.0f64, 0.0f64);
+                for (_, cell) in netlist.iter_cells() {
+                    let scale = if cell.kind.is_memory_bit() {
+                        memory_scale
+                    } else {
+                        1.0
+                    };
+                    seu += db.seu_cross_section(cell.kind, let_value) * scale;
+                    set += db.set_cross_section(cell.kind, let_value) * scale;
+                }
+                let context = format!("{} at {let_value:?} x{memory_scale}", config.name);
+                let (got_seu, got_set) = db.chip_cross_sections(&netlist, let_value, memory_scale);
+                assert_eq!(got_seu.to_bits(), seu.to_bits(), "SEU, {context}");
+                assert_eq!(got_set.to_bits(), set.to_bits(), "SET, {context}");
+                let scaled = ssresf::scaled_chip_xsect(&netlist, let_value, memory_scale);
+                assert_eq!(scaled.0.to_bits(), seu.to_bits(), "scaled SEU, {context}");
+                assert_eq!(scaled.1.to_bits(), set.to_bits(), "scaled SET, {context}");
+            }
+        }
+    }
+}
+
+#[test]
 fn clustering_tracks_soc_hierarchy() {
     let soc = build_soc(&SocConfig::table1()[0]).unwrap();
     let netlist = soc.design.flatten().unwrap();
