@@ -1,0 +1,90 @@
+//! The numbers README.md and EXPERIMENTS.md quote from the committed
+//! `BENCH_*.json` files match those files.
+//!
+//! Only deterministic fields are checked: accuracies, work counts and
+//! work ratios reproduce exactly on any machine, while wall-clock fields
+//! change from run to run.
+
+use ssresf_json::Value;
+use std::path::Path;
+
+fn repo_file(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The number at the dotted `key` of a committed `BENCH_*.json` file.
+fn bench_number(file: &str, key: &str) -> f64 {
+    let report = ssresf_json::parse(&repo_file(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    key.split('.')
+        .try_fold(&report, |value, part| value.get(part))
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("{file} has no number at `{key}`"))
+}
+
+/// A count with its digits grouped in threes by spaces, as the docs write
+/// them ("109 250").
+fn grouped(count: f64) -> String {
+    let digits = format!("{count:.0}");
+    let mut out = String::new();
+    for (i, digit) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push(' ');
+        }
+        out.push(digit);
+    }
+    out
+}
+
+#[test]
+fn docs_quote_the_committed_bench_numbers() {
+    let bitparallel = |key: &str| bench_number("BENCH_bitparallel.json", key);
+    let ml_accuracy = bench_number("BENCH_mlpath.json", "new_accuracy");
+    let w64_reduction = bitparallel("configs.w64.eval_reduction");
+    let w256_reduction = bitparallel("configs.w256_collapse_refill.eval_reduction");
+    let scalar_evals = bitparallel("scalar_gate_evals_per_injection");
+    let w64_evals = bitparallel("configs.w64.batched_word_evals_per_injection");
+    let w256_evals = bitparallel("configs.w256_collapse_refill.batched_word_evals_per_injection");
+    let active_accuracy = bench_number("BENCH_activelearn.json", "active_accuracy");
+    let work_speedup = bench_number("BENCH_activelearn.json", "work_speedup");
+    let cold_work = bench_number("BENCH_serve.json", "cold_work");
+
+    let readme = [
+        format!("new {ml_accuracy:.4}"),
+        format!("{:.1} % held-out accuracy", active_accuracy * 100.0),
+        format!("to {work_speedup:.1}×"),
+    ];
+    let experiments = [
+        format!("({ml_accuracy:.4} both paths)"),
+        format!("{w64_reduction:.1}× fewer gate evaluations"),
+        format!("reduction reaches {w256_reduction:.0}×"),
+        format!(
+            "({} → {} word-evals)",
+            grouped(scalar_evals),
+            grouped(w64_evals)
+        ),
+        format!("({} word-evals per injection)", grouped(w256_evals)),
+        format!("| {active_accuracy:.4} (held out) |"),
+        format!("| {work_speedup:.1}× |"),
+        format!("| {} |", grouped(cold_work)),
+    ];
+    let mut missing = Vec::new();
+    for (doc, quotes) in [
+        ("README.md", &readme[..]),
+        ("EXPERIMENTS.md", &experiments[..]),
+    ] {
+        let text = repo_file(doc);
+        for quote in quotes {
+            if !text.contains(quote.as_str()) {
+                missing.push(format!("{doc}: `{quote}`"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "docs do not quote the committed BENCH values:\n{}",
+        missing.join("\n")
+    );
+}

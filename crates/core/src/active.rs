@@ -463,7 +463,6 @@ pub fn label_cells(
                 .map(|s| s.probability())
                 .unwrap_or(0.0);
             let sensitive = match rule {
-                LabelRule::PerCell { min_probability } => probability >= min_probability,
                 LabelRule::Blended => {
                     let cluster = clustering.cluster_of(cell);
                     let cluster_ser = ser.per_cluster[cluster].ser();

@@ -26,12 +26,6 @@ use std::time::{Duration, Instant};
 /// How sampled cells are labeled for SVM training.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum LabelRule {
-    /// A cell is sensitive when its observed per-cell soft-error
-    /// probability reaches the threshold.
-    PerCell {
-        /// Minimum error probability, in `(0, 1]`.
-        min_probability: f64,
-    },
     /// The paper's rule: cluster-level SER ranking blended with the
     /// per-cell outcome. A cell is sensitive when
     /// `(cell_probability + cluster_SER) / 2` reaches the chip SER.
@@ -226,9 +220,9 @@ impl Ssresf {
     /// # Errors
     ///
     /// Propagates failures from every stage; notably
-    /// [`SsresfError::Config`] for an invalid configuration (labeling
-    /// threshold outside `(0, 1]`, non-finite or non-positive
-    /// `memory_scale`) or when the campaign labels only one class (the
+    /// [`SsresfError::Config`] for an invalid configuration (a non-finite
+    /// or non-positive `memory_scale`, or an invalid sampling or campaign
+    /// setting) or when the campaign labels only one class (the
     /// workload or sample was too small to observe both sensitive and
     /// insensitive nodes).
     pub fn analyze(&self, netlist: &FlatNetlist) -> Result<Analysis, SsresfError> {
@@ -404,13 +398,6 @@ impl Ssresf {
     /// covers the sampling and campaign settings too, so a config that
     /// cannot run fails before clustering or any simulation.
     pub(crate) fn validate_config(&self) -> Result<(), SsresfError> {
-        if let LabelRule::PerCell { min_probability } = self.config.labeling {
-            if !(min_probability > 0.0 && min_probability <= 1.0) {
-                return Err(SsresfError::Config(format!(
-                    "PerCell min_probability {min_probability} outside (0, 1]"
-                )));
-            }
-        }
         if !self.config.memory_scale.is_finite() || self.config.memory_scale <= 0.0 {
             return Err(SsresfError::Config(format!(
                 "memory_scale {} must be finite and positive",
@@ -551,22 +538,6 @@ mod tests {
         let id = design.add_module(mb.finish()).unwrap();
         design.set_top(id).unwrap();
         design.flatten().unwrap()
-    }
-
-    #[test]
-    fn analyze_rejects_bad_label_threshold() {
-        let netlist = tiny_netlist();
-        for min_probability in [0.0, -0.25, 1.5, f64::NAN] {
-            let config = SsresfConfig {
-                labeling: LabelRule::PerCell { min_probability },
-                ..SsresfConfig::default()
-            };
-            let err = Ssresf::new(config).analyze(&netlist).unwrap_err();
-            assert!(
-                matches!(err, SsresfError::Config(_)),
-                "min_probability {min_probability} not rejected"
-            );
-        }
     }
 
     #[test]

@@ -375,7 +375,7 @@ impl<'a> Dut<'a> {
                     Some(start.cycle)
                 }
                 None => {
-                    self.setup(&mut engine, workload);
+                    self.setup(&mut engine, workload)?;
                     None
                 }
             };
@@ -523,7 +523,7 @@ impl<'a> Dut<'a> {
 
     /// Reset sequence plus post-reset memory-image load — the state every
     /// run starts from, and the state a cycle-0 checkpoint captures.
-    fn setup<E: Engine>(&self, engine: &mut E, workload: &Workload) {
+    fn setup<E: Engine>(&self, engine: &mut E, workload: &Workload) -> Result<(), SsresfError> {
         if let Some(rst) = self.reset {
             engine.poke(rst, Logic::Zero);
             for _ in 0..workload.reset_cycles {
@@ -535,11 +535,14 @@ impl<'a> Dut<'a> {
         // edges never latch undefined write-enables into the array.
         let memory_cells: Vec<_> = self
             .netlist
-            .iter_cells()
-            .filter(|(_, c)| c.kind.is_memory_bit())
-            .map(|(id, _)| id)
+            .levelize()?
+            .sequential
+            .iter()
+            .copied()
+            .filter(|&c| self.netlist.cell_kind(c).is_memory_bit())
             .collect();
         engine.set_cell_states(&memory_cells, Logic::Zero);
+        Ok(())
     }
 
     /// Schedules `faults` with their workload-relative cycles shifted into
@@ -590,7 +593,7 @@ impl<'a> Dut<'a> {
         interval: u64,
         work: impl Fn(&E) -> u64,
     ) -> Result<GoldenRun, SsresfError> {
-        self.setup(&mut engine, workload);
+        self.setup(&mut engine, workload)?;
         self.schedule_shifted(&mut engine, workload, faults);
         let (outputs, mut trace) = self.observed_outputs();
         let mut checkpoints = Vec::new();

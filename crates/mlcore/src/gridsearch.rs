@@ -28,29 +28,13 @@ pub const DEFAULT_GAMMA_GRID: &[f64] = &[0.01, 0.1, 0.5, 1.0, 4.0];
 
 /// Exhaustively evaluates an RBF SVM over `c_grid × gamma_grid` with k-fold
 /// cross-validation, returning the best pair (ties break toward the first
-/// grid point, making the search deterministic). Single-threaded; see
-/// [`grid_search_with`].
-///
-/// # Errors
-///
-/// Returns [`MlError::Param`] for empty grids and propagates CV errors.
-pub fn grid_search(
-    data: &Dataset,
-    c_grid: &[f64],
-    gamma_grid: &[f64],
-    folds: &KFold,
-) -> Result<GridSearchResult, MlError> {
-    grid_search_with(data, c_grid, gamma_grid, folds, 1)
-}
-
-/// [`grid_search`] fanned out across up to `threads` worker threads
-/// (0 = all cores).
+/// grid point, making the search deterministic), fanned out across up to
+/// `threads` worker threads (0 = all cores).
 ///
 /// The parameter×fold grid is flattened into `|C| × |γ| × k` independent
 /// jobs — each trains one fold at one grid point — then scores are reduced
-/// in grid order with the same strict-improvement rule as the serial
-/// search, so the chosen point and every evaluation are bit-identical for
-/// any thread count.
+/// in grid order with a strict-improvement rule, so the chosen point and
+/// every evaluation are bit-identical for any thread count.
 ///
 /// # Errors
 ///
@@ -162,7 +146,7 @@ mod tests {
     fn finds_a_good_point_and_records_all_evaluations() {
         let data = blob(25);
         let folds = KFold::new(5, 0).unwrap();
-        let result = grid_search(&data, &[0.5, 5.0], &[0.1, 1.0], &folds).unwrap();
+        let result = grid_search_with(&data, &[0.5, 5.0], &[0.1, 1.0], &folds, 1).unwrap();
         assert_eq!(result.evaluations.len(), 4);
         assert!(result.best_score > 0.9, "{}", result.best_score);
         assert!(result
@@ -177,15 +161,16 @@ mod tests {
     fn rejects_empty_grids() {
         let data = blob(10);
         let folds = KFold::new(2, 0).unwrap();
-        assert!(grid_search(&data, &[], &[0.1], &folds).is_err());
-        assert!(grid_search(&data, &[1.0], &[], &folds).is_err());
+        assert!(grid_search_with(&data, &[], &[0.1], &folds, 1).is_err());
+        assert!(grid_search_with(&data, &[1.0], &[], &folds, 1).is_err());
     }
 
     #[test]
     fn search_is_thread_count_invariant() {
         let data = blob(15);
         let folds = KFold::new(3, 1).unwrap();
-        let serial = grid_search(&data, DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, &folds).unwrap();
+        let serial =
+            grid_search_with(&data, DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, &folds, 1).unwrap();
         for threads in [2usize, 8] {
             let threaded =
                 grid_search_with(&data, DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, &folds, threads)
@@ -198,8 +183,8 @@ mod tests {
     fn search_is_deterministic() {
         let data = blob(15);
         let folds = KFold::new(3, 1).unwrap();
-        let a = grid_search(&data, DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, &folds).unwrap();
-        let b = grid_search(&data, DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, &folds).unwrap();
+        let a = grid_search_with(&data, DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, &folds, 1).unwrap();
+        let b = grid_search_with(&data, DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, &folds, 1).unwrap();
         assert_eq!(a, b);
     }
 }

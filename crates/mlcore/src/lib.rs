@@ -53,7 +53,7 @@ pub use crossval::{cross_val_score, cross_val_score_with, FoldIndices, KFold};
 pub use dataset::Dataset;
 pub use error::MlError;
 pub use feature_selection::{forward_selection_with, SelectionCurve};
-pub use gridsearch::{grid_search, grid_search_with, GridSearchResult};
+pub use gridsearch::{grid_search_with, GridSearchResult};
 pub use kernel::Kernel;
 pub use metrics::{roc_curve, BinaryMetrics, RocCurve};
 pub use parallel::{max_threads, parallel_map, resolve_threads};

@@ -33,7 +33,7 @@
 //! program) products estimate how likely a flip is to propagate to an
 //! observation point under random stimulus.
 
-use crate::flat::{CellId, Driver, FlatNetlist};
+use crate::flat::{CellId, Driver, FlatNetlist, Levelization};
 use std::collections::VecDeque;
 
 /// Names of the candidate features, indexed like the extracted vectors.
@@ -152,7 +152,8 @@ pub struct CellFeatures {
 #[derive(Debug)]
 pub struct FeatureExtractor<'a> {
     netlist: &'a FlatNetlist,
-    depth_fwd: Vec<u32>,
+    /// The levelization's per-cell depth, borrowed from the netlist.
+    depth_fwd: &'a [u32],
     depth_obs: Vec<u32>,
     depth_po: Vec<u32>,
     depth_ff: Vec<u32>,
@@ -203,7 +204,7 @@ impl<'a> FeatureExtractor<'a> {
     pub fn new(netlist: &'a FlatNetlist) -> Result<Self, crate::NetlistError> {
         let lv = netlist.levelize()?;
         let depth_po = po_distances(netlist);
-        let depth_ff = ff_distances(netlist);
+        let depth_ff = ff_distances(netlist, &lv.sequential);
         // An observation point is a primary output (hop 0 from the cell
         // driving it) or a sequential cell's data input (hop 1 from the
         // cell feeding it), so the nearest one is the nearer of the two
@@ -214,7 +215,7 @@ impl<'a> FeatureExtractor<'a> {
             .map(|(&po, &ff)| po.min(ff.saturating_add(1)))
             .collect();
         let cop_ctrl = cop_signal_probability(netlist, &lv.order);
-        let cop_obs = cop_observability(netlist, &lv.order, &cop_ctrl);
+        let cop_obs = cop_observability(netlist, lv, &cop_ctrl);
         let path_class = netlist
             .paths()
             .iter()
@@ -222,7 +223,7 @@ impl<'a> FeatureExtractor<'a> {
             .collect();
         Ok(FeatureExtractor {
             netlist,
-            depth_fwd: lv.cell_depth,
+            depth_fwd: &lv.cell_depth,
             depth_obs,
             depth_po,
             depth_ff,
@@ -380,14 +381,11 @@ fn po_distances(netlist: &FlatNetlist) -> Vec<u32> {
 
 /// Per-cell hop distance to the nearest state-holding cell's input
 /// (distance 0 for a cell feeding a flip-flop or memory bit directly).
-fn ff_distances(netlist: &FlatNetlist) -> Vec<u32> {
+fn ff_distances(netlist: &FlatNetlist, sequential: &[CellId]) -> Vec<u32> {
     let mut seeds = Vec::new();
-    for (_, cell) in netlist.iter_cells() {
-        if !cell.kind.is_sequential() {
-            continue;
-        }
-        for &input in cell.inputs {
-            if let Some(Driver::Cell(driver)) = netlist.net(input).driver {
+    for &cell in sequential {
+        for &input in netlist.cell_inputs(cell) {
+            if let Some(Driver::Cell(driver)) = netlist.net_driver(input) {
                 seeds.push(driver);
             }
         }
@@ -491,7 +489,9 @@ fn cone_size(netlist: &FlatNetlist, root: CellId, dir: ConeDirection) -> usize {
 /// Primary inputs, undriven nets and state-holding outputs are pseudo-PIs
 /// at probability 0.5; tie cells pin their nets to 0/1; combinational
 /// cells combine their input probabilities in levelized order with the
-/// standard independence assumption.
+/// standard independence assumption. Each net is computed once, from
+/// inputs that are already final, so any topological order gives the
+/// same bits.
 fn cop_signal_probability(netlist: &FlatNetlist, order: &[CellId]) -> Vec<f64> {
     use crate::cell::CellKind;
     let mut p = vec![0.5; netlist.nets().len()];
@@ -545,21 +545,19 @@ fn cop_signal_probability(netlist: &FlatNetlist, order: &[CellId]) -> Vec<f64> {
 /// reverse levelized order, passes `obs(output) * sensitization(pin)` back
 /// to each input net, where the sensitization probability is the chance
 /// the other inputs let the pin control the output. Reconvergent paths
-/// take the max over branches.
-fn cop_observability(netlist: &FlatNetlist, order: &[CellId], p: &[f64]) -> Vec<f64> {
+/// take the max over branches, which no visiting order can change.
+fn cop_observability(netlist: &FlatNetlist, lv: &Levelization, p: &[f64]) -> Vec<f64> {
     use crate::cell::CellKind;
     let mut obs = vec![0.0; netlist.nets().len()];
     for &out in netlist.primary_outputs() {
         obs[out.index()] = 1.0;
     }
-    for (_, cell) in netlist.iter_cells() {
-        if cell.kind.is_sequential() {
-            for &input in cell.inputs {
-                obs[input.index()] = 1.0;
-            }
+    for &cell in &lv.sequential {
+        for &input in netlist.cell_inputs(cell) {
+            obs[input.index()] = 1.0;
         }
     }
-    for &id in order.iter().rev() {
+    for &id in lv.order.iter().rev() {
         let cell = netlist.cell(id);
         let out_obs = obs[cell.output.index()];
         if out_obs == 0.0 {

@@ -22,7 +22,9 @@
 //! - the name-lookup tables behind [`FlatNetlist::cell_by_name`] and
 //!   [`FlatNetlist::net_by_name`] are built lazily on first query and keyed
 //!   by `(PathId, leaf)`, so campaigns that address cells by id never pay
-//!   for them.
+//!   for them;
+//! - the [`Levelization`] behind [`FlatNetlist::levelize`] is built once,
+//!   on first call, and shared by every engine and the feature extractor.
 //!
 //! Cell and net ids stay dense `u32` indices; minting past the 32-bit id
 //! space is a [`NetlistError::TooLarge`] error instead of a silent wrap.
@@ -311,11 +313,15 @@ impl<'a> Iterator for NetIter<'a> {
     }
 }
 
-/// Result of levelizing the combinational portion of a netlist.
+/// Result of levelizing the combinational portion of a netlist: the one
+/// evaluation schedule that every engine and the feature extractor read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Levelization {
-    /// Topological order of all combinational cells (sources first).
+    /// The evaluation order: every combinational cell, sorted by
+    /// `(depth, id)`. Each cell's combinational drivers come before it.
     pub order: Vec<CellId>,
+    /// The sequential cells (flip-flops, latches, memory bits) in id order.
+    pub sequential: Vec<CellId>,
     /// Per-cell combinational depth. Sequential cells and tie cells have
     /// depth 0; a combinational cell's depth is one more than the maximum
     /// depth among its input drivers.
@@ -353,6 +359,7 @@ pub struct FlatNetlist {
     primary_outputs: Vec<NetId>,
     cell_lookup: LazyLookup<CellId>,
     net_lookup: LazyLookup<NetId>,
+    levelization: OnceLock<Result<Levelization, NetlistError>>,
 }
 
 impl FlatNetlist {
@@ -554,13 +561,14 @@ impl FlatNetlist {
         (0..self.num_cells() as u32).map(|i| (CellId(i), self.cell(CellId(i))))
     }
 
-    /// Drops the lazy name tables so the next query rebuilds them. Called
-    /// by the mutation API ([`FlatNetlist::add_net`],
-    /// [`FlatNetlist::add_cell`]); elaboration pushes into a netlist whose
-    /// tables were never built.
-    pub(crate) fn invalidate_lookup(&mut self) {
+    /// Drops the lazy name tables and the levelization so the next query
+    /// rebuilds them. Called by the mutation API ([`FlatNetlist::add_net`],
+    /// [`FlatNetlist::add_cell`], [`FlatNetlist::retarget_output`]);
+    /// elaboration pushes into a netlist whose caches were never built.
+    pub(crate) fn invalidate_caches(&mut self) {
         self.cell_lookup = OnceLock::new();
         self.net_lookup = OnceLock::new();
+        self.levelization = OnceLock::new();
     }
 
     /// Appends a net stored as `(path, leaf)`.
@@ -614,7 +622,14 @@ impl FlatNetlist {
         self.net_driver[net.index()] = encode_driver(driver);
     }
 
+    /// Swaps a cell's kind in place. The cached levelization stays valid
+    /// only because a swap never turns a sequential cell combinational or
+    /// back.
     pub(crate) fn set_cell_kind(&mut self, cell: CellId, kind: CellKind) {
+        debug_assert_eq!(
+            self.cell_kind[cell.index()].is_sequential(),
+            kind.is_sequential()
+        );
         self.cell_kind[cell.index()] = kind;
     }
 
@@ -676,21 +691,33 @@ impl FlatNetlist {
     /// Levelizes the combinational portion of the netlist.
     ///
     /// Sources are primary inputs, tie cells and sequential-cell outputs.
+    /// The result is computed on the first call and cached until the
+    /// netlist is next edited, so every later call borrows the same
+    /// [`Levelization`].
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalLoop`] if combinational cells
     /// form a cycle.
-    pub fn levelize(&self) -> Result<Levelization, NetlistError> {
+    pub fn levelize(&self) -> Result<&Levelization, NetlistError> {
+        self.levelization
+            .get_or_init(|| self.compute_levelization())
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    fn compute_levelization(&self) -> Result<Levelization, NetlistError> {
         let n = self.num_cells();
         let mut pending: Vec<u32> = vec![0; n];
         let mut order = Vec::new();
+        let mut sequential = Vec::new();
         let mut ready = Vec::new();
         let mut cell_depth = vec![0u32; n];
 
         for (i, slot) in pending.iter_mut().enumerate() {
             if self.cell_kind[i].is_sequential() {
                 // Sequential cells are sources; they never wait on inputs here.
+                sequential.push(CellId(i as u32));
                 continue;
             }
             let mut count = 0;
@@ -706,12 +733,6 @@ impl FlatNetlist {
                 ready.push(CellId(i as u32));
             }
         }
-
-        let total_comb = self
-            .cell_kind
-            .iter()
-            .filter(|k| k.is_combinational())
-            .count();
 
         let mut max_depth = 0;
         while let Some(id) = ready.pop() {
@@ -736,7 +757,7 @@ impl FlatNetlist {
             }
         }
 
-        if order.len() != total_comb {
+        if order.len() + sequential.len() != n {
             // Find a cell stuck in the cycle for the error message.
             let stuck = (0..n)
                 .find(|&i| self.cell_kind[i].is_combinational() && pending[i] > 0)
@@ -745,8 +766,12 @@ impl FlatNetlist {
             return Err(NetlistError::CombinationalLoop(stuck));
         }
 
+        // Depth strictly grows along every combinational edge, so the
+        // (depth, id) order is topological; the keys are unique.
+        order.sort_unstable_by_key(|c| (cell_depth[c.index()], c.0));
         Ok(Levelization {
             order,
+            sequential,
             cell_depth,
             max_depth,
         })
@@ -1061,6 +1086,11 @@ mod tests {
         let ha1_and = flat.cell_by_name("u_ha1.u_and").unwrap();
         assert!(lv.cell_depth[or_id.index()] > lv.cell_depth[ha1_and.index()]);
         assert_eq!(lv.max_depth, lv.cell_depth[or_id.index()]);
+        // `order` is the evaluation order: strictly ascending (depth, id).
+        let key = |c: &CellId| (lv.cell_depth[c.index()], c.0);
+        assert!(lv.order.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        // Cached: a second call borrows the same levelization.
+        assert!(std::ptr::eq(lv, flat.levelize().unwrap()));
     }
 
     #[test]
@@ -1096,6 +1126,7 @@ mod tests {
         let lv = flat.levelize().unwrap();
         assert_eq!(lv.order.len(), 1); // just the inverter
         assert_eq!(lv.max_depth, 0);
+        assert_eq!(lv.sequential, vec![flat.cell_by_name("u_ff").unwrap()]);
     }
 
     #[test]
@@ -1158,5 +1189,58 @@ mod tests {
             )
             .unwrap();
         assert_eq!(flat.cell_by_name("u_extra"), Some(id));
+    }
+
+    #[test]
+    fn edits_drop_the_cached_levelization() {
+        let mut design = Design::new();
+        let mut mb = ModuleBuilder::new("top");
+        let clk = mb.port("clk", PortDir::Input);
+        let a = mb.port("a", PortDir::Input);
+        let q = mb.port("q", PortDir::Output);
+        let y = mb.port("y", PortDir::Output);
+        let nq = mb.net("nq");
+        let d = mb.net("d");
+        mb.cell("u_ff", CellKind::Dff, &[clk, d], &[q]).unwrap();
+        mb.cell("u_inv", CellKind::Inv, &[q], &[nq]).unwrap();
+        mb.cell("u_and", CellKind::And2, &[nq, a], &[d]).unwrap();
+        mb.cell("u_buf", CellKind::Buf, &[d], &[y]).unwrap();
+        let id = design.add_module(mb.finish()).unwrap();
+        design.set_top(id).unwrap();
+
+        // `cached` meets every edit with a filled cache; `fresh` is never
+        // levelized, so a clone of it levelizes from scratch.
+        let mut cached = design.flatten().unwrap();
+        let mut fresh = design.flatten().unwrap();
+        let ff = cached.cell_by_name("u_ff").unwrap();
+        let inv = cached.cell_by_name("u_inv").unwrap();
+        let root = cached.cell(inv).path;
+        let nq = cached.net_by_name("nq").unwrap();
+        let a = cached.net_by_name("a").unwrap();
+        let extra = NetId(cached.num_nets() as u32);
+        let moved = NetId(extra.0 + 1);
+        let edits: [&dyn Fn(&mut FlatNetlist); 6] = [
+            &|nl| assert_eq!(nl.add_net("extra".into()), extra),
+            &|nl| {
+                nl.add_cell("u_extra".into(), root, CellKind::Xor2, &[nq, a], extra)
+                    .unwrap();
+            },
+            &|nl| assert_eq!(nl.add_net("moved".into()), moved),
+            &|nl| assert_eq!(nl.retarget_output(inv, moved).unwrap(), nq),
+            &|nl| assert_eq!(nl.tmr_harden(&[ff]).unwrap().added_cells, 6),
+            &|nl| assert_eq!(nl.ff_harden(&[ff]).hardened, vec![ff]),
+        ];
+        for (step, edit) in edits.iter().enumerate() {
+            let before = cached.levelize().unwrap().clone();
+            edit(&mut cached);
+            edit(&mut fresh);
+            let after = fresh.clone().levelize().unwrap().clone();
+            assert_eq!(cached.levelize().unwrap(), &after, "edit {step}");
+            if step == 3 {
+                // Moving a driver changes the levelization.
+                assert_ne!(before, after);
+            }
+        }
+        assert_eq!(cached.levelize().unwrap().sequential.len(), 3);
     }
 }

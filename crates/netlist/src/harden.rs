@@ -49,7 +49,7 @@ impl FlatNetlist {
     pub fn add_net(&mut self, name: String) -> NetId {
         let root = self.paths_mut().intern(HierPath::root());
         let leaf = self.intern_name(&name).expect("net name arena exhausted");
-        self.invalidate_lookup();
+        self.invalidate_caches();
         self.push_net_parts(root, leaf)
             .expect("net id space exhausted")
     }
@@ -80,7 +80,7 @@ impl FlatNetlist {
             return Err(NetlistError::MultipleDrivers(self.net_full_name(output)));
         }
         let leaf = self.intern_name(&name)?;
-        self.invalidate_lookup();
+        self.invalidate_caches();
         let id = self.push_cell_parts(leaf, path, kind, inputs.iter().copied(), output)?;
         for (pin, &net) in inputs.iter().enumerate() {
             self.append_load(net, (id, pin as u8));
@@ -108,6 +108,8 @@ impl FlatNetlist {
             ));
         }
         let old = self.cell(cell).output;
+        // No name changes, but the driver moves: the levelization is stale.
+        self.invalidate_caches();
         self.set_driver(old, None);
         self.set_driver(new_output, Some(Driver::Cell(cell)));
         self.set_cell_output(cell, new_output);

@@ -566,12 +566,15 @@ fn assert_equivalent(design: &Design) -> Vec<CellFeatures> {
         }
     }
 
-    // Levelization: identical visit order and depths.
+    // Levelization: the evaluation order is the reference visit order
+    // sorted by (depth, id); identical depths.
     let lv = flat.levelize().expect("test circuits are loop-free");
     let (ref_order, ref_depth, ref_max) = reference_levelize(&reference);
+    let mut ref_eval_order = ref_order.clone();
+    ref_eval_order.sort_by_key(|&c| (ref_depth[c], c));
     assert_eq!(
         lv.order.iter().map(|c| c.index()).collect::<Vec<_>>(),
-        ref_order
+        ref_eval_order
     );
     assert_eq!(lv.cell_depth, ref_depth);
     assert_eq!(lv.max_depth, ref_max);

@@ -481,17 +481,21 @@ fn mask_diff_from_lane0<const W: usize>(m: LaneMask<W>) -> LaneMask<W> {
 /// broadcast-restore into a batch at any width and vice versa.
 ///
 /// A cycle touches only what can change: the capture and Q-drive phases
-/// walk the precomputed sequential cells, the asynchronous-reset fixpoint
+/// walk the netlist's sequential cells, the asynchronous-reset fixpoint
 /// walks only the cells with an asynchronous reset, and the SET phases
 /// walk the sparse list of nets disturbed this cycle. Only the
-/// combinational sweep visits every combinational cell.
+/// combinational sweep visits every combinational cell. The sweep order
+/// and the sequential list are borrowed from the netlist's cached
+/// [`Levelization`](ssresf_netlist::flat::Levelization), so only a
+/// netlist's first engine levelizes it.
 #[derive(Debug)]
 pub struct BitParallelEngine<'a, const W: usize = 1> {
     netlist: &'a FlatNetlist,
     clock: NetId,
-    order: Vec<CellId>,
+    /// Combinational cells in (depth, id) evaluation order.
+    order: &'a [CellId],
     /// Sequential cells in id order.
-    sequential: Vec<CellId>,
+    sequential: &'a [CellId],
     /// The sequential cells with an asynchronous reset, in id order.
     async_reset: Vec<CellId>,
     nets: Vec<LaneWord<W>>,
@@ -532,14 +536,8 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         if netlist.net(clock).driver != Some(Driver::PrimaryInput) {
             return Err(SimError::NotAnInput(netlist.net_full_name(clock)));
         }
-        let mut order = lv.order;
-        let depth = lv.cell_depth;
-        order.sort_by_key(|c| (depth[c.index()], c.0));
-        let sequential: Vec<CellId> = (0..netlist.num_cells() as u32)
-            .map(CellId)
-            .filter(|&c| netlist.cell_kind(c).is_sequential())
-            .collect();
-        let async_reset = sequential
+        let async_reset = lv
+            .sequential
             .iter()
             .copied()
             .filter(|&c| has_async_reset(netlist.cell_kind(c)))
@@ -547,8 +545,8 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         let mut engine = BitParallelEngine {
             netlist,
             clock,
-            order,
-            sequential,
+            order: &lv.order,
+            sequential: &lv.sequential,
             async_reset,
             nets: vec![LaneWord::UNKNOWN; netlist.nets().len()],
             state: vec![LaneWord::UNKNOWN; netlist.cells().len()],
@@ -619,7 +617,7 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         for &w in &self.nets {
             d |= diff_from_lane0(w);
         }
-        for &cell in &self.sequential {
+        for &cell in self.sequential {
             d |= diff_from_lane0(self.state[cell.index()]);
         }
         for &net in &self.disturbed {
@@ -661,8 +659,7 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     /// at once.
     fn propagate(&mut self) {
         self.sweeps += 1;
-        for i in 0..self.order.len() {
-            let cell = self.order[i];
+        for &cell in self.order {
             let mut out = eval_comb_word(self.netlist.cell_kind(cell), &self.input_words(cell));
             let net = self.netlist.cell_output(cell);
             let inv = self.inverted[net.index()];
@@ -846,8 +843,7 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
         //    state, and the loop writes neither net values nor other cells'
         //    state, so capturing in place equals capturing into a buffer
         //    first.
-        for k in 0..self.sequential.len() {
-            let id = self.sequential[k];
+        for &id in self.sequential {
             let kind = self.netlist.cell_kind(id);
             self.state[id.index()] =
                 next_state_word(kind, &self.input_words(id), self.state[id.index()]);
@@ -874,8 +870,7 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
 
         // 3. Drive Q outputs (a SET on a Q net disturbs the driven lanes
         //    without corrupting the stored state) and settle the logic.
-        for k in 0..self.sequential.len() {
-            let id = self.sequential[k];
+        for &id in self.sequential {
             let q = self.netlist.cell_output(id);
             let mut v = self.state[id.index()];
             let inv = self.inverted[q.index()];

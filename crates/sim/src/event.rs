@@ -347,11 +347,6 @@ impl<'a> EventDrivenEngine<'a> {
         Ok(engine)
     }
 
-    /// The derived clock period in time units.
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
     /// Total events processed so far (a proxy for simulation work).
     pub fn events_processed(&self) -> u64 {
         self.events_processed

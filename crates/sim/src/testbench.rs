@@ -100,11 +100,6 @@ impl<E: Engine> Testbench<E> {
         &mut self.engine
     }
 
-    /// The observed output nets.
-    pub fn outputs(&self) -> &[NetId] {
-        &self.outputs
-    }
-
     /// Holds reset low for `reset_cycles`, releases it, then runs
     /// `run_cycles` cycles sampling the outputs after each.
     ///
