@@ -1,9 +1,11 @@
 //! The numbers README.md and EXPERIMENTS.md quote from the committed
 //! `BENCH_*.json` files match those files.
 //!
-//! Only deterministic fields are checked: accuracies, work counts and
-//! work ratios reproduce exactly on any machine, while wall-clock fields
-//! change from run to run.
+//! Deterministic fields (accuracies, work counts, work ratios) reproduce
+//! exactly on any machine. Wall-clock fields change from run to run, so
+//! the docs quote the committed run's values and a regenerated file must
+//! come with updated quotes; either way the check compares docs with
+//! files, never with a fresh measurement.
 
 use ssresf_json::Value;
 use std::path::Path;
@@ -70,11 +72,58 @@ fn docs_quote_the_committed_bench_numbers() {
         format!("| {work_speedup:.1}× |"),
         format!("| {} |", grouped(cold_work)),
     ];
-    let mut missing = Vec::new();
-    for (doc, quotes) in [
+    check_quotes(&[
         ("README.md", &readme[..]),
         ("EXPERIMENTS.md", &experiments[..]),
-    ] {
+    ]);
+}
+
+#[test]
+fn docs_quote_the_committed_wall_clock_numbers() {
+    let mlpath = |key: &str| bench_number("BENCH_mlpath.json", key);
+    let scale = |key: &str| bench_number("BENCH_scale.json", key);
+    let bitparallel = |key: &str| bench_number("BENCH_bitparallel.json", key);
+    let serve = |key: &str| bench_number("BENCH_serve.json", key);
+    let active = |key: &str| bench_number("BENCH_activelearn.json", key);
+
+    let readme = [
+        format!(
+            "old {:.3}s, new {:.3}s ({:.1}x)",
+            mlpath("old_wall_seconds"),
+            mlpath("new_wall_seconds"),
+            mlpath("speedup")
+        ),
+        format!(
+            "{:.1} s / {:.1} GiB peak",
+            scale("total_seconds"),
+            scale("peak_rss_mib") / 1024.0
+        ),
+    ];
+    let experiments = [
+        format!(
+            "{:.1}× at 64 lanes, {:.1}× at 256 and {:.1}× at 512",
+            bitparallel("configs.w64.wall_clock_ratio"),
+            bitparallel("configs.w256_collapse_refill.wall_clock_ratio"),
+            bitparallel("configs.w512_collapse_refill.wall_clock_ratio")
+        ),
+        format!("| {:.3} | miss", serve("cold_seconds")),
+        format!("| {:.4} | campaign hit", serve("warm_seconds")),
+        format!(
+            "({}× → {}×)",
+            grouped(active("baseline_wall_speedup")),
+            grouped(active("active_wall_speedup"))
+        ),
+    ];
+    check_quotes(&[
+        ("README.md", &readme[..]),
+        ("EXPERIMENTS.md", &experiments[..]),
+    ]);
+}
+
+/// Asserts that every quote appears verbatim in its document.
+fn check_quotes(docs: &[(&str, &[String])]) {
+    let mut missing = Vec::new();
+    for &(doc, quotes) in docs {
         let text = repo_file(doc);
         for quote in quotes {
             if !text.contains(quote.as_str()) {

@@ -163,7 +163,8 @@ impl CellKind {
     }
 
     /// Names of the input pins, in canonical connection order.
-    pub fn input_pins(self) -> &'static [&'static str] {
+    #[inline]
+    pub const fn input_pins(self) -> &'static [&'static str] {
         match self {
             CellKind::Tie0 | CellKind::Tie1 => &[],
             CellKind::Buf | CellKind::Inv => &["A"],
@@ -195,11 +196,13 @@ impl CellKind {
     }
 
     /// Number of input pins.
-    pub fn num_inputs(self) -> usize {
+    #[inline]
+    pub const fn num_inputs(self) -> usize {
         self.input_pins().len()
     }
 
     /// Whether the cell holds state (flip-flops, latches and memory bits).
+    #[inline]
     pub fn is_sequential(self) -> bool {
         matches!(
             self,
@@ -225,8 +228,18 @@ impl CellKind {
     }
 
     /// Whether the cell is purely combinational.
+    #[inline]
     pub fn is_combinational(self) -> bool {
         !self.is_sequential()
+    }
+
+    /// Whether the cell has an asynchronous active-low reset on its `RSTN`
+    /// pin (input pin 2), which forces the state to `0` whenever it reads
+    /// `0`, between clock edges as well as at them. Every engine asks this
+    /// one predicate.
+    #[inline]
+    pub fn has_async_reset(self) -> bool {
+        matches!(self, CellKind::Dffr | CellKind::Dffre | CellKind::HardDffr)
     }
 
     /// Radiation susceptibility class of the cell.
@@ -312,6 +325,18 @@ mod tests {
     fn combinational_and_sequential_partition() {
         for &kind in ALL_CELL_KINDS {
             assert_ne!(kind.is_sequential(), kind.is_combinational());
+        }
+    }
+
+    #[test]
+    fn async_reset_kinds_read_rstn_on_pin_2() {
+        for &kind in ALL_CELL_KINDS {
+            if kind.has_async_reset() {
+                assert!(kind.is_sequential(), "{kind}");
+                assert_eq!(kind.input_pins()[2], "RSTN", "{kind}");
+            } else {
+                assert!(!kind.input_pins().contains(&"RSTN"), "{kind}");
+            }
         }
     }
 

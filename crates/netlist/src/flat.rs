@@ -24,7 +24,9 @@
 //!   by `(PathId, leaf)`, so campaigns that address cells by id never pay
 //!   for them;
 //! - the [`Levelization`] behind [`FlatNetlist::levelize`] is built once,
-//!   on first call, and shared by every engine and the feature extractor.
+//!   on first call, and shared by every engine and the feature extractor;
+//!   it carries the simulation kernel's sweep program (the evaluation lists
+//!   cut into [`KindRuns`] with inline pins).
 //!
 //! Cell and net ids stay dense `u32` indices; minting past the 32-bit id
 //! space is a [`NetlistError::TooLarge`] error instead of a silent wrap.
@@ -318,7 +320,8 @@ impl<'a> Iterator for NetIter<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Levelization {
     /// The evaluation order: every combinational cell, sorted by
-    /// `(depth, id)`. Each cell's combinational drivers come before it.
+    /// `(depth, kind, id)`. Each cell's combinational drivers come before
+    /// it, and cells of one kind at one depth are adjacent.
     pub order: Vec<CellId>,
     /// The sequential cells (flip-flops, latches, memory bits) in id order.
     pub sequential: Vec<CellId>,
@@ -328,6 +331,87 @@ pub struct Levelization {
     pub cell_depth: Vec<u32>,
     /// Maximum combinational depth in the design.
     pub max_depth: u32,
+    /// `order` cut into kind runs, with every cell's pins inline: the
+    /// combinational sweep of the simulation kernel.
+    pub order_runs: KindRuns,
+    /// `sequential` cut into kind runs, with every cell's pins inline: the
+    /// capture and Q-drive phases of the simulation kernel.
+    pub sequential_runs: KindRuns,
+}
+
+/// A maximal stretch of consecutive cells of one kind in one of a
+/// [`Levelization`]'s lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindRun {
+    /// The kind of every cell in the run.
+    pub kind: CellKind,
+    /// Position of the run's first cell in its list.
+    pub start: u32,
+    /// Position one past the run's last cell.
+    pub end: u32,
+    /// Position of the run's first pin slot in its program's pin pool.
+    pin_start: usize,
+}
+
+/// A cell list compiled for a sweep: its kind runs, and each cell's nets
+/// stored inline in list order, so a sweep reads pins sequentially and
+/// dispatches on a kind once per run instead of once per cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KindRuns {
+    /// The runs, in list order; neighbouring runs differ in kind.
+    runs: Vec<KindRun>,
+    /// Per cell, in list order: its input nets in pin order, then its
+    /// output net (`kind.num_inputs() + 1` slots).
+    pins: Vec<NetId>,
+}
+
+impl KindRuns {
+    fn compile(netlist: &FlatNetlist, cells: &[CellId]) -> KindRuns {
+        let slots = cells
+            .iter()
+            .map(|&c| netlist.cell_inputs(c).len() + 1)
+            .sum();
+        let mut program = KindRuns {
+            runs: Vec::new(),
+            pins: Vec::with_capacity(slots),
+        };
+        for (i, &cell) in cells.iter().enumerate() {
+            let kind = netlist.cell_kind(cell);
+            match program.runs.last_mut() {
+                Some(run) if run.kind == kind => run.end += 1,
+                _ => program.runs.push(KindRun {
+                    kind,
+                    start: i as u32,
+                    end: i as u32 + 1,
+                    pin_start: program.pins.len(),
+                }),
+            }
+            program.pins.extend_from_slice(netlist.cell_inputs(cell));
+            program.pins.push(netlist.cell_output(cell));
+        }
+        program
+    }
+
+    /// The runs, in list order; neighbouring runs differ in kind.
+    pub fn runs(&self) -> &[KindRun] {
+        &self.runs
+    }
+
+    /// The pin slots of `run`'s cells: `run.kind.num_inputs() + 1` per
+    /// cell, in list order (the inputs in pin order, then the output).
+    pub fn pins(&self, run: &KindRun) -> &[NetId] {
+        let len = (run.end - run.start) as usize * (run.kind.num_inputs() + 1);
+        &self.pins[run.pin_start..run.pin_start + len]
+    }
+
+    /// `run`'s cells in list order, each as its position in the list, its
+    /// input nets and its output net.
+    pub fn cells(&self, run: &KindRun) -> impl Iterator<Item = (usize, &[NetId], NetId)> {
+        let arity = run.kind.num_inputs();
+        (run.start as usize..)
+            .zip(self.pins(run).chunks_exact(arity + 1))
+            .map(move |(i, cell)| (i, &cell[..arity], cell[arity]))
+    }
 }
 
 type LazyLookup<T> = OnceLock<HashMap<PathId, HashMap<Box<str>, T>>>;
@@ -622,15 +706,16 @@ impl FlatNetlist {
         self.net_driver[net.index()] = encode_driver(driver);
     }
 
-    /// Swaps a cell's kind in place. The cached levelization stays valid
-    /// only because a swap never turns a sequential cell combinational or
-    /// back.
+    /// Swaps a cell's kind in place, never turning a sequential cell
+    /// combinational or back. The name tables stay valid; the levelization
+    /// is dropped, since its kind runs and its order key read kinds.
     pub(crate) fn set_cell_kind(&mut self, cell: CellId, kind: CellKind) {
         debug_assert_eq!(
             self.cell_kind[cell.index()].is_sequential(),
             kind.is_sequential()
         );
         self.cell_kind[cell.index()] = kind;
+        self.levelization = OnceLock::new();
     }
 
     pub(crate) fn set_cell_output(&mut self, cell: CellId, output: NetId) {
@@ -767,9 +852,11 @@ impl FlatNetlist {
         }
 
         // Depth strictly grows along every combinational edge, so the
-        // (depth, id) order is topological; the keys are unique.
-        order.sort_unstable_by_key(|c| (cell_depth[c.index()], c.0));
+        // (depth, kind, id) order is topological; the keys are unique.
+        order.sort_unstable_by_key(|c| (cell_depth[c.index()], self.cell_kind[c.index()], c.0));
         Ok(Levelization {
+            order_runs: KindRuns::compile(self, &order),
+            sequential_runs: KindRuns::compile(self, &sequential),
             order,
             sequential,
             cell_depth,
@@ -1086,11 +1173,76 @@ mod tests {
         let ha1_and = flat.cell_by_name("u_ha1.u_and").unwrap();
         assert!(lv.cell_depth[or_id.index()] > lv.cell_depth[ha1_and.index()]);
         assert_eq!(lv.max_depth, lv.cell_depth[or_id.index()]);
-        // `order` is the evaluation order: strictly ascending (depth, id).
-        let key = |c: &CellId| (lv.cell_depth[c.index()], c.0);
+        // `order` is the evaluation order: strictly ascending
+        // (depth, kind, id).
+        let key = |c: &CellId| (lv.cell_depth[c.index()], flat.cell_kind(*c), c.0);
         assert!(lv.order.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         // Cached: a second call borrows the same levelization.
         assert!(std::ptr::eq(lv, flat.levelize().unwrap()));
+    }
+
+    /// Checks that `program` is `cells` cut into maximal kind runs, with
+    /// each cell's inputs and output inline in list order.
+    fn assert_compiled(flat: &FlatNetlist, cells: &[CellId], program: &KindRuns) {
+        let mut next = 0;
+        let mut pins = Vec::new();
+        for (i, run) in program.runs.iter().enumerate() {
+            assert_eq!(run.start, next, "runs tile the list");
+            assert!(run.end > run.start, "runs are non-empty");
+            if i > 0 {
+                assert_ne!(program.runs[i - 1].kind, run.kind, "runs are maximal");
+            }
+            assert_eq!(run.pin_start, pins.len());
+            let mut run_pins = Vec::new();
+            for &cell in &cells[run.start as usize..run.end as usize] {
+                assert_eq!(flat.cell_kind(cell), run.kind);
+                run_pins.extend_from_slice(flat.cell_inputs(cell));
+                run_pins.push(flat.cell_output(cell));
+            }
+            assert_eq!(program.pins(run), &run_pins[..]);
+            for (i, inputs, output) in program.cells(run) {
+                assert_eq!(inputs, flat.cell_inputs(cells[i]));
+                assert_eq!(output, flat.cell_output(cells[i]));
+            }
+            pins.extend(run_pins);
+            next = run.end;
+        }
+        assert_eq!(next as usize, cells.len());
+        assert_eq!(program.pins, pins);
+    }
+
+    #[test]
+    fn kind_runs_tile_both_lists_with_inline_pins() {
+        use crate::generate::{CircuitSpec, GateSpec, GENERATOR_KINDS};
+        let mut seed = 7u32;
+        let mut next = || {
+            seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (seed >> 16) as u16
+        };
+        let spec = CircuitSpec {
+            name: "runs".into(),
+            inputs: 4,
+            gates: (0..90)
+                .map(|g| GateSpec {
+                    kind: GENERATOR_KINDS[(g * 7) % GENERATOR_KINDS.len()],
+                    operands: vec![next(), next(), next()],
+                })
+                .collect(),
+            ff_d: (0..12).map(|_| next()).collect(),
+            outputs: 3,
+        };
+        let flat = spec.flatten().unwrap();
+        let lv = flat.levelize().unwrap();
+        assert!(!lv.order.is_empty() && !lv.sequential.is_empty());
+        assert_compiled(&flat, &lv.order, &lv.order_runs);
+        assert_compiled(&flat, &lv.sequential, &lv.sequential_runs);
+        // Cells of one kind at one depth share a run, so a depth holds at
+        // most one run per kind.
+        let mut seen = std::collections::HashSet::new();
+        for run in &lv.order_runs.runs {
+            let depth = lv.cell_depth[lv.order[run.start as usize].index()];
+            assert!(seen.insert((depth, run.kind)), "{depth} {}", run.kind);
+        }
     }
 
     #[test]

@@ -567,11 +567,11 @@ fn assert_equivalent(design: &Design) -> Vec<CellFeatures> {
     }
 
     // Levelization: the evaluation order is the reference visit order
-    // sorted by (depth, id); identical depths.
+    // sorted by (depth, kind, id); identical depths.
     let lv = flat.levelize().expect("test circuits are loop-free");
     let (ref_order, ref_depth, ref_max) = reference_levelize(&reference);
     let mut ref_eval_order = ref_order.clone();
-    ref_eval_order.sort_by_key(|&c| (ref_depth[c], c));
+    ref_eval_order.sort_by_key(|&c| (ref_depth[c], reference.cells[c].kind, c));
     assert_eq!(
         lv.order.iter().map(|c| c.index()).collect::<Vec<_>>(),
         ref_eval_order

@@ -49,12 +49,12 @@
 //! levelized traces with the oracle's.
 
 use crate::engine::{Engine, EngineState, EngineTelemetry};
-use crate::eval::{gather, Inputs};
+use crate::eval::gather;
 use crate::inject::Fault;
 use crate::levelized::LevelizedState;
 use crate::value::Logic;
 use crate::SimError;
-use ssresf_netlist::flat::Driver;
+use ssresf_netlist::flat::{Driver, KindRuns};
 use ssresf_netlist::{CellId, CellKind, FlatNetlist, NetId};
 use std::array;
 
@@ -367,6 +367,7 @@ impl<const W: usize> LaneWord<W> {
 ///
 /// Panics if `kind` is sequential or `inputs.len()` does not match the
 /// kind's arity; both indicate an engine bug, not user error.
+#[inline(always)]
 pub fn eval_comb_word<const W: usize>(kind: CellKind, inputs: &[LaneWord<W>]) -> LaneWord<W> {
     assert!(
         kind.is_combinational(),
@@ -397,19 +398,14 @@ pub fn eval_comb_word<const W: usize>(kind: CellKind, inputs: &[LaneWord<W>]) ->
     }
 }
 
-/// Whether `kind` has an asynchronous reset — the only kinds whose state
-/// [`async_override_zero_lanes`] can force.
-fn has_async_reset(kind: CellKind) -> bool {
-    matches!(kind, CellKind::Dffr | CellKind::Dffre | CellKind::HardDffr)
-}
-
 /// Lanes where an asynchronous control forces the cell's state to `0` —
 /// the word form of [`async_override`](crate::eval::async_override).
+#[inline(always)]
 pub fn async_override_zero_lanes<const W: usize>(
     kind: CellKind,
     inputs: &[LaneWord<W>],
 ) -> LaneMask<W> {
-    if has_async_reset(kind) {
+    if kind.has_async_reset() {
         inputs[2].defined_zero()
     } else {
         LaneMask::EMPTY
@@ -425,6 +421,7 @@ pub fn async_override_zero_lanes<const W: usize>(
 /// # Panics
 ///
 /// Panics if `kind` is combinational.
+#[inline(always)]
 pub fn next_state_word<const W: usize>(
     kind: CellKind,
     inputs: &[LaneWord<W>],
@@ -463,6 +460,65 @@ fn mask_diff_from_lane0<const W: usize>(m: LaneMask<W>) -> LaneMask<W> {
     LaneMask(d)
 }
 
+/// Calls `$run::<W, N>($kind, args..)` with the run's kind and its arity
+/// `N` as compile-time constants, so the per-kind `match` inside
+/// [`eval_comb_word`] and [`next_state_word`] folds away and each kind run
+/// is one loop of straight-line word operations.
+macro_rules! per_kind {
+    ($kind:expr, $run:ident $args:tt, [$($k:ident),+]) => {
+        match $kind {
+            $(CellKind::$k => per_kind!(@call $run, $k, $args),)+
+            other => unreachable!("{other} has no run arm here"),
+        }
+    };
+    (@call $run:ident, $k:ident, ($($arg:expr),*)) => {
+        $run::<W, { CellKind::$k.num_inputs() }>(CellKind::$k, $($arg),*)
+    };
+}
+
+/// One combinational kind run: evaluates each `N`-input cell of `kind`
+/// from its inline pins (`N` inputs, then the output net) and writes its
+/// output, SET-disturbed on the lanes in `inverted` when any net is
+/// disturbed this cycle.
+#[inline(always)]
+fn comb_run<const W: usize, const N: usize>(
+    kind: CellKind,
+    pins: &[NetId],
+    nets: &mut [LaneWord<W>],
+    activity: &mut [u64],
+    inverted: Option<&[LaneMask<W>]>,
+) {
+    for cell in pins.chunks_exact(N + 1) {
+        let inputs: [LaneWord<W>; N] = array::from_fn(|i| nets[cell[i].index()]);
+        let mut out = eval_comb_word(kind, &inputs);
+        let net = cell[N].index();
+        if let Some(inverted) = inverted {
+            let inv = inverted[net];
+            if inv.any() {
+                out = out.disturb(inv);
+            }
+        }
+        // Golden-lane toggle activity, as `set_net` counts it.
+        activity[net] += nets[net].diff(out).0[0] & 1;
+        nets[net] = out;
+    }
+}
+
+/// One sequential kind run at the rising edge: each `N`-input cell of
+/// `kind` captures into its state slot from its inline pins.
+#[inline(always)]
+fn capture_run<const W: usize, const N: usize>(
+    kind: CellKind,
+    pins: &[NetId],
+    nets: &[LaneWord<W>],
+    state: &mut [LaneWord<W>],
+) {
+    for (st, cell) in state.iter_mut().zip(pins.chunks_exact(N + 1)) {
+        let inputs: [LaneWord<W>; N] = array::from_fn(|i| nets[cell[i].index()]);
+        *st = next_state_word(kind, &inputs, *st);
+    }
+}
+
 /// The wide-lane bit-parallel levelized simulator: `W * 64` lanes, with
 /// `W = 1` (the 64-lane engine) as the default.
 ///
@@ -484,25 +540,29 @@ fn mask_diff_from_lane0<const W: usize>(m: LaneMask<W>) -> LaneMask<W> {
 /// walk the netlist's sequential cells, the asynchronous-reset fixpoint
 /// walks only the cells with an asynchronous reset, and the SET phases
 /// walk the sparse list of nets disturbed this cycle. Only the
-/// combinational sweep visits every combinational cell. The sweep order
-/// and the sequential list are borrowed from the netlist's cached
-/// [`Levelization`](ssresf_netlist::flat::Levelization), so only a
-/// netlist's first engine levelizes it.
+/// combinational sweep visits every combinational cell. Both walks run the
+/// sweep program of the netlist's cached
+/// [`Levelization`](ssresf_netlist::flat::Levelization): its lists cut
+/// into [`KindRuns`], each run one loop with its kind and arity fixed at
+/// compile time, reading each cell's pins inline. Every engine borrows
+/// that one program, so only a netlist's first engine builds it.
 #[derive(Debug)]
 pub struct BitParallelEngine<'a, const W: usize = 1> {
     netlist: &'a FlatNetlist,
     clock: NetId,
-    /// Combinational cells in (depth, id) evaluation order.
-    order: &'a [CellId],
-    /// Sequential cells in id order.
+    /// Sequential cells in id order; a cell's position is its state slot.
     sequential: &'a [CellId],
-    /// The sequential cells with an asynchronous reset, in id order.
-    async_reset: Vec<CellId>,
+    /// The combinational sweep: the (depth, kind, id) order in kind runs.
+    comb: &'a KindRuns,
+    /// The capture and Q-drive program: `sequential` in kind runs.
+    seq: &'a KindRuns,
     nets: Vec<LaneWord<W>>,
+    /// One word per sequential cell, at its slot.
     state: Vec<LaneWord<W>>,
     /// Per-net lane mask of active cycle-wide SET disturbances.
     inverted: Vec<LaneMask<W>>,
-    /// The nets whose `inverted` mask is non-empty, each listed once.
+    /// The nets whose `inverted` mask is non-empty, each listed once, so
+    /// `inverted` is read only while this is non-empty.
     disturbed: Vec<NetId>,
     /// Faults applied to every lane (from broadcast scheduling / restore).
     faults: Vec<Fault>,
@@ -536,20 +596,14 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         if netlist.net(clock).driver != Some(Driver::PrimaryInput) {
             return Err(SimError::NotAnInput(netlist.net_full_name(clock)));
         }
-        let async_reset = lv
-            .sequential
-            .iter()
-            .copied()
-            .filter(|&c| has_async_reset(netlist.cell_kind(c)))
-            .collect();
         let mut engine = BitParallelEngine {
             netlist,
             clock,
-            order: &lv.order,
             sequential: &lv.sequential,
-            async_reset,
+            comb: &lv.order_runs,
+            seq: &lv.sequential_runs,
             nets: vec![LaneWord::UNKNOWN; netlist.nets().len()],
-            state: vec![LaneWord::UNKNOWN; netlist.cells().len()],
+            state: vec![LaneWord::UNKNOWN; lv.sequential.len()],
             inverted: vec![LaneMask::EMPTY; netlist.nets().len()],
             disturbed: Vec::new(),
             faults: Vec::new(),
@@ -614,11 +668,8 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     /// rejects those.
     pub fn diverged_lanes(&self) -> LaneMask<W> {
         let mut d = LaneMask::EMPTY;
-        for &w in &self.nets {
+        for &w in self.nets.iter().chain(&self.state) {
             d |= diff_from_lane0(w);
-        }
-        for &cell in self.sequential {
-            d |= diff_from_lane0(self.state[cell.index()]);
         }
         for &net in &self.disturbed {
             d |= mask_diff_from_lane0(self.inverted[net.index()]);
@@ -634,9 +685,17 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         self.nets[net.index()].get(lane)
     }
 
-    /// Stored state of a sequential cell in one lane.
+    /// Stored state of a sequential cell in one lane; `X` for a
+    /// combinational cell, which holds none.
     pub fn cell_state_lane(&self, cell: CellId, lane: usize) -> Logic {
-        self.state[cell.index()].get(lane)
+        self.slot(cell)
+            .map_or(Logic::X, |slot| self.state[slot].get(lane))
+    }
+
+    /// The state slot of `cell`: its position in the id-ordered sequential
+    /// list, `None` for a combinational cell.
+    fn slot(&self, cell: CellId) -> Option<usize> {
+        self.sequential.binary_search(&cell).ok()
     }
 
     /// Samples the current values of `nets` in one lane.
@@ -651,49 +710,53 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
         self.nets[net.index()] = w;
     }
 
-    fn input_words(&self, cell: CellId) -> Inputs<LaneWord<W>> {
-        gather(self.netlist.cell_inputs(cell), &self.nets)
-    }
-
     /// One full evaluation sweep of the combinational netlist, all lanes
-    /// at once.
+    /// at once, run by run.
     fn propagate(&mut self) {
         self.sweeps += 1;
-        for &cell in self.order {
-            let mut out = eval_comb_word(self.netlist.cell_kind(cell), &self.input_words(cell));
-            let net = self.netlist.cell_output(cell);
-            let inv = self.inverted[net.index()];
-            if inv.any() {
-                out = out.disturb(inv);
-            }
-            self.set_net(net, out);
-            self.word_evals += 1;
+        let comb = self.comb;
+        let inverted = (!self.disturbed.is_empty()).then_some(&self.inverted[..]);
+        let (nets, activity) = (&mut self.nets[..], &mut self.activity[..]);
+        for run in comb.runs() {
+            self.word_evals += u64::from(run.end - run.start);
+            let pins = comb.pins(run);
+            per_kind!(
+                run.kind,
+                comb_run(pins, nets, activity, inverted),
+                [
+                    Tie0, Tie1, Buf, Inv, And2, Or2, Nand2, Nor2, Xor2, Xnor2, And3, Or3, Nand3,
+                    Nor3, Mux2, Aoi21, Oai21
+                ]
+            );
         }
     }
 
     /// Applies asynchronous controls (e.g. active-low reset) until stable,
     /// per lane. Only cells with an asynchronous reset can be forced, so
-    /// only those are visited, in id order.
+    /// only their runs are visited. The visit is per cell in id order, as
+    /// the oracle's is: a Q forced early in a pass can drive a later
+    /// cell's reset pin directly, in the same pass, so the order sets how
+    /// many passes, and so how many counted sweeps, the fixpoint takes.
     fn async_fixpoint(&mut self) {
+        let seq = self.seq;
         for _ in 0..ASYNC_FIXPOINT_LIMIT {
             let mut changed = false;
-            for k in 0..self.async_reset.len() {
-                let id = self.async_reset[k];
-                let forced =
-                    async_override_zero_lanes(self.netlist.cell_kind(id), &self.input_words(id));
-                // Only lanes whose state actually changes update the Q net
-                // and count as a change, as the oracle's `state != forced`
-                // guard does, so the fixpoint ends once every forced state
-                // holds.
-                let st = self.state[id.index()];
-                let nonzero = LaneMask(array::from_fn(|k| st.val[k] | st.unk[k]));
-                let diff = forced & nonzero;
-                if diff.any() {
-                    self.state[id.index()] = st.force_zero(diff);
-                    let q = self.netlist.cell_output(id);
-                    let cur = self.nets[q.index()];
-                    self.set_net(q, cur.force_zero(diff));
-                    changed = true;
+            for run in seq.runs().iter().filter(|r| r.kind.has_async_reset()) {
+                for (slot, inputs, q) in seq.cells(run) {
+                    let forced = async_override_zero_lanes(run.kind, &gather(inputs, &self.nets));
+                    // Only lanes whose state actually changes update the Q
+                    // net and count as a change, as the oracle's `state !=
+                    // forced` guard does, so the fixpoint ends once every
+                    // forced state holds.
+                    let st = self.state[slot];
+                    let nonzero = LaneMask(array::from_fn(|k| st.val[k] | st.unk[k]));
+                    let diff = forced & nonzero;
+                    if diff.any() {
+                        self.state[slot] = st.force_zero(diff);
+                        let cur = self.nets[q.index()];
+                        self.set_net(q, cur.force_zero(diff));
+                        changed = true;
+                    }
                 }
             }
             if !changed {
@@ -706,7 +769,11 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     fn apply_fault(&mut self, fault: Fault, lanes: LaneMask<W>) {
         match fault {
             Fault::Seu(f) => {
-                self.state[f.cell.index()] = self.state[f.cell.index()].disturb(lanes);
+                // A combinational cell holds no state, so an upset aimed
+                // at one has nothing to flip.
+                if let Some(slot) = self.slot(f.cell) {
+                    self.state[slot] = self.state[slot].disturb(lanes);
+                }
             }
             Fault::Set(f) => {
                 let mask = &mut self.inverted[f.net.index()];
@@ -759,26 +826,29 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
             "the bit-parallel engine cannot represent Z (set X instead)"
         );
         for &cell in cells {
-            assert!(
-                self.netlist.cell_kind(cell).is_sequential(),
-                "cell `{}` holds no state",
-                self.netlist.cell_full_name(cell)
-            );
-            self.state[cell.index()] = LaneWord::splat(value);
+            let Some(slot) = self.slot(cell) else {
+                panic!(
+                    "cell `{}` holds no state",
+                    self.netlist.cell_full_name(cell)
+                );
+            };
+            self.state[slot] = LaneWord::splat(value);
             self.set_net(self.netlist.cell_output(cell), LaneWord::splat(value));
         }
         self.propagate();
     }
 
     fn cell_state(&self, cell: CellId) -> Logic {
-        self.state[cell.index()].get(0)
+        self.cell_state_lane(cell, 0)
     }
 
     fn schedule_fault(&mut self, fault: Fault) {
         self.faults.push(fault);
     }
 
-    /// Snapshots the golden lane as a levelized-engine state.
+    /// Snapshots the golden lane as a levelized-engine state: one value
+    /// per net, one state per cell (`X` for combinational cells, which
+    /// hold none) and one SET flag per net.
     ///
     /// # Panics
     ///
@@ -789,10 +859,18 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
             self.diverged_lanes().none(),
             "cannot snapshot a bit-parallel engine whose lanes have diverged"
         );
+        let mut state = vec![Logic::X; self.netlist.num_cells()];
+        for (&cell, w) in self.sequential.iter().zip(&self.state) {
+            state[cell.index()] = w.get(0);
+        }
+        let mut inverted = vec![false; self.netlist.num_nets()];
+        for &net in &self.disturbed {
+            inverted[net.index()] = self.inverted[net.index()].get(0);
+        }
         EngineState::Levelized(LevelizedState::from_parts(
             self.nets.iter().map(|w| w.get(0)).collect(),
-            self.state.iter().map(|w| w.get(0)).collect(),
-            self.inverted.iter().map(|m| m.get(0)).collect(),
+            state,
+            inverted,
             self.faults.clone(),
             self.cycle,
             self.activity.clone(),
@@ -808,15 +886,16 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
             panic!("bit-parallel engine cannot restore a non-levelized snapshot");
         };
         assert_eq!(
-            s.values().len(),
-            self.netlist.nets().len(),
+            (s.values().len(), s.state().len()),
+            (self.netlist.num_nets(), self.netlist.num_cells()),
             "snapshot was taken on a different netlist"
         );
         for (w, &v) in self.nets.iter_mut().zip(s.values()) {
             assert_ne!(v, Logic::Z, "snapshot holds a Z the lanes cannot represent");
             *w = LaneWord::splat(v);
         }
-        for (w, &v) in self.state.iter_mut().zip(s.state()) {
+        for (w, &cell) in self.state.iter_mut().zip(self.sequential) {
+            let v = s.state()[cell.index()];
             assert_ne!(v, Logic::Z, "snapshot holds a Z the lanes cannot represent");
             *w = LaneWord::splat(v);
         }
@@ -843,10 +922,14 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
         //    state, and the loop writes neither net values nor other cells'
         //    state, so capturing in place equals capturing into a buffer
         //    first.
-        for &id in self.sequential {
-            let kind = self.netlist.cell_kind(id);
-            self.state[id.index()] =
-                next_state_word(kind, &self.input_words(id), self.state[id.index()]);
+        let seq = self.seq;
+        for run in seq.runs() {
+            let state = &mut self.state[run.start as usize..run.end as usize];
+            per_kind!(
+                run.kind,
+                capture_run(seq.pins(run), &self.nets, state),
+                [Dff, Dffr, Dffe, Dffre, Latch, HardDff, HardDffr, SramBit, DramBit, RadHardBit]
+            );
         }
 
         // 2. Faults for this cycle: broadcast faults hit every lane, lane
@@ -870,14 +953,18 @@ impl<const W: usize> Engine for BitParallelEngine<'_, W> {
 
         // 3. Drive Q outputs (a SET on a Q net disturbs the driven lanes
         //    without corrupting the stored state) and settle the logic.
-        for &id in self.sequential {
-            let q = self.netlist.cell_output(id);
-            let mut v = self.state[id.index()];
-            let inv = self.inverted[q.index()];
-            if inv.any() {
-                v = v.disturb(inv);
+        let any_set = !self.disturbed.is_empty();
+        for run in seq.runs() {
+            for (slot, _, q) in seq.cells(run) {
+                let mut v = self.state[slot];
+                if any_set {
+                    let inv = self.inverted[q.index()];
+                    if inv.any() {
+                        v = v.disturb(inv);
+                    }
+                }
+                self.set_net(q, v);
             }
-            self.set_net(q, v);
         }
         // SETs on input-driven nets (no combinational driver).
         for k in 0..self.disturbed.len() {
@@ -1177,6 +1264,33 @@ mod tests {
         let b = LaneMask::<2>([0b1010, 0b0110]);
         assert_eq!((a | b).0, [0b1110, 0b0111]);
         assert_eq!((a & b).0, [0b1000, 0b0010]);
+    }
+
+    #[test]
+    fn engines_borrow_the_netlists_one_sweep_program() {
+        use ssresf_netlist::{Design, ModuleBuilder, PortDir};
+        let mut design = Design::new();
+        let mut mb = ModuleBuilder::new("t");
+        let clk = mb.port("clk", PortDir::Input);
+        let q = mb.port("q", PortDir::Output);
+        let nq = mb.net("nq");
+        mb.cell("u_inv", CellKind::Inv, &[q], &[nq]).unwrap();
+        mb.cell("u_ff", CellKind::Dff, &[clk, nq], &[q]).unwrap();
+        let id = design.add_module(mb.finish()).unwrap();
+        design.set_top(id).unwrap();
+        let flat = design.flatten().unwrap();
+        let clk = flat.net_by_name("clk").unwrap();
+        let one = BitParallelEngine::<1>::new(&flat, clk).unwrap();
+        let eight = BitParallelEngine::<8>::new(&flat, clk).unwrap();
+        let lv = flat.levelize().unwrap();
+        for engine_program in [one.comb, eight.comb] {
+            assert!(std::ptr::eq(engine_program, &lv.order_runs));
+        }
+        for engine_program in [one.seq, eight.seq] {
+            assert!(std::ptr::eq(engine_program, &lv.sequential_runs));
+        }
+        // State is kept per sequential cell only.
+        assert_eq!((one.state.len(), eight.state.len()), (1, 1));
     }
 
     #[test]

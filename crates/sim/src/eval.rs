@@ -148,15 +148,10 @@ pub fn eval_comb_with_mutant(
 
 /// Asynchronous override of a sequential cell's state, evaluated continuously
 /// (not just at clock edges). Returns `Some(state)` while an async control is
-/// active — e.g. `RSTN == 0` forces the state to `0`.
+/// active: for a kind with [`CellKind::has_async_reset`], `RSTN == 0` forces
+/// the state to `0`.
 pub fn async_override(kind: CellKind, inputs: &[Logic]) -> Option<Logic> {
-    match kind {
-        CellKind::Dffr | CellKind::Dffre | CellKind::HardDffr => match inputs[2] {
-            Logic::Zero => Some(Logic::Zero),
-            _ => None,
-        },
-        _ => None,
-    }
+    (kind.has_async_reset() && inputs[2] == Logic::Zero).then_some(Logic::Zero)
 }
 
 /// Computes the state a sequential cell captures at a rising clock edge,

@@ -426,7 +426,7 @@ impl<'a> EventDrivenEngine<'a> {
                 let ns = next_state(kind, &self.input_vals(cell), self.state[cell.index()]);
                 self.update_state(cell, ns, GATE_DELAY);
             }
-            CellKind::Dffr | CellKind::Dffre if pin == 2 => {
+            _ if pin == 2 && kind.has_async_reset() => {
                 // Asynchronous reset pin.
                 if let Some(forced) = async_override(kind, &self.input_vals(cell)) {
                     self.update_state(cell, forced, CLK_Q_DELAY);

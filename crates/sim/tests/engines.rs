@@ -1191,3 +1191,274 @@ fn snapshot_round_trips_with_a_release_at_the_horizon() {
     }
     assert_eq!(fresh.snapshot(), faulty.snapshot());
 }
+
+/// A `kind` flop with `D` tied high and its reset pin behind a buffer on
+/// `rst_n`, so a SET on the buffer output (`rb`) reaches the reset pin.
+fn buffered_reset_flop(kind: CellKind) -> FlatNetlist {
+    let mut design = Design::new();
+    let mut mb = ModuleBuilder::new("buffered_reset");
+    let clk = mb.port("clk", PortDir::Input);
+    let rst_n = mb.port("rst_n", PortDir::Input);
+    let q = mb.port("q", PortDir::Output);
+    let [one, rb] = ["one", "rb"].map(|n| mb.net(n));
+    mb.cell("u_one", CellKind::Tie1, &[], &[one]).unwrap();
+    mb.cell("u_rb", CellKind::Buf, &[rst_n], &[rb]).unwrap();
+    mb.cell("u_ff", kind, &[clk, one, rb], &[q]).unwrap();
+    let id = design.add_module(mb.finish()).unwrap();
+    design.set_top(id).unwrap();
+    design.flatten().unwrap()
+}
+
+/// Q over five cycles with `rst_n` high and a SET on `rb` in cycle 2.
+fn reset_set_trace<E: Engine>(mut engine: E) -> Vec<Logic> {
+    let flat = engine.netlist();
+    let (rst_n, rb, q) = (
+        flat.net_by_name("rst_n").unwrap(),
+        flat.net_by_name("rb").unwrap(),
+        flat.net_by_name("q").unwrap(),
+    );
+    engine.poke(rst_n, Logic::One);
+    engine.schedule_fault(Fault::Set(SetFault {
+        net: rb,
+        cycle: 2,
+        offset: 0.5,
+        width: 0.2,
+    }));
+    (0..5)
+        .map(|_| {
+            engine.step_cycle();
+            engine.peek(q)
+        })
+        .collect()
+}
+
+#[test]
+fn hard_dffr_reset_is_asynchronous_like_dffr_on_every_engine() {
+    let traces = |kind: CellKind| {
+        let flat = buffered_reset_flop(kind);
+        let clk = flat.net_by_name("clk").unwrap();
+        [
+            reset_set_trace(EventDrivenEngine::new(&flat, clk).unwrap()),
+            reset_set_trace(LevelizedEngine::new(&flat, clk).unwrap()),
+            reset_set_trace(OracleEngine::new(&flat, clk).unwrap()),
+        ]
+    };
+    let dffr = traces(CellKind::Dffr);
+    // The SET resets the flop in every engine, so the comparison below
+    // exercises the reset path.
+    assert!(dffr.iter().all(|t| t[2] == Logic::Zero), "{dffr:?}");
+    assert_eq!(traces(CellKind::HardDffr), dffr);
+}
+
+/// A netlist holding every cell kind three times, created in an order that
+/// interleaves the kinds, so each kind run of the kernel's sweep program
+/// is exercised and the sequential list cuts into many runs. Combinational
+/// cells read primary inputs, any sequential output and earlier
+/// combinational outputs; sequential cells read any net. Reset pins read
+/// `rst_n` directly, through a gate on `in_0` (so resets also fire
+/// mid-run), or straight from an earlier reset flop's Q, so one pass of
+/// the asynchronous-reset fixpoint can force a flop that the same pass
+/// reset.
+fn every_kind_netlist() -> FlatNetlist {
+    use ssresf_netlist::cell::ALL_CELL_KINDS;
+    let mut design = Design::new();
+    let mut mb = ModuleBuilder::new("every_kind");
+    let clk = mb.port("clk", PortDir::Input);
+    let rst_n = mb.port("rst_n", PortDir::Input);
+    let inputs: Vec<_> = (0..6)
+        .map(|i| mb.port(format!("in_{i}"), PortDir::Input))
+        .collect();
+    let y = mb.port("y", PortDir::Output);
+    let rst_g = mb.net("rst_g");
+    mb.cell("u_rst_g", CellKind::And2, &[rst_n, inputs[0]], &[rst_g])
+        .unwrap();
+
+    let n = ALL_CELL_KINDS.len();
+    let kinds: Vec<CellKind> = (0..3)
+        .flat_map(|copy| (0..n).map(move |i| ALL_CELL_KINDS[(i * 7 + copy * 5) % n]))
+        .collect();
+    let outs: Vec<_> = (0..kinds.len()).map(|i| mb.net(format!("n_{i}"))).collect();
+    let mut seed = 0x2545_f491u32;
+    let mut pick = |bound: usize| {
+        seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (seed >> 8) as usize % bound
+    };
+    let mut reset_q = rst_n;
+    for (i, &kind) in kinds.iter().enumerate() {
+        // Nets this cell may read without closing a combinational loop.
+        let pool: Vec<_> = inputs
+            .iter()
+            .copied()
+            .chain(
+                (0..kinds.len())
+                    .filter(|&j| kinds[j].is_sequential() || (j < i && kind.is_combinational()))
+                    .map(|j| outs[j]),
+            )
+            .chain(
+                kind.is_sequential()
+                    .then_some(outs.clone())
+                    .into_iter()
+                    .flatten(),
+            )
+            .collect();
+        let pins: Vec<_> = kind
+            .input_pins()
+            .iter()
+            .map(|&pin| match pin {
+                "CLK" => clk,
+                "RSTN" => [rst_n, rst_g, reset_q][i % 3],
+                _ => pool[pick(pool.len())],
+            })
+            .collect();
+        mb.cell(format!("u_{i}_{}", kind.name()), kind, &pins, &[outs[i]])
+            .unwrap();
+        if kind.has_async_reset() {
+            reset_q = outs[i];
+        }
+    }
+    let last = outs.len() - 1;
+    mb.cell("u_y", CellKind::Xor2, &[outs[last], outs[last - 1]], &[y])
+        .unwrap();
+    let id = design.add_module(mb.finish()).unwrap();
+    design.set_top(id).unwrap();
+    design.flatten().unwrap()
+}
+
+/// Runs every kind through the kernel at width `W`: each fault lane holds
+/// one SEU (sequential cells) or SET (combinational outputs and two
+/// primary inputs), and after every cycle of a random-stimulus run every
+/// lane must equal an oracle run of its fault in every net and cell state.
+/// The sweep's work counter must read one word evaluation per
+/// combinational cell per sweep.
+fn every_kind_lanes_match_oracle_at_width<const W: usize>() {
+    let flat = every_kind_netlist();
+    let net = |name: &str| flat.net_by_name(name).unwrap();
+    let (clk, rst_n) = (net("clk"), net("rst_n"));
+    let inputs: Vec<_> = (0..6).map(|i| net(&format!("in_{i}"))).collect();
+    let cells: Vec<_> = flat.iter_cells().map(|(id, _)| id).collect();
+    let kinds: std::collections::BTreeSet<_> = cells.iter().map(|&c| flat.cell_kind(c)).collect();
+    assert_eq!(kinds.len(), 27, "every kind is present");
+    let comb_cells = cells
+        .iter()
+        .filter(|&&c| flat.cell_kind(c).is_combinational())
+        .count() as u64;
+
+    let mut faults: Vec<Fault> = cells
+        .iter()
+        .take(60)
+        .map(|&cell| {
+            let cycle = 2 + u64::from(cell.0) % 11;
+            if flat.cell_kind(cell).is_sequential() {
+                Fault::Seu(SeuFault {
+                    cell,
+                    cycle,
+                    offset: 0.5,
+                })
+            } else {
+                Fault::Set(SetFault {
+                    net: flat.cell_output(cell),
+                    cycle,
+                    offset: 0.5,
+                    width: 0.3,
+                })
+            }
+        })
+        .collect();
+    for (net, cycle) in [(rst_n, 6), (inputs[1], 4)] {
+        faults.push(Fault::Set(SetFault {
+            net,
+            cycle,
+            offset: 0.5,
+            width: 0.3,
+        }));
+    }
+    let stride = (W * 64 - 2) / faults.len();
+    let lanes: Vec<usize> = (0..faults.len()).map(|i| 1 + i * stride).collect();
+
+    // Reset for two cycles, then random inputs every cycle.
+    let mut lfsr = Lfsr::new(0x5eed);
+    let stimulus: Vec<Vec<Logic>> = (0..16)
+        .map(|_| {
+            (0..inputs.len())
+                .map(|_| Logic::from(lfsr.next_bit()))
+                .collect()
+        })
+        .collect();
+    let stimulate = |engine: &mut dyn Engine, cycle: usize| {
+        engine.poke(rst_n, Logic::from(cycle >= 2));
+        for (&input, &v) in inputs.iter().zip(&stimulus[cycle]) {
+            engine.poke(input, v);
+        }
+    };
+
+    let mut batch = BitParallelEngine::<W>::new(&flat, clk).unwrap();
+    for (&lane, &fault) in lanes.iter().zip(&faults) {
+        batch.schedule_fault_in_lane(lane, fault);
+    }
+    let mut golden = OracleEngine::new(&flat, clk).unwrap();
+    let mut scalars: Vec<OracleEngine> = faults
+        .iter()
+        .map(|&fault| {
+            let mut e = OracleEngine::new(&flat, clk).unwrap();
+            e.schedule_fault(fault);
+            e
+        })
+        .collect();
+    let nets: Vec<_> = (0..flat.num_nets() as u32)
+        .map(ssresf_netlist::NetId)
+        .collect();
+    let mut visible = vec![false; faults.len()];
+    for cycle in 0..stimulus.len() {
+        stimulate(&mut batch, cycle);
+        stimulate(&mut golden, cycle);
+        batch.step_cycle();
+        golden.step_cycle();
+        for e in &mut scalars {
+            stimulate(e, cycle);
+            e.step_cycle();
+        }
+        assert_eq!(
+            batch.word_evals(),
+            comb_cells * batch.telemetry().delta_cycles,
+            "W={W} cycle {cycle}"
+        );
+        for (lane, scalar) in
+            std::iter::once((0, &golden)).chain(lanes.iter().copied().zip(&scalars))
+        {
+            for &n in &nets {
+                assert_eq!(
+                    batch.peek_lane(n, lane),
+                    scalar.peek(n),
+                    "W={W} cycle {cycle} lane {lane} net {}",
+                    flat.net_full_name(n)
+                );
+            }
+            for &c in &cells {
+                assert_eq!(
+                    batch.cell_state_lane(c, lane),
+                    scalar.cell_state(c),
+                    "W={W} cycle {cycle} lane {lane} cell {}",
+                    flat.cell_full_name(c)
+                );
+            }
+        }
+        for (seen, scalar) in visible.iter_mut().zip(&scalars) {
+            *seen |= nets.iter().any(|&n| scalar.peek(n) != golden.peek(n));
+        }
+    }
+    // Most faults became visible in some net, so the lanes were not
+    // compared against a trivially equal golden run.
+    let seen = visible.iter().filter(|&&v| v).count();
+    assert!(
+        seen > faults.len() / 2,
+        "W={W}: only {seen} of {} faults were ever visible",
+        faults.len()
+    );
+}
+
+#[test]
+fn bitparallel_every_kind_lane_matches_oracle_all_widths() {
+    every_kind_lanes_match_oracle_at_width::<1>();
+    every_kind_lanes_match_oracle_at_width::<4>();
+    every_kind_lanes_match_oracle_at_width::<8>();
+}
