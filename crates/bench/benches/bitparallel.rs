@@ -13,9 +13,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ssresf::{run_campaign, CampaignConfig, Dut, EngineKind, Workload};
+use ssresf_bench::write_bench_report;
 use ssresf_netlist::CellId;
 use ssresf_socgen::{build_soc, SocConfig};
-use std::path::Path;
 use std::time::Instant;
 
 /// The 64-lane eval reduction recorded in `BENCH_bitparallel.json` when
@@ -169,9 +169,11 @@ fn campaign_scalar_vs_bitparallel(c: &mut Criterion) {
         ),
         ("configs", ssresf_json::object(config_reports)),
     ]);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_bitparallel.json");
-    std::fs::write(&out, report.to_string_pretty() + "\n").expect("write BENCH_bitparallel.json");
-    println!("wrote {}", out.display());
+    write_bench_report(
+        "BENCH_bitparallel.json",
+        &(report.to_string_pretty() + "\n"),
+    )
+    .expect("write BENCH_bitparallel.json");
 
     let mut group = c.benchmark_group("campaign_bitparallel_soc1");
     group.bench_with_input(

@@ -2,7 +2,7 @@
 //! VCS-vs-CVC performance comparison underlying the paper's Table III.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
-use ssresf::{Dut, EngineKind, GoldenRun, Workload};
+use ssresf::{run_campaign, CampaignConfig, Dut, EngineKind, GoldenRun, Workload};
 use ssresf_netlist::CellId;
 use ssresf_sim::{Fault, SetFault, SeuFault};
 use ssresf_socgen::{build_soc, SocConfig};
@@ -132,9 +132,53 @@ fn sweep_at_width<const W: usize>(
     });
 }
 
+/// A fixed checkpointed SoC_5 campaign on the event-driven engine, one
+/// thread: every 16th cell, two injections each, 100 cycles, checkpoints
+/// every 10 cycles, no early stop. The event-driven engine's per-event
+/// ledger: it prints the events per campaign (golden run included), so a
+/// time per iteration divides into a time per event.
+fn bench_event_campaign(c: &mut Criterion) {
+    let soc = build_soc(&SocConfig::table1()[4]).expect("soc builds");
+    let flat = soc.design.flatten().expect("soc flattens");
+    let dut = Dut::from_conventions(&flat).expect("conventions");
+    let cells: Vec<CellId> = (0..flat.num_cells() as u32)
+        .step_by(16)
+        .map(CellId)
+        .collect();
+    let config = CampaignConfig {
+        workload: Workload {
+            reset_cycles: 3,
+            run_cycles: 100,
+        },
+        injections_per_cell: 2,
+        engine: EngineKind::EventDriven,
+        threads: 1,
+        checkpoint_interval: 10,
+        early_stop: false,
+        ..CampaignConfig::default()
+    };
+    let campaign = || {
+        run_campaign(&dut, &cells, &config)
+            .expect("campaign runs")
+            .telemetry
+            .engine
+            .events_processed
+    };
+    println!(
+        "event_campaign_soc5: {} injections, {} events per campaign",
+        cells.len() * config.injections_per_cell,
+        campaign()
+    );
+    let mut group = c.benchmark_group("event_campaign_soc5");
+    group.bench_with_input(BenchmarkId::from_parameter("1-thread"), &(), |b, _| {
+        b.iter(campaign)
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_golden_runs, bench_injection_run, bench_kernel_widths
+    targets = bench_golden_runs, bench_injection_run, bench_kernel_widths, bench_event_campaign
 }
 criterion_main!(benches);

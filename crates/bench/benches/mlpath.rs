@@ -16,10 +16,10 @@ use ssresf::{
     cluster_cells, cluster_cells_reference, Clustering, ClusteringConfig, Ssresf, SsresfConfig,
     Workload,
 };
+use ssresf_bench::write_bench_report;
 use ssresf_mlcore::{Dataset, SmoSolver, StandardScaler, SvmModel, SvmParams};
 use ssresf_netlist::{FeatureExtractor, FlatNetlist};
 use ssresf_socgen::{build_soc, SocConfig};
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 const CLUSTER_CFG: ClusteringConfig = ClusteringConfig {
@@ -219,9 +219,8 @@ fn ml_fast_path(c: &mut Criterion) {
             ssresf_json::Value::from(analyze_new_acc),
         ),
     ]);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_mlpath.json");
-    std::fs::write(&out, report.to_string_pretty() + "\n").expect("write BENCH_mlpath.json");
-    println!("wrote {}", out.display());
+    write_bench_report("BENCH_mlpath.json", &(report.to_string_pretty() + "\n"))
+        .expect("write BENCH_mlpath.json");
 
     let mut group = c.benchmark_group("ml_fast_path");
     group.bench_with_input(BenchmarkId::from_parameter("old"), &task, |b, task| {

@@ -22,11 +22,10 @@
 //! the paper-number assertions (quick budgets are too small to hit them).
 
 use ssresf::{label_cells, ActiveLearningConfig, Dut, Ssresf};
-use ssresf_bench::{analysis_config, quick, soc};
+use ssresf_bench::{analysis_config, quick, soc, write_bench_report};
 use ssresf_netlist::CellId;
 use ssresf_socgen::SocConfig;
 use std::collections::HashSet;
-use std::path::Path;
 
 /// The paper's Table-III headline numbers for the SVM-predicted pipeline.
 const PAPER_ACCURACY: f64 = 0.9458;
@@ -243,11 +242,12 @@ fn main() {
         ),
         ("rounds", rounds),
     ]);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_activelearn.json");
-    std::fs::write(&out, report.to_string_pretty() + "\n")
-        .unwrap_or_else(|e| fail(&format!("write {}: {e}", out.display())));
     println!();
-    println!("wrote {}", out.display());
+    write_bench_report(
+        "BENCH_activelearn.json",
+        &(report.to_string_pretty() + "\n"),
+    )
+    .unwrap_or_else(|e| fail(&format!("write BENCH_activelearn.json: {e}")));
 
     // Consistency checks hold in every mode.
     if active_records >= baseline_records {

@@ -17,7 +17,7 @@
 //! or name materialization), not machine noise.
 
 use ssresf::{EngineKind, Ssresf, SsresfConfig, Workload};
-use ssresf_bench::quick;
+use ssresf_bench::{quick, write_bench_report};
 use ssresf_socgen::{build_soc, SocConfig};
 use std::time::Instant;
 
@@ -155,7 +155,7 @@ fn main() {
         config.name, lv.max_depth, soc.info.memory_scale_factor
     );
     print!("{report}");
-    if let Err(e) = std::fs::write("BENCH_scale.json", &report) {
+    if let Err(e) = write_bench_report("BENCH_scale.json", &report) {
         eprintln!("scale_smoke: warning: cannot write BENCH_scale.json: {e}");
     }
 

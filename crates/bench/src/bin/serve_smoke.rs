@@ -18,10 +18,11 @@
 use ssresf::{
     run_campaign_with, CampaignConfig, EngineKind, Instrument, MetricsRegistry, Workload,
 };
+use ssresf_bench::write_bench_report;
 use ssresf_json::Value;
 use ssresf_netlist::CellId;
 use ssresf_serve::{serve_campaign, CacheConfig, JobSpec, NetlistSpec, ServeOptions};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The warm repeat must do at least this factor less simulation work.
@@ -173,9 +174,8 @@ fn main() {
         ("cold_seconds", Value::from(cold_seconds)),
         ("warm_seconds", Value::from(warm_seconds)),
     ]);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    std::fs::write(&out, report.to_string_pretty())
-        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", out.display())));
+    write_bench_report("BENCH_serve.json", &report.to_string_pretty())
+        .unwrap_or_else(|e| fail(&format!("cannot write BENCH_serve.json: {e}")));
     println!("{}", report.to_string_pretty());
     eprintln!(
         "serve_smoke: PASS ({mode} mode, {SHARDS} shards, warm repeat {work_reduction:.0}x \

@@ -8,12 +8,31 @@
 use ssresf::{Ssresf, SsresfConfig, Workload};
 use ssresf_netlist::FlatNetlist;
 use ssresf_socgen::{build_soc, BuiltSoc, SocConfig};
+use std::path::Path;
 
 /// Whether reduced budgets were requested via `SSRESF_QUICK=1`.
 pub fn quick() -> bool {
     std::env::var("SSRESF_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false)
+}
+
+/// Writes the report `name` (a `BENCH_*.json` file) to the root of the
+/// workspace this crate was built from, whatever the working directory,
+/// and prints the absolute path it wrote. Every benchmark writer goes
+/// through here, so the reports land next to each other.
+///
+/// # Errors
+///
+/// Returns the error of resolving the workspace root or of the write.
+pub fn write_bench_report(name: &str, contents: &str) -> std::io::Result<()> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()?
+        .join(name);
+    std::fs::write(&path, contents)?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
 
 /// Builds one Table-I benchmark and flattens it.

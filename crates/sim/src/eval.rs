@@ -1,8 +1,10 @@
 //! Cell evaluation semantics shared by the simulation engines.
 
-use crate::value::Logic;
+use crate::value::{Logic, ALL_LOGIC};
+use ssresf_netlist::cell::ALL_CELL_KINDS;
 use ssresf_netlist::{CellKind, NetId};
 use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// The widest cell arity in the library (`Dffre`: CLK, D, RSTN, EN).
 pub(crate) const MAX_INPUTS: usize = 4;
@@ -69,6 +71,47 @@ pub fn eval_comb(kind: CellKind, inputs: &[Logic]) -> Logic {
         CellKind::Oai21 => inputs[0].or(inputs[1]).and(inputs[2]).not(),
         _ => unreachable!("sequential kinds rejected above"),
     }
+}
+
+/// Rows of a combinational truth table: up to three inputs of two bits each.
+const TRUTH_TABLE_ROWS: usize = 64;
+
+/// The truth-table row of a combinational cell's input values: input `i`
+/// contributes its `Logic` discriminant (0–3) shifted left by `2 i`.
+#[inline]
+pub(crate) fn truth_table_row(inputs: impl IntoIterator<Item = Logic>) -> usize {
+    inputs
+        .into_iter()
+        .enumerate()
+        .fold(0, |row, (i, v)| row | ((v as usize) << (2 * i)))
+}
+
+/// Every kind's truth table, indexed by `kind as usize`:
+/// `truth_tables()[kind as usize][truth_table_row(inputs)]` equals
+/// `eval_comb(kind, inputs)` for every combinational kind. Built once, on
+/// first use, by calling [`eval_comb`] on all 4^arity input combinations,
+/// so gate semantics keep one definition. Sequential kinds' tables are all
+/// `X` and never read.
+pub(crate) fn truth_tables() -> &'static [[Logic; TRUTH_TABLE_ROWS]] {
+    static TABLES: OnceLock<Vec<[Logic; TRUTH_TABLE_ROWS]>> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        ALL_CELL_KINDS
+            .iter()
+            .map(|&kind| {
+                let mut table = [Logic::X; TRUTH_TABLE_ROWS];
+                if kind.is_combinational() {
+                    let arity = kind.num_inputs();
+                    for (row, out) in table.iter_mut().enumerate().take(1 << (2 * arity)) {
+                        let inputs: Vec<Logic> = (0..arity)
+                            .map(|i| ALL_LOGIC[(row >> (2 * i)) & 3])
+                            .collect();
+                        *out = eval_comb(kind, &inputs);
+                    }
+                }
+                table
+            })
+            .collect()
+    })
 }
 
 /// The value a single-event disturbance drives a node to: defined values
@@ -197,8 +240,6 @@ pub fn next_state(kind: CellKind, inputs: &[Logic], state: Logic) -> Logic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ALL_LOGIC;
-    use ssresf_netlist::cell::ALL_CELL_KINDS;
 
     const L0: Logic = Logic::Zero;
     const L1: Logic = Logic::One;
@@ -245,6 +286,25 @@ mod tests {
         assert_eq!(eval_comb(CellKind::Mux2, &[L1, L1, LX]), L1);
     }
 
+    /// Every input combination of `arity` pins, built without the truth
+    /// table's row packing so the table checks below are independent of it.
+    fn all_inputs(arity: usize) -> Vec<Vec<Logic>> {
+        let mut combos = vec![vec![]];
+        for _ in 0..arity {
+            combos = combos
+                .into_iter()
+                .flat_map(|c: Vec<Logic>| {
+                    ALL_LOGIC.iter().map(move |&v| {
+                        let mut c = c.clone();
+                        c.push(v);
+                        c
+                    })
+                })
+                .collect();
+        }
+        combos
+    }
+
     #[test]
     fn all_comb_kinds_total_over_logic_domain() {
         // Every combinational cell must produce a value for every input
@@ -253,22 +313,58 @@ mod tests {
             if !kind.is_combinational() {
                 continue;
             }
-            let arity = kind.num_inputs();
-            let mut combos = vec![vec![]];
-            for _ in 0..arity {
-                combos = combos
-                    .into_iter()
-                    .flat_map(|c: Vec<Logic>| {
-                        ALL_LOGIC.iter().map(move |&v| {
-                            let mut c = c.clone();
-                            c.push(v);
-                            c
-                        })
-                    })
-                    .collect();
-            }
-            for combo in combos {
+            for combo in all_inputs(kind.num_inputs()) {
                 let _ = eval_comb(kind, &combo);
+            }
+        }
+    }
+
+    /// The event-driven engine evaluates gates through the truth tables, so
+    /// each must equal `eval_comb` at every input combination; this also
+    /// pins the row packing the engine and the table builder share.
+    #[test]
+    fn truth_tables_match_eval_comb() {
+        let tables = truth_tables();
+        assert_eq!(tables.len(), ALL_CELL_KINDS.len());
+        for &kind in ALL_CELL_KINDS {
+            if !kind.is_combinational() {
+                continue;
+            }
+            for combo in all_inputs(kind.num_inputs()) {
+                assert_eq!(
+                    tables[kind as usize][truth_table_row(combo.iter().copied())],
+                    eval_comb(kind, &combo),
+                    "{kind} {combo:?}"
+                );
+            }
+        }
+    }
+
+    /// The event-driven engine skips a rising edge for a flop whose
+    /// non-clock inputs and state are unchanged since its last capture.
+    /// That is sound only while a capture is idempotent for fixed inputs:
+    /// `next_state(k, in, next_state(k, in, s)) == next_state(k, in, s)`.
+    /// A toggle-style kind would break this. `Latch` is excluded: it is
+    /// level-sensitive (pin 0 is `EN`, not a clock), so the engine
+    /// re-evaluates it on every pin change and never skips it.
+    #[test]
+    fn edge_triggered_captures_are_idempotent() {
+        let edge_triggered: Vec<CellKind> = ALL_CELL_KINDS
+            .iter()
+            .copied()
+            .filter(|&k| k.is_sequential() && k != CellKind::Latch)
+            .collect();
+        assert_eq!(edge_triggered.len(), 9);
+        for kind in edge_triggered {
+            for inputs in all_inputs(kind.num_inputs()) {
+                for state in ALL_LOGIC {
+                    let once = next_state(kind, &inputs, state);
+                    assert_eq!(
+                        next_state(kind, &inputs, once),
+                        once,
+                        "{kind} {inputs:?} from {state:?}"
+                    );
+                }
             }
         }
     }

@@ -7,7 +7,9 @@
 //! distinguishes SET simulation from cycle-accurate approximations.
 
 use crate::engine::{Engine, EngineState, EngineTelemetry};
-use crate::eval::{async_override, disturb, eval_comb, gather, next_state, Inputs};
+use crate::eval::{
+    async_override, disturb, gather, next_state, truth_table_row, truth_tables, Inputs,
+};
 use crate::inject::Fault;
 use crate::trace::{WaveSignal, WaveTrace};
 use crate::value::Logic;
@@ -29,21 +31,15 @@ enum Action {
     Flip(CellId),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Event {
-    time: u64,
-    seq: u64,
-    action: Action,
-}
-
 /// End-of-list marker for the time wheel's node links.
 const NIL: u32 = u32::MAX;
 
-/// A pending event in the time wheel's node pool, linked to the next event
-/// of its slot (or, while free, to the next free node).
+/// A pending action in the time wheel's node pool, linked to the next
+/// action of its slot (or, while free, to the next free node). The node
+/// holds no timestamp: it is due at its slot's time.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    event: Event,
+    action: Action,
     next: u32,
 }
 
@@ -51,12 +47,13 @@ struct Node {
 /// through one pooled node array with a free list, so steady-state pushes
 /// and pops allocate nothing.
 ///
-/// Slot `time & mask` holds the events due at `time`. Every pending event
-/// lies in `[base, base + ring)`, so a slot never mixes two timestamps, and
-/// a slot's FIFO order is push order, which is `seq` order. Scanning forward
-/// from `base` to the first non-empty slot therefore pops exactly the
-/// `(time, seq)` minimum a binary heap would. A push that would stretch the
-/// pending span past the ring fails an assert instead of misordering.
+/// Slot `time & mask` holds the actions due at `time`. Every pending action
+/// lies in `[base, base + ring)`, so a slot never mixes two timestamps and
+/// its time is the one `base` reaches it at. A slot's FIFO order is push
+/// order, so scanning forward from `base` to the first non-empty slot pops
+/// in `(time, push order)`, the order a binary heap keyed by time and a
+/// push counter would. A push that would stretch the pending span past the
+/// ring fails an assert instead of misordering.
 #[derive(Debug)]
 struct TimeWheel {
     /// Per-slot `(head, tail)` node indices, `NIL` when empty.
@@ -65,9 +62,9 @@ struct TimeWheel {
     /// Head of the free-node list.
     free: u32,
     len: usize,
-    /// No pending event is due before `base`.
+    /// No pending action is due before `base`.
     base: u64,
-    /// No pending event is due after `max(base, last)`.
+    /// No pending action is due after `max(base, last)`.
     last: u64,
 }
 
@@ -88,27 +85,26 @@ impl TimeWheel {
         (time & (self.slots.len() as u64 - 1)) as usize
     }
 
-    /// Queues `event` behind every pending event of its timestamp.
+    /// Queues `action` at `time`, behind every action pending at `time`.
     ///
     /// # Panics
     ///
-    /// Panics when the pending events would span more than the ring.
-    fn push(&mut self, event: Event) {
+    /// Panics when the pending actions would span more than the ring.
+    fn push(&mut self, time: u64, action: Action) {
         if self.len == 0 {
-            self.base = event.time;
-            self.last = event.time;
+            self.base = time;
+            self.last = time;
         }
-        let lo = self.base.min(event.time);
-        let hi = self.last.max(self.base).max(event.time);
+        let lo = self.base.min(time);
+        let hi = self.last.max(self.base).max(time);
         assert!(
             hi - lo < self.slots.len() as u64,
-            "event at time {} is beyond the {}-slot time wheel (pending span {lo}..={hi})",
-            event.time,
+            "event at time {time} is beyond the {}-slot time wheel (pending span {lo}..={hi})",
             self.slots.len()
         );
         self.base = lo;
         self.last = hi;
-        let node = Node { event, next: NIL };
+        let node = Node { action, next: NIL };
         let index = if self.free == NIL {
             self.nodes.push(node);
             u32::try_from(self.nodes.len() - 1).expect("time wheel node pool overflow")
@@ -118,7 +114,7 @@ impl TimeWheel {
             self.nodes[index as usize] = node;
             index
         };
-        let slot = self.slot(event.time);
+        let slot = self.slot(time);
         match self.slots[slot] {
             (NIL, _) => self.slots[slot] = (index, index),
             (_, tail) => {
@@ -129,8 +125,9 @@ impl TimeWheel {
         self.len += 1;
     }
 
-    /// Dequeues the earliest pending event if it is due before `limit`.
-    fn pop_before(&mut self, limit: u64) -> Option<Event> {
+    /// Dequeues the earliest pending action, with its time, if it is due
+    /// before `limit`.
+    fn pop_before(&mut self, limit: u64) -> Option<(u64, Action)> {
         if self.len == 0 {
             return None;
         }
@@ -139,7 +136,6 @@ impl TimeWheel {
             let head = self.slots[slot].0;
             if head != NIL {
                 let node = self.nodes[head as usize];
-                debug_assert_eq!(node.event.time, self.base);
                 self.slots[slot] = if node.next == NIL {
                     (NIL, NIL)
                 } else {
@@ -148,22 +144,22 @@ impl TimeWheel {
                 self.nodes[head as usize].next = self.free;
                 self.free = head;
                 self.len -= 1;
-                return Some(node.event);
+                return Some((self.base, node.action));
             }
             self.base += 1;
         }
         None
     }
 
-    /// Every pending event in `(time, seq)` order.
-    fn pending(&self) -> Vec<Event> {
+    /// Every pending action with its time, in pop order.
+    fn pending(&self) -> Vec<(u64, Action)> {
         let mut events = Vec::with_capacity(self.len);
         let mut time = self.base;
         while events.len() < self.len {
             let mut index = self.slots[self.slot(time)].0;
             while index != NIL {
                 let node = self.nodes[index as usize];
-                events.push(node.event);
+                events.push((time, node.action));
                 index = node.next;
             }
             time += 1;
@@ -171,16 +167,17 @@ impl TimeWheel {
         events
     }
 
-    /// Replaces the pending events with `events`, given in `(time, seq)`
-    /// order so each slot's FIFO comes out in `seq` order.
-    fn reset(&mut self, events: &[Event]) {
-        debug_assert!(events.is_sorted_by_key(|e| (e.time, e.seq)));
+    /// Replaces the pending actions with `events`, given in pop order (as
+    /// [`pending`](TimeWheel::pending) lists them), so each slot's FIFO
+    /// comes out in the same order.
+    fn reset(&mut self, events: &[(u64, Action)]) {
+        debug_assert!(events.is_sorted_by_key(|&(time, _)| time));
         self.slots.fill((NIL, NIL));
         self.nodes.clear();
         self.free = NIL;
         self.len = 0;
-        for &event in events {
-            self.push(event);
+        for &(time, action) in events {
+            self.push(time, action);
         }
     }
 }
@@ -199,10 +196,10 @@ pub struct EventDrivenState {
     state: Vec<Logic>,
     input_values: Vec<Option<Logic>>,
     forced: Vec<Option<Logic>>,
-    /// Pending events sorted by `(time, seq)` — same-time ordering is part
-    /// of the determinism contract.
-    queue: Vec<Event>,
-    seq: u64,
+    /// Pending `(time, action)` pairs in pop order: time, then push order
+    /// within a time. Same-time ordering is part of the determinism
+    /// contract.
+    queue: Vec<(u64, Action)>,
     time: u64,
     cycle: u64,
     activity: Vec<u64>,
@@ -215,13 +212,10 @@ impl EventDrivenState {
         self.cycle
     }
 
-    /// Evolution-relevant equality: ignores the activity and work counters
-    /// and event sequence numbers (only the relative order of pending
-    /// events matters), so a faulty run that drifted and came back
-    /// compares equal to the golden run it re-converged with.
+    /// Evolution-relevant equality: ignores the activity and work
+    /// counters, so a faulty run that drifted and came back compares equal
+    /// to the golden run it re-converged with.
     pub(crate) fn converged_with(&self, other: &Self) -> bool {
-        let pending =
-            |q: &[Event]| -> Vec<(u64, Action)> { q.iter().map(|e| (e.time, e.action)).collect() };
         self.time == other.time
             && self.cycle == other.cycle
             && self.values == other.values
@@ -229,7 +223,7 @@ impl EventDrivenState {
             && self.input_values == other.input_values
             && self.forced == other.forced
             && self.faults == other.faults
-            && pending(&self.queue) == pending(&other.queue)
+            && self.queue == other.queue
     }
 }
 
@@ -272,8 +266,15 @@ pub struct EventDrivenEngine<'a> {
     state: Vec<Logic>,
     input_values: Vec<Option<Logic>>,
     forced: Vec<Option<Logic>>,
+    /// The capture set: a flag per cell, set while an edge-triggered cell's
+    /// next rising edge could change its state. A cell joins when one of
+    /// its non-clock pins changes or its state is written outside a
+    /// capture (SEU flip, preload, asynchronous reset, restore), and leaves
+    /// when it captures. A rising edge skips the cells outside: a capture
+    /// is idempotent for fixed inputs, so theirs would recompute the state
+    /// they hold and schedule nothing.
+    stale: Vec<bool>,
     queue: TimeWheel,
-    seq: u64,
     time: u64,
     cycle: u64,
     activity: Vec<u64>,
@@ -315,11 +316,11 @@ impl<'a> EventDrivenEngine<'a> {
             state: vec![Logic::X; netlist.cells().len()],
             input_values: vec![None; netlist.nets().len()],
             forced: vec![None; netlist.nets().len()],
+            stale: vec![true; netlist.cells().len()],
             // A SET release lands at most `2 * period - 1` past the cycle
             // start, and preloads rewind time by one period (see
             // `set_cell_state`), so four periods cover every pending span.
             queue: TimeWheel::new(4 * period),
-            seq: 0,
             time: 0,
             cycle: 0,
             activity: vec![0; netlist.nets().len()],
@@ -340,7 +341,7 @@ impl<'a> EventDrivenEngine<'a> {
         for i in 0..netlist.num_cells() {
             let id = CellId(i as u32);
             if netlist.cell_kind(id).is_combinational() {
-                engine.push(0, Action::Eval(id));
+                engine.queue.push(0, Action::Eval(id));
             }
         }
         engine.run_until(engine.period);
@@ -374,15 +375,6 @@ impl<'a> EventDrivenEngine<'a> {
         trace
     }
 
-    fn push(&mut self, time: u64, action: Action) {
-        self.queue.push(Event {
-            time,
-            seq: self.seq,
-            action,
-        });
-        self.seq += 1;
-    }
-
     fn apply_net(&mut self, net: NetId, value: Logic, respect_force: bool) {
         if respect_force && self.forced[net.index()].is_some() {
             return;
@@ -400,7 +392,7 @@ impl<'a> EventDrivenEngine<'a> {
         for &(load, pin) in netlist.net_loads(net) {
             let kind = netlist.cell_kind(load);
             if kind.is_combinational() {
-                self.push(self.time + GATE_DELAY, Action::Eval(load));
+                self.queue.push(self.time + GATE_DELAY, Action::Eval(load));
             } else {
                 self.sequential_pin_change(load, kind, pin, old, value);
             }
@@ -420,24 +412,27 @@ impl<'a> EventDrivenEngine<'a> {
         new: Logic,
     ) {
         // Inputs are gathered only on the branches that read them: a clock
-        // fall reaches every flop and needs none.
-        match kind {
-            CellKind::Latch => {
-                let ns = next_state(kind, &self.input_vals(cell), self.state[cell.index()]);
-                self.update_state(cell, ns, GATE_DELAY);
-            }
-            _ if pin == 2 && kind.has_async_reset() => {
-                // Asynchronous reset pin.
+        // edge reaches every flop and needs none outside the capture set.
+        if kind == CellKind::Latch {
+            // Level-sensitive: pin 0 is `EN`, so any pin change can move it.
+            let ns = next_state(kind, &self.input_vals(cell), self.state[cell.index()]);
+            self.update_state(cell, ns, GATE_DELAY);
+        } else if pin != 0 {
+            // A data or control pin: the next rising edge must capture.
+            // This also covers the asynchronous reset's state write below.
+            // A net on both the clock pin and another pin re-marks the cell
+            // right after each capture, so such a cell never leaves.
+            self.stale[cell.index()] = true;
+            if pin == 2 && kind.has_async_reset() {
                 if let Some(forced) = async_override(kind, &self.input_vals(cell)) {
                     self.update_state(cell, forced, CLK_Q_DELAY);
                 }
             }
-            _ if pin == 0 && old == Logic::Zero && new == Logic::One => {
-                // Rising clock edge.
-                let ns = next_state(kind, &self.input_vals(cell), self.state[cell.index()]);
-                self.update_state(cell, ns, CLK_Q_DELAY);
-            }
-            _ => {}
+        } else if old == Logic::Zero && new == Logic::One && self.stale[cell.index()] {
+            // Rising clock edge of a cell in the capture set.
+            self.stale[cell.index()] = false;
+            let ns = next_state(kind, &self.input_vals(cell), self.state[cell.index()]);
+            self.update_state(cell, ns, CLK_Q_DELAY);
         }
     }
 
@@ -447,7 +442,8 @@ impl<'a> EventDrivenEngine<'a> {
         }
         self.state[cell.index()] = new_state;
         let q = self.netlist.cell_output(cell);
-        self.push(self.time + delay, Action::SetNet(q, new_state));
+        self.queue
+            .push(self.time + delay, Action::SetNet(q, new_state));
     }
 
     fn execute(&mut self, action: Action) {
@@ -465,7 +461,14 @@ impl<'a> EventDrivenEngine<'a> {
                 self.apply_net(net, value, true);
             }
             Action::Eval(cell) => {
-                let out = eval_comb(self.netlist.cell_kind(cell), &self.input_vals(cell));
+                let values = &self.values;
+                let row = truth_table_row(
+                    self.netlist
+                        .cell_inputs(cell)
+                        .iter()
+                        .map(|n| values[n.index()]),
+                );
+                let out = truth_tables()[self.netlist.cell_kind(cell) as usize][row];
                 self.apply_net(self.netlist.cell_output(cell), out, true);
             }
             Action::ForceInvert(net) => {
@@ -481,7 +484,7 @@ impl<'a> EventDrivenEngine<'a> {
                             let v = self.state[cell.index()];
                             self.apply_net(net, v, false);
                         } else {
-                            self.push(self.time, Action::Eval(cell));
+                            self.queue.push(self.time, Action::Eval(cell));
                         }
                     }
                     Some(Driver::PrimaryInput) => {
@@ -495,20 +498,21 @@ impl<'a> EventDrivenEngine<'a> {
             Action::Flip(cell) => {
                 let flipped = disturb(self.state[cell.index()]);
                 self.state[cell.index()] = flipped;
+                self.stale[cell.index()] = true;
                 self.apply_net(self.netlist.cell_output(cell), flipped, true);
             }
         }
     }
 
     fn run_until(&mut self, limit: u64) {
-        while let Some(event) = self.queue.pop_before(limit) {
-            if event.time > self.time {
+        while let Some((time, action)) = self.queue.pop_before(limit) {
+            if time > self.time {
                 self.wheel_advances += 1;
             } else {
                 self.delta_cycles += 1;
             }
-            self.time = event.time;
-            self.execute(event.action);
+            self.time = time;
+            self.execute(action);
         }
         self.time = limit;
     }
@@ -537,7 +541,7 @@ impl Engine for EventDrivenEngine<'_> {
             self.netlist.net_full_name(net)
         );
         self.input_values[net.index()] = Some(value);
-        self.push(self.time, Action::SetNet(net, value));
+        self.queue.push(self.time, Action::SetNet(net, value));
     }
 
     fn peek(&self, net: NetId) -> Logic {
@@ -551,8 +555,9 @@ impl Engine for EventDrivenEngine<'_> {
             self.netlist.cell_full_name(cell)
         );
         self.state[cell.index()] = value;
+        self.stale[cell.index()] = true;
         let q = self.netlist.cell_output(cell);
-        self.push(self.time, Action::SetNet(q, value));
+        self.queue.push(self.time, Action::SetNet(q, value));
         // Preloads happen between cycles; settle the combinational fan-out
         // now so the next posedge captures consistent data (mirroring the
         // levelized engine, which repropagates on preload). Time is restored
@@ -570,8 +575,9 @@ impl Engine for EventDrivenEngine<'_> {
                 self.netlist.cell_full_name(cell)
             );
             self.state[cell.index()] = value;
+            self.stale[cell.index()] = true;
             let q = self.netlist.cell_output(cell);
-            self.push(self.time, Action::SetNet(q, value));
+            self.queue.push(self.time, Action::SetNet(q, value));
         }
         // One settle for the whole preload; the combinational fan-out is
         // acyclic, so the fixpoint is the same as settling after each cell.
@@ -595,7 +601,6 @@ impl Engine for EventDrivenEngine<'_> {
             input_values: self.input_values.clone(),
             forced: self.forced.clone(),
             queue: self.queue.pending(),
-            seq: self.seq,
             time: self.time,
             cycle: self.cycle,
             activity: self.activity.clone(),
@@ -617,8 +622,9 @@ impl Engine for EventDrivenEngine<'_> {
         self.state.clone_from(&s.state);
         self.input_values.clone_from(&s.input_values);
         self.forced.clone_from(&s.forced);
+        // The snapshot holds no capture set, so every cell rejoins it.
+        self.stale.fill(true);
         self.queue.reset(&s.queue);
-        self.seq = s.seq;
         self.time = s.time;
         self.cycle = s.cycle;
         self.activity.clone_from(&s.activity);
@@ -640,19 +646,19 @@ impl Engine for EventDrivenEngine<'_> {
                 Fault::Set(f) => {
                     let on = self.sub_cycle_time(t0, f.offset);
                     let width = ((f.width * self.period as f64).round() as u64).max(1);
-                    self.push(on, Action::ForceInvert(f.net));
-                    self.push(on + width, Action::Release(f.net));
+                    self.queue.push(on, Action::ForceInvert(f.net));
+                    self.queue.push(on + width, Action::Release(f.net));
                 }
                 Fault::Seu(f) => {
                     let at = self.sub_cycle_time(t0, f.offset);
-                    self.push(at, Action::Flip(f.cell));
+                    self.queue.push(at, Action::Flip(f.cell));
                 }
             }
         }
         self.faults.retain(|f| f.cycle() != current);
 
-        self.push(t0, Action::SetNet(self.clock, Logic::One));
-        self.push(
+        self.queue.push(t0, Action::SetNet(self.clock, Logic::One));
+        self.queue.push(
             t0 + self.period / 2,
             Action::SetNet(self.clock, Logic::Zero),
         );
@@ -684,18 +690,15 @@ impl Engine for EventDrivenEngine<'_> {
 mod tests {
     use super::*;
 
-    fn event(time: u64, seq: u64) -> Event {
-        Event {
-            time,
-            seq,
-            action: Action::Eval(CellId(seq as u32)),
-        }
+    /// A distinguishable action: the id records the push order.
+    fn eval(id: u32) -> Action {
+        Action::Eval(CellId(id))
     }
 
     /// Interleaved pushes and pops leave the wheel in exactly the
-    /// `(time, seq)` order of a sorted reference queue, across many ring
-    /// wrap-arounds and with time rewound behind already-popped events (as
-    /// preloads do).
+    /// `(time, push order)` order of a stably sorted reference queue, across
+    /// many ring wrap-arounds and with time rewound behind already-popped
+    /// actions (as preloads do).
     #[test]
     fn wheel_pops_in_time_then_seq_order() {
         let mut rng = 0x9e37_79b9_u64;
@@ -706,21 +709,22 @@ mod tests {
             rng
         };
         let mut wheel = TimeWheel::new(32);
-        let mut reference: Vec<Event> = Vec::new();
-        let (mut now, mut high, mut seq) = (0u64, 0u64, 0u64);
+        let mut reference: Vec<(u64, Action)> = Vec::new();
+        let (mut now, mut high, mut pushed) = (0u64, 0u64, 0u32);
         for round in 0..4000 {
             for _ in 0..next() % 4 {
-                let e = event(now + next() % 16, seq);
-                seq += 1;
-                wheel.push(e);
-                reference.push(e);
+                let time = now + next() % 16;
+                wheel.push(time, eval(pushed));
+                reference.push((time, eval(pushed)));
+                pushed += 1;
             }
             let limit = now + next() % 3;
             high = high.max(limit);
-            reference.sort_by_key(|e| (e.time, e.seq));
-            let due = reference.iter().take_while(|e| e.time < limit).count();
-            let popped: Vec<Event> = std::iter::from_fn(|| wheel.pop_before(limit)).collect();
-            let expected: Vec<Event> = reference.drain(..due).collect();
+            // The sort is stable, so same-time actions stay in push order.
+            reference.sort_by_key(|&(time, _)| time);
+            let due = reference.iter().take_while(|e| e.0 < limit).count();
+            let popped: Vec<_> = std::iter::from_fn(|| wheel.pop_before(limit)).collect();
+            let expected: Vec<_> = reference.drain(..due).collect();
             assert_eq!(popped, expected, "round {round}");
             assert_eq!(wheel.pending(), reference, "round {round}");
             // Every fifth round rewinds, staying within 8 units of the
@@ -736,10 +740,10 @@ mod tests {
     #[test]
     fn reset_restores_pending_order() {
         let mut wheel = TimeWheel::new(8);
-        let events = [event(3, 0), event(3, 4), event(5, 1), event(10, 2)];
+        let events = [(3, eval(0)), (3, eval(4)), (5, eval(1)), (10, eval(2))];
         wheel.reset(&events);
         assert_eq!(wheel.pending(), events);
-        let popped: Vec<Event> = std::iter::from_fn(|| wheel.pop_before(u64::MAX)).collect();
+        let popped: Vec<_> = std::iter::from_fn(|| wheel.pop_before(u64::MAX)).collect();
         assert_eq!(popped, events);
     }
 
@@ -747,7 +751,7 @@ mod tests {
     #[should_panic(expected = "beyond the 8-slot time wheel")]
     fn event_past_the_horizon_fails_the_assert() {
         let mut wheel = TimeWheel::new(8);
-        wheel.push(event(2, 0));
-        wheel.push(event(10, 1));
+        wheel.push(2, eval(0));
+        wheel.push(10, eval(1));
     }
 }

@@ -1462,3 +1462,229 @@ fn bitparallel_every_kind_lane_matches_oracle_all_widths() {
     every_kind_lanes_match_oracle_at_width::<4>();
     every_kind_lanes_match_oracle_at_width::<8>();
 }
+
+/// One flop of each edge-triggered kind, all capturing `d`, with every
+/// `EN`, `WE` and `RSTN` pin on the primary inputs `en`, `we` and `rst_n`.
+/// Each flop drives its own output `q_<kind>`.
+fn edge_triggered_bank() -> FlatNetlist {
+    use ssresf_netlist::cell::ALL_CELL_KINDS;
+    let mut design = Design::new();
+    let mut mb = ModuleBuilder::new("edge_triggered_bank");
+    let [clk, d, en, we, rst_n] =
+        ["clk", "d", "en", "we", "rst_n"].map(|name| mb.port(name, PortDir::Input));
+    for &kind in ALL_CELL_KINDS {
+        if kind.is_combinational() || kind == CellKind::Latch {
+            continue;
+        }
+        let q = mb.port(format!("q_{}", kind.name()), PortDir::Output);
+        let pins: Vec<_> = kind
+            .input_pins()
+            .iter()
+            .map(|&pin| match pin {
+                "CLK" => clk,
+                "D" => d,
+                "EN" => en,
+                "WE" => we,
+                "RSTN" => rst_n,
+                other => unreachable!("pin {other}"),
+            })
+            .collect();
+        mb.cell(format!("u_{}", kind.name()), kind, &pins, &[q])
+            .unwrap();
+    }
+    let id = design.add_module(mb.finish()).unwrap();
+    design.set_top(id).unwrap();
+    design.flatten().unwrap()
+}
+
+/// The event-driven engine skips a rising edge for a flop outside its
+/// capture set: one whose non-clock inputs and state have not changed
+/// since its last capture. With every input held steady, only the ways a
+/// state is written outside a capture put a flop back in the set: a
+/// preload through `set_cell_state` or `set_cell_states`, an SEU flip, and
+/// a restore into an engine that has run on. After each, the next edge
+/// must overwrite the written state in the event-driven engine exactly as
+/// in the levelized engine and the oracle.
+#[test]
+fn capture_set_recaptures_after_every_out_of_band_write() {
+    let flat = edge_triggered_bank();
+    let net = |name: &str| flat.net_by_name(name).unwrap();
+    let clk = net("clk");
+    let outputs = flat.primary_outputs().to_vec();
+    let flops: Vec<_> = flat.iter_cells().map(|(id, _)| id).collect();
+    assert_eq!(flops.len(), 9, "one flop per edge-triggered kind");
+    let ones = vec![Logic::One; flops.len()];
+    let zeros = vec![Logic::Zero; flops.len()];
+
+    let mut event = EventDrivenEngine::new(&flat, clk).unwrap();
+    let mut levelized = LevelizedEngine::new(&flat, clk).unwrap();
+    let mut oracle = OracleEngine::new(&flat, clk).unwrap();
+    let mut engines: [&mut dyn Engine; 3] = [&mut event, &mut levelized, &mut oracle];
+    // Every engine's outputs, checked equal; returns the common row.
+    let agree = |engines: &mut [&mut dyn Engine; 3], step: bool, what: &str| {
+        let rows: Vec<Vec<Logic>> = engines
+            .iter_mut()
+            .map(|e| {
+                if step {
+                    e.step_cycle();
+                }
+                e.sample(&outputs)
+            })
+            .collect();
+        assert_eq!(rows[0], rows[1], "{what}: event-driven vs levelized");
+        assert_eq!(rows[0], rows[2], "{what}: event-driven vs oracle");
+        rows[0].clone()
+    };
+
+    for e in engines.iter_mut() {
+        for name in ["d", "en", "we", "rst_n"] {
+            e.poke(net(name), Logic::One);
+        }
+    }
+    for cycle in 0..3 {
+        assert_eq!(agree(&mut engines, true, "warm-up"), ones, "cycle {cycle}");
+    }
+
+    for e in engines.iter_mut() {
+        for &flop in &flops {
+            e.set_cell_state(flop, Logic::Zero);
+        }
+    }
+    assert_eq!(agree(&mut engines, false, "set_cell_state"), zeros);
+    assert_eq!(agree(&mut engines, true, "edge after set_cell_state"), ones);
+    assert_eq!(agree(&mut engines, true, "second edge"), ones);
+
+    for e in engines.iter_mut() {
+        e.set_cell_states(&flops, Logic::Zero);
+    }
+    assert_eq!(agree(&mut engines, false, "set_cell_states"), zeros);
+    let snapshots: Vec<_> = engines.iter().map(|e| e.snapshot()).collect();
+    assert_eq!(
+        agree(&mut engines, true, "edge after set_cell_states"),
+        ones
+    );
+    assert_eq!(agree(&mut engines, true, "second edge"), ones);
+
+    for e in engines.iter_mut() {
+        let cycle = e.cycle();
+        for &cell in &flops {
+            e.schedule_fault(Fault::Seu(SeuFault {
+                cell,
+                cycle,
+                offset: 0.5,
+            }));
+        }
+    }
+    assert_eq!(agree(&mut engines, true, "SEU flip"), zeros);
+    assert_eq!(agree(&mut engines, true, "edge after the flip"), ones);
+    assert_eq!(agree(&mut engines, true, "second edge"), ones);
+
+    // The snapshots hold the preloaded zeros; since they were taken, every
+    // flop has captured a one and left the capture set.
+    for (e, snapshot) in engines.iter_mut().zip(&snapshots) {
+        e.restore(snapshot);
+    }
+    assert_eq!(agree(&mut engines, false, "restore"), zeros);
+    assert_eq!(agree(&mut engines, true, "edge after the restore"), ones);
+
+    // A data change still reaches every flop.
+    for e in engines.iter_mut() {
+        e.poke(net("d"), Logic::Zero);
+    }
+    assert_eq!(agree(&mut engines, true, "d falls"), zeros);
+}
+
+/// A chain of six async-reset flops, each flop's Q driving the next one's
+/// `RSTN` directly, created in reverse chain order so the head has the
+/// highest id. Kinds come in pairs (Dffr, Dffre, HardDffr by id), so the
+/// kernel's id-ordered sequential list cuts into three kind runs of two.
+/// Every flop captures `one`, a tie cell that also enables the Dffre
+/// flops; it is the only combinational cell, so `word_evals` counts
+/// sweeps. Returns the netlist and the flops in chain order.
+fn reverse_reset_chain() -> (FlatNetlist, Vec<ssresf_netlist::CellId>) {
+    const LEN: usize = 6;
+    let mut design = Design::new();
+    let mut mb = ModuleBuilder::new("reverse_reset_chain");
+    let clk = mb.port("clk", PortDir::Input);
+    let rst_n = mb.port("rst_n", PortDir::Input);
+    let qs: Vec<_> = (0..LEN)
+        .map(|i| mb.port(format!("q_{i}"), PortDir::Output))
+        .collect();
+    let one = mb.net("one");
+    for i in (0..LEN).rev() {
+        let rstn = if i == 0 { rst_n } else { qs[i - 1] };
+        let (kind, pins) = match (LEN - 1 - i) / 2 {
+            0 => (CellKind::Dffr, vec![clk, one, rstn]),
+            1 => (CellKind::Dffre, vec![clk, one, rstn, one]),
+            _ => (CellKind::HardDffr, vec![clk, one, rstn]),
+        };
+        mb.cell(format!("u_ff_{i}"), kind, &pins, &[qs[i]]).unwrap();
+    }
+    mb.cell("u_one", CellKind::Tie1, &[], &[one]).unwrap();
+    let id = design.add_module(mb.finish()).unwrap();
+    design.set_top(id).unwrap();
+    let flat = design.flatten().unwrap();
+    let chain = (0..LEN)
+        .map(|i| flat.cell_by_name(&format!("u_ff_{i}")).unwrap())
+        .collect();
+    (flat, chain)
+}
+
+/// Pins the kernel's asynchronous-reset fixpoint on `reverse_reset_chain`.
+/// The fixpoint visits async-reset cells in id order, against the chain
+/// here, so each pass forces one more flop and pays one more sweep: five
+/// extra sweeps on the first reset cycle, none once the chain holds zero.
+/// A visit in chain order would force the whole chain in one pass.
+fn reset_chain_fixpoint_is_pinned_at_width<const W: usize>() {
+    let (flat, chain) = reverse_reset_chain();
+    assert!(
+        chain.windows(2).all(|w| w[0] > w[1]),
+        "ids run against the chain"
+    );
+    let clk = flat.net_by_name("clk").unwrap();
+    let rst_n = flat.net_by_name("rst_n").unwrap();
+    let mut engine = BitParallelEngine::<W>::new(&flat, clk).unwrap();
+    let states = |e: &BitParallelEngine<W>| -> Vec<Logic> {
+        let last = BitParallelEngine::<W>::LANES - 1;
+        chain
+            .iter()
+            .map(|&c| {
+                assert_eq!(e.cell_state_lane(c, 0), e.cell_state_lane(c, last));
+                e.cell_state_lane(c, 0)
+            })
+            .collect()
+    };
+    let (l0, l1) = (Logic::Zero, Logic::One);
+    // The construction sweep.
+    assert_eq!(engine.word_evals(), 1, "W={W}");
+
+    engine.poke(rst_n, l0);
+    let mut trace = Vec::new();
+    for _ in 0..2 {
+        engine.step_cycle();
+        trace.push((states(&engine), engine.word_evals()));
+    }
+    engine.poke(rst_n, l1);
+    for _ in 0..3 {
+        engine.step_cycle();
+        trace.push((states(&engine), engine.word_evals()));
+    }
+    let expected = vec![
+        // Reset: the step's sweep plus five fixpoint sweeps, then the
+        // step's sweep alone.
+        (vec![l0; 6], 7),
+        (vec![l0; 6], 8),
+        // Released: each flop leaves reset one cycle after its
+        // predecessor, with one sweep per cycle.
+        (vec![l1, l0, l0, l0, l0, l0], 9),
+        (vec![l1, l1, l0, l0, l0, l0], 10),
+        (vec![l1, l1, l1, l0, l0, l0], 11),
+    ];
+    assert_eq!(trace, expected, "W={W}");
+}
+
+#[test]
+fn bitparallel_async_fixpoint_order_is_pinned_on_a_reverse_reset_chain() {
+    reset_chain_fixpoint_is_pinned_at_width::<1>();
+    reset_chain_fixpoint_is_pinned_at_width::<4>();
+}
