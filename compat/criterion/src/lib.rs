@@ -5,7 +5,9 @@
 //! `benchmark_group`/`bench_with_input`/`finish`, `BenchmarkId`, and the
 //! `criterion_group!`/`criterion_main!` macros — on a plain wall-clock
 //! harness. Each benchmark runs `sample_size` timed batches after a warm-up
-//! batch and prints mean/min/max per iteration.
+//! batch and prints mean/min/max per iteration. With a `--test` argument
+//! (`cargo bench -- --test`), each benchmark runs once, untimed warm-up
+//! skipped, and reports that one sample.
 
 use std::fmt::Display;
 use std::hint::black_box as std_black_box;
@@ -19,11 +21,16 @@ pub fn black_box<T>(x: T) -> T {
 /// Top-level harness state: configuration plus result printing.
 pub struct Criterion {
     sample_size: usize,
+    /// Run each benchmark once (`--test` on the command line).
+    test_mode: bool,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10 }
+        Criterion {
+            sample_size: 10,
+            test_mode: std::env::args().any(|arg| arg == "--test"),
+        }
     }
 }
 
@@ -38,10 +45,18 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut bencher = Bencher::new(self.sample_size);
+        let mut bencher = self.bencher();
         f(&mut bencher);
         bencher.report(id);
         self
+    }
+
+    fn bencher(&self) -> Bencher {
+        Bencher {
+            sample_size: if self.test_mode { 1 } else { self.sample_size },
+            warm_up: !self.test_mode,
+            samples: Vec::new(),
+        }
     }
 
     pub fn benchmark_group(&mut self, group_name: impl Into<String>) -> BenchmarkGroup<'_> {
@@ -82,7 +97,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let label = format!("{}/{}", self.name, id.parameter);
-        let mut bencher = Bencher::new(self.criterion.sample_size);
+        let mut bencher = self.criterion.bencher();
         f(&mut bencher, input);
         bencher.report(&label);
         self
@@ -94,22 +109,18 @@ impl BenchmarkGroup<'_> {
 /// Collects timed samples of one routine.
 pub struct Bencher {
     sample_size: usize,
+    warm_up: bool,
     samples: Vec<Duration>,
 }
 
 impl Bencher {
-    fn new(sample_size: usize) -> Self {
-        Bencher {
-            sample_size,
-            samples: Vec::new(),
-        }
-    }
-
     pub fn iter<O, F>(&mut self, mut routine: F)
     where
         F: FnMut() -> O,
     {
-        std_black_box(routine()); // warm-up, untimed
+        if self.warm_up {
+            std_black_box(routine()); // untimed
+        }
         self.samples.clear();
         for _ in 0..self.sample_size {
             let start = Instant::now();
@@ -179,6 +190,20 @@ mod tests {
         });
         // One warm-up plus three timed samples.
         assert_eq!(calls, 4);
+    }
+
+    #[test]
+    fn test_mode_runs_each_routine_once() {
+        let mut c = Criterion {
+            sample_size: 10,
+            test_mode: true,
+        };
+        let mut calls = 0u32;
+        c.bench_function("once", |b| {
+            b.iter(|| calls += 1);
+            assert_eq!(b.samples.len(), 1);
+        });
+        assert_eq!(calls, 1);
     }
 
     #[test]

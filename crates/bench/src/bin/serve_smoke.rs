@@ -2,7 +2,10 @@
 //! smallest Table-I SoC through `ssresf-serve`, asserts the merged records
 //! are byte-identical to the single-process campaign, then repeats the job
 //! against a warm artifact cache and asserts the repeat does at least 10x
-//! less simulation work (a campaign-cache hit does none at all).
+//! less simulation work (a campaign-cache hit does none at all). Last, an
+//! overlapping job (other cells, same netlist and workload) must miss the
+//! cache once, run every shard and match its own single-process campaign:
+//! nothing but merged campaign outcomes is stored.
 //!
 //! ```sh
 //! cargo build --release -p ssresf-serve
@@ -147,16 +150,29 @@ fn main() {
     }
 
     // Overlap: a different fault list over the same netlist and workload
-    // misses the campaign artifact but reuses the memoized golden run.
+    // misses the campaign artifact and simulates every shard, golden runs
+    // included.
     let overlap_spec = JobSpec {
         cells: spec.cells.iter().copied().skip(1).take(48).collect(),
         netlist: spec.netlist.clone(),
         config: spec.config,
     };
-    let (_, overlap_metrics, _) = serve_once(&overlap_spec);
-    let overlap_golden_hits = overlap_metrics.counter("cache.hits");
-    if overlap_golden_hits == 0 {
-        fail("overlapping job did not reuse the memoized golden run");
+    let (overlap, overlap_metrics, _) = serve_once(&overlap_spec);
+    if overlap_metrics.counter("cache.misses") != 1 || overlap_metrics.counter("cache.hits") != 0 {
+        fail("overlapping job did not miss the campaign cache exactly once");
+    }
+    if overlap_metrics.gauge("shard.count") != Some(SHARDS as f64) {
+        fail("overlapping job did not execute the expected shard count");
+    }
+    let overlap_reference = run_campaign_with(
+        &dut,
+        &overlap_spec.cells,
+        &overlap_spec.config,
+        &Instrument::default(),
+    )
+    .unwrap_or_else(|e| fail(&format!("single-process overlap reference failed: {e}")));
+    if overlap.records != overlap_reference.records {
+        fail("overlapping job's records differ from the single-process campaign");
     }
     let _ = std::fs::remove_dir_all(&cache_root);
 
@@ -170,7 +186,6 @@ fn main() {
         ("warm_work", Value::from(warm_work)),
         ("work_reduction", Value::from(work_reduction)),
         ("warm_cache_hits", Value::from(warm_cache_hits)),
-        ("overlap_golden_hits", Value::from(overlap_golden_hits)),
         ("cold_seconds", Value::from(cold_seconds)),
         ("warm_seconds", Value::from(warm_seconds)),
     ]);

@@ -1,6 +1,6 @@
 //! JSON codecs for the campaign types that cross process or disk
-//! boundaries: configs inside job frames, outcomes inside result frames
-//! and cache artifacts, golden runs inside the golden cache.
+//! boundaries: configs inside job frames, shard outcomes inside result
+//! frames and merged outcomes inside campaign cache artifacts.
 //!
 //! All floats survive round trips bit-exactly (`ssresf-json` prints the
 //! shortest representation that re-parses to the same `f64`), which is
@@ -11,7 +11,7 @@
 
 use crate::campaign::{CampaignConfig, CampaignOutcome, CampaignTelemetry, InjectionRecord};
 use crate::shard::ShardOutcome;
-use crate::workload::{Checkpoint, EngineKind, GoldenRun, RunOutcome, Workload};
+use crate::workload::{EngineKind, Workload};
 use ssresf_json::{field, FromJson, ToJson, Value};
 use std::time::Duration;
 
@@ -177,78 +177,6 @@ impl FromJson for CampaignOutcome {
             golden_time: duration(field(value, "golden_seconds")?)?,
             total_work: field(value, "total_work")?,
             telemetry: field(value, "telemetry")?,
-        })
-    }
-}
-
-/// Only golden runs are encoded, so `resumed_from` is not: a golden run
-/// never resumes from a checkpoint.
-impl ToJson for RunOutcome {
-    fn to_json(&self) -> Value {
-        ssresf_json::object([
-            ("trace", self.trace.to_json()),
-            ("activity_per_cycle", self.activity_per_cycle.to_json()),
-            ("work", self.work.to_json()),
-            ("engine", self.engine.to_json()),
-            ("early_stopped", self.early_stopped.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RunOutcome {
-    fn from_json(value: &Value) -> Result<Self, String> {
-        Ok(RunOutcome {
-            trace: field(value, "trace")?,
-            activity_per_cycle: field(value, "activity_per_cycle")?,
-            work: field(value, "work")?,
-            engine: field(value, "engine")?,
-            resumed_from: None,
-            early_stopped: field(value, "early_stopped")?,
-        })
-    }
-}
-
-impl GoldenRun {
-    /// Encodes the golden run with its checkpoints (the `golden` cache
-    /// artifact).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when a checkpoint's engine snapshot is not
-    /// serializable (event-driven engine) — the caller then simply skips
-    /// caching, which is a miss, not a failure.
-    pub fn to_json(&self) -> Result<Value, String> {
-        let checkpoints = self
-            .checkpoints
-            .iter()
-            .map(|cp| {
-                Ok(ssresf_json::object([
-                    ("cycle", cp.cycle.to_json()),
-                    ("state", cp.state().to_json()?),
-                ]))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ssresf_json::object([
-            ("outcome", self.outcome.to_json()),
-            ("checkpoints", Value::Array(checkpoints)),
-        ]))
-    }
-}
-
-impl FromJson for Checkpoint {
-    fn from_json(value: &Value) -> Result<Self, String> {
-        Ok(Checkpoint::new(
-            field(value, "cycle")?,
-            field(value, "state")?,
-        ))
-    }
-}
-
-impl FromJson for GoldenRun {
-    fn from_json(value: &Value) -> Result<Self, String> {
-        Ok(GoldenRun {
-            outcome: field(value, "outcome")?,
-            checkpoints: field(value, "checkpoints")?,
         })
     }
 }

@@ -78,8 +78,8 @@ pub use sensitivity::{
 };
 pub use ser::{evaluate_ser, ClusterSer, SerEvaluation};
 pub use shard::{
-    campaign_jobs, merge_shard_outcomes, plan_shards, run_campaign_shard, run_campaign_shard_with,
-    run_sharded_campaign, ShardOutcome,
+    campaign_jobs, merge_shard_outcomes, plan_shards, run_campaign_shard, run_sharded_campaign,
+    ShardOutcome,
 };
 // Re-exported so downstream users can attach metrics without depending on
 // the telemetry crate directly.

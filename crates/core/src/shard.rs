@@ -30,7 +30,7 @@ use crate::campaign::{
 };
 use crate::error::SsresfError;
 use crate::progress::Instrument;
-use crate::workload::{Dut, GoldenRun};
+use crate::workload::Dut;
 use ssresf_netlist::CellId;
 use ssresf_sim::{EngineTelemetry, Fault};
 use std::ops::Range;
@@ -98,9 +98,10 @@ pub fn plan_shards(total: usize, shard_count: usize) -> Vec<Range<usize>> {
 }
 
 /// Runs one shard of the campaign: regenerates the job list, takes the
-/// shard's contiguous slice, runs its own golden reference and simulates
-/// the slice. Hooks apply to this shard's execution (heartbeats report
-/// shard-local progress; the cancel flag aborts the shard).
+/// shard's contiguous slice, runs its own golden reference (timed as the
+/// shard's `golden_time`) and simulates the slice. Hooks apply to this
+/// shard's execution (heartbeats report shard-local progress; the cancel
+/// flag aborts the shard).
 ///
 /// # Errors
 ///
@@ -114,34 +115,10 @@ pub fn run_campaign_shard(
     shard_count: usize,
     hooks: &Instrument<'_>,
 ) -> Result<ShardOutcome, SsresfError> {
-    run_campaign_shard_with(dut, cells, config, shard, shard_count, hooks, || {
-        dut.run_golden_with_checkpoints(config.engine, &config.workload, config.checkpoint_interval)
-    })
-}
-
-/// [`run_campaign_shard`] with the golden reference supplied by `golden`,
-/// e.g. a run memoized in an artifact cache. `golden` is called once, after
-/// the shard index and job list are checked; its wall time is the shard's
-/// `golden_time`. It must return the run
-/// [`Dut::run_golden_with_checkpoints`] gives for `config`.
-///
-/// # Errors
-///
-/// As [`run_campaign_shard`], plus whatever `golden` returns.
-pub fn run_campaign_shard_with<E: From<SsresfError>>(
-    dut: &Dut<'_>,
-    cells: &[CellId],
-    config: &CampaignConfig,
-    shard: usize,
-    shard_count: usize,
-    hooks: &Instrument<'_>,
-    golden: impl FnOnce() -> Result<GoldenRun, E>,
-) -> Result<ShardOutcome, E> {
     if shard >= shard_count {
         return Err(SsresfError::Config(format!(
             "shard index {shard} out of range for {shard_count} shards"
-        ))
-        .into());
+        )));
     }
     let jobs = campaign_jobs(dut, cells, config)?;
     let range = plan_shards(jobs.len(), shard_count)
@@ -149,7 +126,11 @@ pub fn run_campaign_shard_with<E: From<SsresfError>>(
         .nth(shard)
         .expect("plan covers every shard index");
     let golden_started = Instant::now();
-    let golden = golden()?;
+    let golden = dut.run_golden_with_checkpoints(
+        config.engine,
+        &config.workload,
+        config.checkpoint_interval,
+    )?;
     let golden_time = golden_started.elapsed();
     let outcome =
         run_injection_jobs_with_golden(dut, jobs[range.clone()].to_vec(), config, &golden, hooks)?;

@@ -121,14 +121,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Rebuilds a checkpoint from its parts — used by the golden-run
-    /// decoder to rehydrate cached golden runs. `cycle` must be the
-    /// post-reset cycle the snapshot was taken at, or fast-forwarding
-    /// through it will silently diverge.
-    pub(crate) fn new(cycle: u64, state: EngineState) -> Self {
-        Checkpoint { cycle, state }
-    }
-
     /// The captured engine state.
     pub fn state(&self) -> &EngineState {
         &self.state

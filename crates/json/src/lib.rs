@@ -184,18 +184,17 @@ pub trait FromJson: Sized {
     fn from_json(value: &Value) -> Result<Self, String>;
 }
 
-/// Decodes member `key` of an object. Only an `Option` member may be
-/// absent: a missing key decodes as `null`.
+/// Decodes member `key` of an object.
 ///
 /// # Errors
 ///
 /// Returns a description naming `key` when the member is missing or
 /// invalid.
 pub fn field<T: FromJson>(value: &Value, key: &str) -> Result<T, String> {
-    match value.get(key) {
-        Some(member) => T::from_json(member).map_err(|e| format!("key {key:?}: {e}")),
-        None => T::from_json(&Value::Null).map_err(|_| format!("missing key {key:?}")),
-    }
+    let member = value
+        .get(key)
+        .ok_or_else(|| format!("missing key {key:?}"))?;
+    T::from_json(member).map_err(|e| format!("key {key:?}: {e}"))
 }
 
 impl ToJson for bool {
@@ -275,16 +274,6 @@ impl<T: FromJson> FromJson for Vec<T> {
             .enumerate()
             .map(|(i, item)| T::from_json(item).map_err(|e| format!("[{i}]: {e}")))
             .collect()
-    }
-}
-
-/// `null` decodes as `None`.
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(value: &Value) -> Result<Self, String> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
     }
 }
 
@@ -788,8 +777,6 @@ mod tests {
         let v = parse(r#"{"n": 7, "xs": [1, 2.5], "s": "hi"}"#).unwrap();
         assert_eq!(field::<u16>(&v, "n"), Ok(7));
         assert_eq!(field::<String>(&v, "s"), Ok("hi".to_owned()));
-        assert_eq!(field::<Option<u32>>(&v, "n"), Ok(Some(7)));
-        assert_eq!(field::<Option<u32>>(&v, "absent"), Ok(None));
         assert_eq!(
             field::<u32>(&v, "absent"),
             Err("missing key \"absent\"".into())

@@ -23,9 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
-/// Namespace for memoized golden runs (trace + checkpoints).
-pub const NS_GOLDEN: &str = "golden";
-/// Namespace for merged campaign outcomes.
+/// Namespace for merged campaign outcomes, the only artifacts stored.
 pub const NS_CAMPAIGN: &str = "campaign";
 
 /// Unique suffix for temp files within one process.
@@ -202,17 +200,17 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let root = temp_root("hits");
         let cache = ArtifactCache::open(&root, None, Some(&metrics)).unwrap();
-        assert!(cache.get(NS_GOLDEN, "deadbeef").is_none());
+        assert!(cache.get(NS_CAMPAIGN, "deadbeef").is_none());
         let artifact = ssresf_json::object([("x", Value::from(1u64))]);
-        cache.put(NS_GOLDEN, "deadbeef", &artifact).unwrap();
-        let back = cache.get(NS_GOLDEN, "deadbeef").unwrap();
+        cache.put(NS_CAMPAIGN, "deadbeef", &artifact).unwrap();
+        let back = cache.get(NS_CAMPAIGN, "deadbeef").unwrap();
         assert_eq!(back.to_string_compact(), artifact.to_string_compact());
         assert_eq!(metrics.counter("cache.hits"), 1);
         assert_eq!(metrics.counter("cache.misses"), 1);
         assert!(metrics.gauge("cache.bytes").unwrap() > 0.0);
         // A second cache over the same root sees the artifact (persistence).
         let reopened = ArtifactCache::open(&root, None, None).unwrap();
-        assert!(reopened.get(NS_GOLDEN, "deadbeef").is_some());
+        assert!(reopened.get(NS_CAMPAIGN, "deadbeef").is_some());
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -72,12 +72,6 @@ impl ServeOptions<'_> {
     }
 }
 
-fn count(metrics: Option<&MetricsRegistry>, name: &str, delta: u64) {
-    if let Some(m) = metrics {
-        m.counter_add(name, delta);
-    }
-}
-
 fn gauge(metrics: Option<&MetricsRegistry>, name: &str, value: f64) {
     if let Some(m) = metrics {
         m.gauge_set(name, value);
@@ -163,7 +157,7 @@ pub fn serve_campaign(
     }
     let shards = match &options.worker_binary {
         Some(binary) => run_process_shards(spec, options, binary)?,
-        None => run_local_shards(spec, options, cache.as_ref())?,
+        None => run_local_shards(spec, options)?,
     };
     for shard in &shards {
         log_event(
@@ -202,7 +196,6 @@ pub fn serve_campaign(
 fn run_local_shards(
     spec: &JobSpec,
     options: &ServeOptions<'_>,
-    cache: Option<&ArtifactCache<'_>>,
 ) -> Result<Vec<ShardOutcome>, String> {
     let hooks = Instrument {
         metrics: options.metrics,
@@ -212,7 +205,7 @@ fn run_local_shards(
     };
     (0..options.shard_count)
         .map(|shard| {
-            run_shard_local(spec, shard, options.shard_count, cache, &hooks).map_err(|e| match e {
+            run_shard_local(spec, shard, options.shard_count, None, &hooks).map_err(|e| match e {
                 ShardError::Cancelled => "campaign cancelled".to_string(),
                 ShardError::Other(msg) => msg,
             })
@@ -246,11 +239,6 @@ fn run_process_shards(
             spec: spec.clone(),
             shard,
             shard_count: options.shard_count,
-            cache_root: options
-                .cache
-                .as_ref()
-                .map(|c| c.root.to_string_lossy().into_owned()),
-            cache_max_bytes: options.cache.as_ref().and_then(|c| c.max_bytes),
         };
         write_frame(&mut stdin, &job.to_json())
             .map_err(|e| format!("cannot send job to worker {shard}: {e}"))?;
@@ -338,27 +326,22 @@ fn read_worker(
                 elapsed_seconds,
                 phase,
             } => {
-                count(options.metrics, "serve.heartbeats", 1);
+                if let Some(m) = options.metrics {
+                    m.counter_add("serve.heartbeats", 1);
+                }
                 if let (Some(sink), Some(phase)) = (options.progress, phase_of(&phase)) {
                     sink.report(&CampaignProgress {
                         phase,
                         completed,
                         total,
                         soft_errors,
+                        // The decoder admits only seconds a Duration holds.
                         elapsed: Duration::from_secs_f64(elapsed_seconds),
                         workers: Vec::new(),
                     });
                 }
             }
-            Message::Result {
-                outcome,
-                cache_hits,
-                cache_misses,
-            } => {
-                count(options.metrics, "cache.hits", cache_hits);
-                count(options.metrics, "cache.misses", cache_misses);
-                return Ok(*outcome);
-            }
+            Message::Result { outcome } => return Ok(*outcome),
             Message::Cancelled { .. } => return Err(ShardError::Cancelled),
             Message::Error { message } => {
                 return Err(ShardError::Other(format!("worker {shard}: {message}")))

@@ -10,6 +10,7 @@ use crate::key::JobSpec;
 use ssresf::ShardOutcome;
 use ssresf_json::{field, FromJson, ToJson, Value};
 use std::io::{self, Read, Write};
+use std::time::Duration;
 
 /// Upper bound on a single frame body. Shard results carry full golden
 /// traces, so the bound is generous — it exists to fail fast when the
@@ -79,10 +80,6 @@ pub enum Message {
         shard: usize,
         /// Total shards in the plan.
         shard_count: usize,
-        /// Artifact-cache root the worker may read and write, if any.
-        cache_root: Option<String>,
-        /// Byte cap for the worker's cache writes.
-        cache_max_bytes: Option<u64>,
     },
     /// Asks the worker to stop at the next cancellation poll point.
     Cancel,
@@ -96,7 +93,8 @@ pub enum Message {
         total: usize,
         /// Soft errors observed in the shard so far.
         soft_errors: usize,
-        /// Seconds since the shard started injecting.
+        /// Seconds since the shard started injecting; the decoder accepts
+        /// only values a [`Duration`] can hold.
         elapsed_seconds: f64,
         /// Progress phase (`start` / `heartbeat` / `finished`).
         phase: String,
@@ -105,10 +103,6 @@ pub enum Message {
     Result {
         /// The shard's outcome.
         outcome: Box<ShardOutcome>,
-        /// Artifact-cache hits the worker saw while running the shard.
-        cache_hits: u64,
-        /// Artifact-cache misses the worker saw while running the shard.
-        cache_misses: u64,
     },
     /// Terminal: the shard stopped at a cancellation poll point.
     Cancelled {
@@ -122,7 +116,7 @@ pub enum Message {
     },
 }
 
-/// The frame body. A `job` omits absent cache settings.
+/// The frame body.
 impl ToJson for Message {
     fn to_json(&self) -> Value {
         match self {
@@ -130,23 +124,12 @@ impl ToJson for Message {
                 spec,
                 shard,
                 shard_count,
-                cache_root,
-                cache_max_bytes,
-            } => {
-                let mut fields = vec![
-                    ("type", Value::from("job")),
-                    ("spec", spec.to_json()),
-                    ("shard", shard.to_json()),
-                    ("shard_count", shard_count.to_json()),
-                ];
-                if let Some(root) = cache_root {
-                    fields.push(("cache_root", root.to_json()));
-                }
-                if let Some(cap) = cache_max_bytes {
-                    fields.push(("cache_max_bytes", cap.to_json()));
-                }
-                ssresf_json::object(fields)
-            }
+            } => ssresf_json::object([
+                ("type", Value::from("job")),
+                ("spec", spec.to_json()),
+                ("shard", shard.to_json()),
+                ("shard_count", shard_count.to_json()),
+            ]),
             Message::Cancel => ssresf_json::object([("type", Value::from("cancel"))]),
             Message::Heartbeat {
                 shard,
@@ -164,15 +147,9 @@ impl ToJson for Message {
                 ("elapsed_seconds", elapsed_seconds.to_json()),
                 ("phase", phase.to_json()),
             ]),
-            Message::Result {
-                outcome,
-                cache_hits,
-                cache_misses,
-            } => ssresf_json::object([
+            Message::Result { outcome } => ssresf_json::object([
                 ("type", Value::from("result")),
                 ("outcome", outcome.to_json()),
-                ("cache_hits", cache_hits.to_json()),
-                ("cache_misses", cache_misses.to_json()),
             ]),
             Message::Cancelled { shard } => ssresf_json::object([
                 ("type", Value::from("cancelled")),
@@ -193,22 +170,23 @@ impl FromJson for Message {
                 spec: field(value, "spec")?,
                 shard: field(value, "shard")?,
                 shard_count: field(value, "shard_count")?,
-                cache_root: field(value, "cache_root")?,
-                cache_max_bytes: field(value, "cache_max_bytes")?,
             }),
             "cancel" => Ok(Message::Cancel),
-            "heartbeat" => Ok(Message::Heartbeat {
-                shard: field(value, "shard")?,
-                completed: field(value, "completed")?,
-                total: field(value, "total")?,
-                soft_errors: field(value, "soft_errors")?,
-                elapsed_seconds: field(value, "elapsed_seconds")?,
-                phase: field(value, "phase")?,
-            }),
+            "heartbeat" => {
+                let elapsed_seconds: f64 = field(value, "elapsed_seconds")?;
+                Duration::try_from_secs_f64(elapsed_seconds)
+                    .map_err(|e| format!("key \"elapsed_seconds\": {elapsed_seconds} s: {e}"))?;
+                Ok(Message::Heartbeat {
+                    shard: field(value, "shard")?,
+                    completed: field(value, "completed")?,
+                    total: field(value, "total")?,
+                    soft_errors: field(value, "soft_errors")?,
+                    elapsed_seconds,
+                    phase: field(value, "phase")?,
+                })
+            }
             "result" => Ok(Message::Result {
                 outcome: Box::new(field(value, "outcome")?),
-                cache_hits: field(value, "cache_hits")?,
-                cache_misses: field(value, "cache_misses")?,
             }),
             "cancelled" => Ok(Message::Cancelled {
                 shard: field(value, "shard")?,
@@ -247,6 +225,28 @@ mod tests {
         assert!(read_frame(&mut cursor).unwrap().is_none());
         let unknown = ssresf_json::object([("type", Value::from("shutdown"))]);
         assert!(Message::from_json(&unknown).is_err());
+    }
+
+    #[test]
+    fn heartbeats_with_impossible_elapsed_times_are_rejected() {
+        let heartbeat = |elapsed_seconds: f64| {
+            Message::from_json(
+                &Message::Heartbeat {
+                    shard: 0,
+                    completed: 1,
+                    total: 2,
+                    soft_errors: 0,
+                    elapsed_seconds,
+                    phase: "heartbeat".into(),
+                }
+                .to_json(),
+            )
+        };
+        assert!(heartbeat(0.125).is_ok());
+        for bad in [-1.0, 1e300] {
+            let err = heartbeat(bad).unwrap_err();
+            assert!(err.contains("elapsed_seconds"), "{err}");
+        }
     }
 
     #[test]

@@ -116,26 +116,6 @@ impl FromJson for JobSpec {
     }
 }
 
-fn hash_content_hash(hasher: &mut StableHasher, hash: ContentHash) {
-    hasher.update_u64((hash.0 >> 64) as u64);
-    hasher.update_u64(hash.0 as u64);
-}
-
-/// Key of a cached golden run: the netlist content plus exactly the
-/// config fields the golden run depends on (engine, workload, checkpoint
-/// interval). Seeds, environments and cell lists do not move it — every
-/// campaign over the same DUT and workload shares one golden artifact.
-pub fn golden_key(netlist: ContentHash, config: &CampaignConfig) -> ContentHash {
-    let mut hasher = StableHasher::new();
-    hasher.update_str("ssresf-serve-golden-v1");
-    hash_content_hash(&mut hasher, netlist);
-    hasher.update_str(config.engine.name());
-    hasher.update_u64(config.workload.reset_cycles);
-    hasher.update_u64(config.workload.run_cycles);
-    hasher.update_u64(config.checkpoint_interval);
-    hasher.finish()
-}
-
 /// Key of a cached campaign outcome: the netlist content, the injection
 /// cell list and the canonical JSON of the full config — minus the knobs
 /// that provably cannot change any outcome byte (thread count, batch
@@ -163,7 +143,8 @@ pub fn campaign_key(
     }
     let mut hasher = StableHasher::new();
     hasher.update_str("ssresf-serve-campaign-v1");
-    hash_content_hash(&mut hasher, netlist);
+    hasher.update_u64((netlist.0 >> 64) as u64);
+    hasher.update_u64(netlist.0 as u64);
     hasher.update_str(&canonical.to_json().to_string_compact());
     hasher.update_u64(cells.len() as u64);
     for cell in cells {
@@ -253,8 +234,6 @@ mod tests {
             campaign_key(hash, &[CellId(1), CellId(0)], &base),
             "cell order determines record order"
         );
-        // Golden keys ignore seed entirely.
-        assert_eq!(golden_key(hash, &base), golden_key(hash, &reseeded));
         let longer = CampaignConfig {
             workload: ssresf::Workload {
                 reset_cycles: 3,
@@ -262,7 +241,10 @@ mod tests {
             },
             ..base
         };
-        assert_ne!(golden_key(hash, &base), golden_key(hash, &longer));
+        assert_ne!(
+            campaign_key(hash, &cells, &base),
+            campaign_key(hash, &cells, &longer)
+        );
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! - **Artifact cache** ([`ArtifactCache`]): a filesystem store addressed
 //!   by [`ContentHash`](ssresf_netlist::ContentHash) keys derived from the
 //!   netlist content, the campaign config and the seed
-//!   ([`key`]). It memoizes golden runs (trace + engine checkpoints) and
-//!   merged campaign outcomes, so a repeated or overlapping job does
-//!   near-zero simulation work. Hits, misses, evictions and stored bytes surface through the
-//!   existing telemetry registry.
+//!   ([`key`]). It memoizes merged campaign outcomes, so a repeated job
+//!   does no simulation work. Only the coordinator reads or writes it;
+//!   every shard simulates its own golden run, which costs less than
+//!   reading a stored one back. Hits, misses, evictions and stored bytes
+//!   surface through the existing telemetry registry.
 //! - **Process-sharded executor** ([`serve_campaign`]): a coordinator
 //!   that splits the injection list into contiguous shards, runs each in
 //!   a worker *process* (`ssresf-serve worker` children speaking
@@ -51,9 +52,9 @@ pub mod joblog;
 pub mod key;
 pub mod worker;
 
-pub use cache::{ArtifactCache, NS_CAMPAIGN, NS_GOLDEN};
+pub use cache::{ArtifactCache, NS_CAMPAIGN};
 pub use coordinator::{serve_campaign, CacheConfig, ServeOptions};
 pub use frame::{read_frame, write_frame, Message};
 pub use joblog::{replay, JobLog};
-pub use key::{campaign_key, golden_key, soc_presets, JobSpec, NetlistSpec};
+pub use key::{campaign_key, soc_presets, JobSpec, NetlistSpec};
 pub use worker::{run_shard_local, run_worker, ShardError};

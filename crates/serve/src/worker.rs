@@ -3,17 +3,17 @@
 //!
 //! [`run_shard_local`] is the one place a shard actually runs; the
 //! coordinator's in-process mode calls it directly and [`run_worker`]
-//! wraps it in the frame protocol for spawned worker processes. Both
-//! consult the artifact cache for the golden run — the expensive,
-//! shard-invariant prefix of every campaign — and fall back to simulating
-//! (and publishing) it on a miss.
+//! wraps it in the frame protocol for spawned worker processes. Every
+//! shard simulates its own golden run: a worker never touches the
+//! filesystem, and only the coordinator reads or writes the artifact
+//! cache.
 
-use crate::cache::{ArtifactCache, NS_GOLDEN};
+use crate::cache::ArtifactCache;
 use crate::frame::{read_frame, write_frame, Message};
-use crate::key::{golden_key, JobSpec};
+use crate::key::JobSpec;
 use ssresf::{
-    run_campaign_shard_with, CampaignProgress, Dut, GoldenRun, Instrument, ProgressPhase,
-    ProgressSink, ShardOutcome, SsresfError,
+    run_campaign_shard, CampaignProgress, Dut, Instrument, ProgressPhase, ProgressSink,
+    ShardOutcome, SsresfError,
 };
 use ssresf_json::{FromJson, ToJson};
 use std::io::{Read, Write};
@@ -48,11 +48,12 @@ impl From<SsresfError> for ShardError {
     }
 }
 
-/// Runs one shard of `spec` in this process, using `cache` for the golden
-/// run when available. This is [`run_campaign_shard_with`] with a
-/// memoizing golden source: a cached golden run round-trips bit-exactly,
-/// so records (and in scalar mode, work and telemetry) are unchanged by a
-/// hit.
+/// Runs one shard of `spec` in this process through
+/// [`run_campaign_shard`], golden run included.
+///
+/// `_cache` is unused: shards never read or write the artifact cache. The
+/// parameter stays only because the benchmark in `perfbench/` calls this
+/// function with its five-parameter signature.
 ///
 /// # Errors
 ///
@@ -62,36 +63,19 @@ pub fn run_shard_local(
     spec: &JobSpec,
     shard: usize,
     shard_count: usize,
-    cache: Option<&ArtifactCache<'_>>,
+    _cache: Option<&ArtifactCache<'_>>,
     hooks: &Instrument<'_>,
 ) -> Result<ShardOutcome, ShardError> {
     let flat = spec.netlist.build().map_err(ShardError::Other)?;
     let dut = Dut::from_conventions(&flat)?;
-    let config = &spec.config;
-    let gkey = golden_key(flat.content_hash(), config).to_hex();
-    run_campaign_shard_with(&dut, &spec.cells, config, shard, shard_count, hooks, || {
-        let cached = cache
-            .and_then(|c| c.get(NS_GOLDEN, &gkey))
-            .and_then(|v| GoldenRun::from_json(&v).ok());
-        if let Some(golden) = cached {
-            return Ok(golden);
-        }
-        let golden = dut.run_golden_with_checkpoints(
-            config.engine,
-            &config.workload,
-            config.checkpoint_interval,
-        )?;
-        if let Some(cache) = cache {
-            // Event-driven checkpoints are not serializable; skipping
-            // the put keeps them correct (recomputed every time).
-            if let Ok(artifact) = golden.to_json() {
-                cache
-                    .put(NS_GOLDEN, &gkey, &artifact)
-                    .map_err(|e| ShardError::Other(e.to_string()))?;
-            }
-        }
-        Ok(golden)
-    })
+    Ok(run_campaign_shard(
+        &dut,
+        &spec.cells,
+        &spec.config,
+        shard,
+        shard_count,
+        hooks,
+    )?)
 }
 
 /// Forwards campaign progress as heartbeat frames on the shared output.
@@ -162,8 +146,6 @@ pub fn run_worker(
         spec,
         shard,
         shard_count,
-        cache_root,
-        cache_max_bytes,
     }) = job
     else {
         let msg = Message::Error {
@@ -191,35 +173,18 @@ pub fn run_worker(
         }
     });
 
-    let metrics = ssresf::MetricsRegistry::new();
-    let cache = match cache_root {
-        Some(root) => match ArtifactCache::open(root, cache_max_bytes, Some(&metrics)) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                let msg = Message::Error {
-                    message: format!("cannot open artifact cache: {e}"),
-                };
-                write_frame(&mut *output.lock().expect("output lock"), &msg.to_json())?;
-                return Ok(());
-            }
-        },
-        None => None,
-    };
     let sink = FrameSink {
         out: &output,
         shard,
     };
     let hooks = Instrument {
-        metrics: Some(&metrics),
         progress: Some(&sink),
-        heartbeat_every: 0,
         cancel: Some(&cancel),
+        ..Instrument::default()
     };
-    let terminal = match run_shard_local(&spec, shard, shard_count, cache.as_ref(), &hooks) {
+    let terminal = match run_shard_local(&spec, shard, shard_count, None, &hooks) {
         Ok(outcome) => Message::Result {
             outcome: Box::new(outcome),
-            cache_hits: metrics.counter("cache.hits"),
-            cache_misses: metrics.counter("cache.misses"),
         },
         Err(ShardError::Cancelled) => Message::Cancelled { shard },
         Err(ShardError::Other(message)) => Message::Error { message },
@@ -272,24 +237,5 @@ mod tests {
         assert_eq!(merged.records, reference.records);
         assert_eq!(merged.total_work, reference.total_work);
         assert_eq!(merged.telemetry, reference.telemetry);
-    }
-
-    #[test]
-    fn golden_cache_hit_leaves_the_shard_outcome_intact() {
-        let spec = smoke_spec();
-        let metrics = ssresf::MetricsRegistry::new();
-        let root =
-            std::env::temp_dir().join(format!("ssresf-serve-worker-golden-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = ArtifactCache::open(&root, None, Some(&metrics)).unwrap();
-        let cold = run_shard_local(&spec, 0, 2, Some(&cache), &Instrument::default()).unwrap();
-        assert_eq!(metrics.counter("cache.hits"), 0);
-        assert_eq!(metrics.counter("cache.misses"), 1);
-        let warm = run_shard_local(&spec, 0, 2, Some(&cache), &Instrument::default()).unwrap();
-        assert_eq!(metrics.counter("cache.hits"), 1);
-        assert_eq!(warm.outcome.records, cold.outcome.records);
-        assert_eq!(warm.golden_work, cold.golden_work);
-        assert_eq!(warm.golden_engine, cold.golden_engine);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -91,7 +91,7 @@ fn warm_cache_repeat_does_near_zero_simulation_work() {
     let cache_root = temp_dir("warm");
     // The log opens first and creates the directory; the cache follows.
     let log_path = cache_root.join("jobs.jsonl");
-    let run = |metrics: &MetricsRegistry| {
+    let run = |spec: &JobSpec, metrics: &MetricsRegistry| {
         let options = ServeOptions {
             shard_count: 2,
             worker_binary: Some(worker_binary()),
@@ -104,17 +104,18 @@ fn warm_cache_repeat_does_near_zero_simulation_work() {
             job_log: Some(log_path.clone()),
             cancel: None,
         };
-        serve_campaign(&spec, &options).unwrap()
+        serve_campaign(spec, &options).unwrap()
     };
     let cold_metrics = MetricsRegistry::new();
-    let cold = run(&cold_metrics);
-    // Cold: the campaign artifact missed, and at least one worker missed
-    // the golden artifact (they race; the loser may hit the winner's put).
-    assert!(cold_metrics.counter("cache.misses") >= 2);
+    let cold = run(&spec, &cold_metrics);
+    // Cold: the coordinator missed the campaign artifact once; the workers
+    // simulate their golden runs and never look in the cache.
+    assert_eq!(cold_metrics.counter("cache.misses"), 1);
+    assert_eq!(cold_metrics.counter("cache.hits"), 0);
     assert_eq!(cold_metrics.gauge("shard.count"), Some(2.0));
 
     let warm_metrics = MetricsRegistry::new();
-    let warm = run(&warm_metrics);
+    let warm = run(&spec, &warm_metrics);
     assert_eq!(warm.records, cold.records);
     assert_eq!(warm.total_work, cold.total_work);
     assert_eq!(
@@ -129,8 +130,39 @@ fn warm_cache_repeat_does_near_zero_simulation_work() {
         "no shards ran on the warm repeat"
     );
 
+    // A seed sweep over the same netlist and workload shares nothing
+    // stored: it misses once and its shards simulate from scratch.
+    let sweep = JobSpec {
+        config: CampaignConfig {
+            seed: spec.config.seed + 1,
+            ..spec.config
+        },
+        ..spec.clone()
+    };
+    let sweep_metrics = MetricsRegistry::new();
+    let swept = run(&sweep, &sweep_metrics);
+    assert_eq!(sweep_metrics.counter("cache.misses"), 1);
+    assert_eq!(sweep_metrics.counter("cache.hits"), 0);
+    let flat = sweep.netlist.build().unwrap();
+    let dut = Dut::from_conventions(&flat).unwrap();
+    let reference =
+        run_campaign_with(&dut, &sweep.cells, &sweep.config, &Instrument::default()).unwrap();
+    assert_eq!(swept.records, reference.records);
+
+    // Only the coordinator writes the cache: the one namespace under the
+    // root is `campaign`, beside the job log.
+    let mut dirs: Vec<String> = std::fs::read_dir(&cache_root)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.file_type().unwrap().is_dir())
+        .map(|entry| entry.file_name().into_string().unwrap())
+        .collect();
+    dirs.sort();
+    assert_eq!(dirs, ["campaign"]);
+
     // The job log replays the whole history in order: cold submission,
-    // shard completions and merge, then the warm submission's cache hit.
+    // shard completions and merge, the warm submission's cache hit, then
+    // the sweep.
     let events = replay(&log_path).unwrap();
     let kinds: Vec<String> = events
         .iter()
@@ -144,7 +176,11 @@ fn warm_cache_repeat_does_near_zero_simulation_work() {
             "shard_done",
             "merged",
             "submitted",
-            "cache_hit"
+            "cache_hit",
+            "submitted",
+            "shard_done",
+            "shard_done",
+            "merged"
         ]
     );
     std::fs::remove_dir_all(&cache_root).unwrap();

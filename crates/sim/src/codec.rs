@@ -1,22 +1,14 @@
-//! JSON codecs for simulation artifacts that cross process boundaries.
-//!
-//! The serve layer memoizes golden traces and engine checkpoints on disk
-//! and ships them between coordinator and worker processes; this module
-//! gives the simulation types an exact, self-contained JSON form (built on
-//! `ssresf-json`, whose shortest-round-trip float printing makes every
-//! `f64` survive a round trip bit-exactly).
+//! JSON codecs for the simulation types that campaign outcomes carry
+//! across process and disk boundaries: faults, cycle traces and engine
+//! telemetry (built on `ssresf-json`, whose shortest-round-trip float
+//! printing makes every `f64` survive a round trip bit-exactly).
 //!
 //! Logic values are packed as `0`/`1`/`x`/`z` characters — a trace row
-//! becomes one string — keeping million-row golden traces compact.
-//!
-//! Only [`LevelizedState`] snapshots are encodable: the levelized engine
-//! is memoryless between cycles, so its snapshot is a plain value. An
-//! event-driven snapshot embeds an event wheel and is rejected — callers
-//! fall back to re-simulating (a cache miss, not an error).
+//! becomes one string — keeping long golden traces compact. Engine
+//! snapshots have no JSON form: they never leave the process.
 
-use crate::engine::{EngineState, EngineTelemetry};
+use crate::engine::EngineTelemetry;
 use crate::inject::{Fault, SetFault, SeuFault};
-use crate::levelized::LevelizedState;
 use crate::trace::CycleTrace;
 use crate::value::Logic;
 use ssresf_json::{field, FromJson, ToJson, Value};
@@ -147,81 +139,6 @@ impl FromJson for EngineTelemetry {
     }
 }
 
-impl ToJson for LevelizedState {
-    fn to_json(&self) -> Value {
-        ssresf_json::object([
-            ("values", logic_row_to_json(self.values())),
-            ("state", logic_row_to_json(self.state())),
-            (
-                "inverted",
-                Value::String(
-                    self.inverted()
-                        .iter()
-                        .map(|&b| if b { '1' } else { '0' })
-                        .collect(),
-                ),
-            ),
-            ("faults", self.faults().to_json()),
-            ("cycle", self.cycle().to_json()),
-            ("activity", self.activity().to_json()),
-            ("evals", self.evals().to_json()),
-        ])
-    }
-}
-
-impl FromJson for LevelizedState {
-    fn from_json(value: &Value) -> Result<Self, String> {
-        let inverted = field::<String>(value, "inverted")?
-            .chars()
-            .map(|c| match c {
-                '0' => Ok(false),
-                '1' => Ok(true),
-                other => Err(format!("invalid inverted flag {other:?}")),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LevelizedState::from_parts(
-            logic_row(&field::<String>(value, "values")?)?,
-            logic_row(&field::<String>(value, "state")?)?,
-            inverted,
-            field(value, "faults")?,
-            field(value, "cycle")?,
-            field(value, "activity")?,
-            field(value, "evals")?,
-        ))
-    }
-}
-
-impl EngineState {
-    /// Encodes the snapshot. Only levelized snapshots are encodable: an
-    /// event-driven snapshot embeds an event wheel, so callers fall back to
-    /// re-simulating (a cache miss, not an error).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description for event-driven and oracle snapshots.
-    pub fn to_json(&self) -> Result<Value, String> {
-        match self {
-            EngineState::Levelized(s) => Ok(ssresf_json::object([
-                ("engine", Value::from("levelized")),
-                ("state", s.to_json()),
-            ])),
-            EngineState::EventDriven(_) => {
-                Err("event-driven snapshots embed an event wheel and are not serializable".into())
-            }
-            EngineState::Oracle(_) => Err("oracle snapshots are not serializable".into()),
-        }
-    }
-}
-
-impl FromJson for EngineState {
-    fn from_json(value: &Value) -> Result<Self, String> {
-        match field::<String>(value, "engine")?.as_str() {
-            "levelized" => Ok(EngineState::Levelized(field(value, "state")?)),
-            other => Err(format!("unknown engine snapshot kind {other:?}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,27 +202,5 @@ mod tests {
         let text = t.to_json().to_string_compact();
         let back = EngineTelemetry::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn levelized_state_round_trips() {
-        let state = LevelizedState::from_parts(
-            vec![Logic::Zero, Logic::One, Logic::X],
-            vec![Logic::Z, Logic::One],
-            vec![true, false, true],
-            sample_faults(),
-            42,
-            vec![0, 9, 3],
-            1234,
-        );
-        let wrapped = EngineState::Levelized(state.clone());
-        let text = wrapped.to_json().unwrap().to_string_compact();
-        let back = EngineState::from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
-        match back {
-            EngineState::Levelized(s) => assert_eq!(s, state),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let unknown = text.replace("\"levelized\"", "\"event-driven\"");
-        assert!(EngineState::from_json(&ssresf_json::parse(&unknown).unwrap()).is_err());
     }
 }

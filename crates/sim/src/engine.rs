@@ -10,9 +10,9 @@ use ssresf_netlist::{CellId, FlatNetlist, NetId};
 /// A complete snapshot of an engine's dynamic state.
 ///
 /// Produced by [`Engine::snapshot`] and consumed by [`Engine::restore`];
-/// the variant must match the engine kind that produced it. Snapshots are
-/// serializable so campaign checkpoints can be persisted or shipped to
-/// remote workers.
+/// the variant must match the engine kind that produced it. Snapshots
+/// live in memory only: a campaign re-simulates its golden run rather than
+/// storing one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineState {
     /// State of an [`EventDrivenEngine`](crate::EventDrivenEngine).

@@ -49,8 +49,7 @@ impl LevelizedState {
             && self.faults == other.faults
     }
 
-    // Component accessors and a constructor for the bit-parallel kernel
-    // and the codec.
+    // Component accessors and a constructor for the bit-parallel kernel.
 
     pub(crate) fn values(&self) -> &[Logic] {
         &self.values
